@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from orbikit.harness import (
     list_scenarios,
     run_scenario,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def cfg(name, **kw):
@@ -117,19 +121,23 @@ def test_registered_scenario_runs(tmp_path):
     assert code == 0 and report["params"]["N"] == 5
 
 
-def test_noneffective_scenario_green():
-    code, report = run_scenario(cfg("noneffective-circle"))
-    assert code == 0, json.dumps(report, indent=1)
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_golden_bundle(name, tmp_path):
+    """Every built-in at its default config reproduces its pinned bundle.
 
-
-def test_cech_scenario_green():
-    code, report = run_scenario(cfg("cech-localization"))
-    assert code == 0, json.dumps(report, indent=1)
-
-
-def test_cocycle_scenario_green():
-    code, report = run_scenario(cfg("cocycle-transport"))
-    assert code == 0, json.dumps(report, indent=1)
+    The pinned files under tests/golden/<name>/ come from the same CLI
+    command this test runs: ``orbikit --scenario <name> --out
+    tests/golden/<name>``, with ``spectra.csv`` replaced by the
+    ``sha256sum`` line in ``spectra.csv.sha256``.  Regenerating them is
+    that command again; any regeneration has to be explained in
+    CHANGES.md.
+    """
+    out = tmp_path / name
+    assert cli_main(["--scenario", name, "--out", str(out)]) == 0
+    for fname in ("report.json", "summary.md"):
+        assert (out / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+    digest = hashlib.sha256((out / "spectra.csv").read_bytes()).hexdigest()
+    assert (GOLDEN / name / "spectra.csv.sha256").read_text() == f"{digest}  spectra.csv\n"
 
 
 def test_cli_list_and_run(tmp_path, capsys):
