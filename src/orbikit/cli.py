@@ -55,10 +55,11 @@ def main(argv=None) -> int:
         print("error: need --scenario, --config or --list", file=sys.stderr)
         return 2
 
-    if args.modes is not None:
-        config["modes"] = args.modes
-    if args.buffer is not None:
-        config["buffer"] = args.buffer
+    if isinstance(config, dict):  # run_scenario rejects any other config
+        if args.modes is not None:
+            config["modes"] = args.modes
+        if args.buffer is not None:
+            config["buffer"] = args.buffer
 
     try:
         code, report = run_scenario(

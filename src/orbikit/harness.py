@@ -1,24 +1,31 @@
 """Scenario registry and check orchestration.
 
-A scenario bundles catalog objects with a named list of checks, each
-carrying its default tolerance.  Reports are deterministic byte-for-byte
-for a fixed configuration and package version: keys are sorted, check
-order is the declared order, and no timestamps are recorded.
+A scenario bundles catalog objects with a named list of checks.  Its
+params are declared in ``PARAMS``, each with a type, a default and a floor
+or a set of allowed values.  Its builder takes the resolved params and
+declares every check as ``(name, default tolerance, fn(tol) -> (ok, value,
+detail))``; the harness runs each check in isolation and builds every
+``CheckResult`` itself.  Reports are deterministic byte-for-byte for a
+fixed configuration and package version: keys are sorted, check order is
+the declared order, and no timestamps are recorded.
 
 Config files are JSON with an explicit schema version:
 
-    {"schema_version": 1, "scenario": "a2-example", "params": {"N": 5},
-     "modes": 32, "buffer": 2, "tolerances": {"spectra-match": 1e-9}}
+    {"schema_version": 1, "scenario": "free-rotation-circle",
+     "params": {"m": 4}, "modes": 32, "buffer": 2,
+     "tolerances": {"spectra-match": 1e-10}}
 
 Tolerances may be tightened freely; loosening a default by more than a
-factor of ten needs force=True (the --force flag).
+factor of ten needs force=True (the --force flag).  Anything else the
+declarations do not allow raises ``ConfigError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +44,7 @@ from .cocycles import (
     validate_cocycle,
     verify_coboundary,
     Cocycle,
+    SectionFamily,
     INCONCLUSIVE,
 )
 from .convolution import (
@@ -57,7 +65,6 @@ from .groupoids import (
     trivial_cover,
 )
 from .morita import (
-    Bitorsor,
     QuotientCovering,
     double_cover_bitorsor,
     cech_bitorsor,
@@ -76,7 +83,6 @@ from .spectral import (
     Chart,
     DiracSpec,
     OrbifoldMeasure,
-    assemble_dirac,
     check_spectral_triple,
     conjugated_multiplication_residual,
     downstairs_tangent_cocycle,
@@ -90,18 +96,38 @@ from .spectral import (
 )
 
 SCHEMA_VERSION = 1
+CONFIG_KEYS = {"schema_version", "scenario", "params", "modes", "buffer", "checks", "tolerances"}
 
 
 class ConfigError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
+class Param:
+    """A declared scenario param: its type, default, and floor or allowed set."""
+
+    type: type
+    default: object
+    low: object = None
+    choices: tuple = None
+
+    def validate(self, scenario, key, value):
+        if (
+            isinstance(value, bool) or not isinstance(value, self.type)
+            or (self.low is not None and value < self.low)
+            or (self.choices is not None and value not in self.choices)
+        ):
+            allowed = (f"one of {list(self.choices)}" if self.choices
+                       else f"an {self.type.__name__} >= {self.low}")
+            raise ConfigError(f"{scenario} param {key} must be {allowed}, got {value!r}")
+        return value
+
+
 @dataclass
 class Scenario:
-    name: str
     description: str
-    params: dict
-    checks: list  # (check name, default tolerance or None, callable(tol) -> CheckResult)
+    checks: list  # (check name, default tolerance, fn(tol) -> (ok, value or None, detail))
     spectra: list = field(default_factory=list)  # (index label, eigenvalue)
 
 
@@ -109,125 +135,105 @@ class Scenario:
 # scenario builders
 
 
-def _result(name, passed, detail="", value=None, tol=None):
-    return CheckResult(name, bool(passed), detail, value, tol)
+def _localize(b, cover_y=None):
+    """localize_cech along the trivial cover of the left groupoid."""
+    return localize_cech(b, trivial_cover(b.left), cover_y or trivial_cover(b.right))
 
 
-def _a2_oracle_sign(N, a, y):
-    # transport the source section point along the arrow and count seam wraps
-    return (-1) ** ((y + a) // N)
+def _z2_sign(G):
+    """-1 on the nontrivial element of Z_2, on theta or a Čech groupoid over it."""
+    return sign_cocycle(G, lambda a: -1 if (a[0] if isinstance(a, tuple) else a) == 1 else 1)
 
 
-def build_a2_example(params) -> Scenario:
-    N = int(params.get("N", 3))
+def _double_cover(N):
+    """The double cover at scale N, localized along trivial covers.
+
+    Returns (theta, xi, bitorsor, localized, right Čech groupoid, sign
+    cocycle on the left Čech groupoid).
+    """
     theta, xi, b = double_cover_bitorsor(N)
-    loc, cx, cy = localize_cech(b, trivial_cover(theta), trivial_cover(xi))
-    checks = []
+    loc, cx, cy = _localize(b)
+    return theta, xi, b, loc, cy, _z2_sign(cx)
+
+
+def _seam_wrap_check(N, loc, cy, sign, detail):
+    """The seam-wrap check of ``sign`` induced along default sections.
+
+    It passes when the induced cocycle is valid and follows the oracle
+    entrywise; its value counts the entries that do not.  The oracle transports the source section point along the arrow and
+    counts seam wraps: the entry at Čech arrow ((a, y), i, j) is
+    (-1)^((y + a) // N).
+    """
+    def check(tol):
+        induced = induce_cocycle(loc, sign, default_sections(loc))
+        mismatches = sum(
+            int(induced.entries[arrow][0, 0]) != (-1) ** ((arrow[0][1] + arrow[0][0]) // N)
+            for arrow in cy.arrows
+        )
+        return validate_cocycle(induced).ok and mismatches == 0, mismatches, detail
+    return check
+
+
+def build_a2_example(N) -> Scenario:
+    theta, xi, b, loc, cy, sign = _double_cover(N)
 
     def bitorsor_axioms(tol):
         rep = validate_generalized_hom(b, mode="bitorsor")
-        mutated = Bitorsor(
-            left=theta, right=xi, carrier=b.carrier, rho=b.rho, alpha=b.alpha,
-            left_act=b.left_act,
-            right_act={(q, t): (q + t[0]) % (2 * N) for (q, t) in b.right_act},
-            name="mutated",
+        mutated = replace(
+            b, right_act={(q, t): (q + t[0]) % (2 * N) for (q, t) in b.right_act}, name="mutated",
         )
         bad = validate_generalized_hom(mutated, mode="bitorsor")
-        ok = rep.ok and not bad.ok
         witness = bad.violations[0] if bad.violations else "none"
-        return _result(
-            "bitorsor-axioms", ok,
-            f"valid at N={N}; mutated table fails with witness: {witness}",
-            value=float(len(bad.violations) == 0), tol=tol,
-        )
+        return (rep.ok and not bad.ok, len(bad.violations) == 0,
+                f"valid at N={N}; mutated table fails with witness: {witness}")
 
     def fibre_blocks(tol):
         bad = [y for y in xi.objects if not fibre_partition_report(b, y).ok()]
-        return _result(
-            "fibre-blocks", not bad,
-            f"isotropy-rank block partition verified at every object (N={N})",
-            value=float(len(bad)), tol=tol,
-        )
+        return not bad, len(bad), f"isotropy-rank block partition verified at every object (N={N})"
 
     def weak_equiv(tol):
         rep = weak_equivalence_pair(b).check()
-        return _result(
-            "weak-equivalence-pair", rep.ok,
-            "surjectivity and cartesian conditions hold exhaustively"
-            if rep.ok else rep.render(),
-            value=float(len(rep.violations)), tol=tol,
-        )
+        return rep.ok, len(rep.violations), (
+            "surjectivity and cartesian conditions hold exhaustively" if rep.ok else rep.render())
 
-    def induced_sign(tol):
-        g = sign_cocycle(cx, lambda arrow: -1 if arrow[0] == 1 else 1)
-        induced = induce_cocycle(loc, g, default_sections(loc))
-        ok = validate_cocycle(induced).ok
-        mismatches = 0
-        for arrow in cy.arrows:
-            (a, y), _, _ = arrow
-            if int(induced.entries[arrow][0, 0]) != _a2_oracle_sign(N, a, y):
-                mismatches += 1
-        return _result(
-            "induced-sign-cocycle", ok and mismatches == 0,
-            "matches the unique-arrow transport oracle entrywise",
-            value=float(mismatches), tol=tol,
-        )
+    induced_sign = _seam_wrap_check(
+        N, loc, cy, sign, "matches the unique-arrow transport oracle entrywise")
 
     def section_independence(tol):
-        g = sign_cocycle(cx, lambda arrow: -1 if arrow[0] == 1 else 1)
-        ga = induce_cocycle(loc, g, sections_from_offsets(loc, 0))
-        gb = induce_cocycle(loc, g, sections_from_offsets(loc, 1))
+        ga = induce_cocycle(loc, sign, sections_from_offsets(loc, 0))
+        gb = induce_cocycle(loc, sign, sections_from_offsets(loc, 1))
         lam = cohomologous(ga, gb)
         ok = lam not in (None, INCONCLUSIVE) and verify_coboundary(ga, gb, lam)
-        return _result(
-            "section-independence", ok,
-            "distinct section families give cohomologous cocycles; coboundary found",
-            value=0.0 if ok else 1.0, tol=tol,
-        )
+        return ok, None, "distinct section families give cohomologous cocycles; coboundary found"
 
     def composition_roundtrip(tol):
         comp = compose_homs(b, inverse_bitorsor(b))
         ok = validate_generalized_hom(comp, mode="bitorsor").ok
-        tm = find_two_morphism(comp, identity_bitorsor(theta))
-        ok = ok and tm not in (None, INCONCLUSIVE)
-        return _result(
-            "composition-roundtrip", ok,
-            "composite with the inverse is 2-isomorphic to the identity bitorsor",
-            value=0.0 if ok else 1.0, tol=tol,
-        )
+        ok = ok and find_two_morphism(comp, identity_bitorsor(theta)) not in (None, INCONCLUSIVE)
+        return ok, None, "composite with the inverse is 2-isomorphic to the identity bitorsor"
 
-    checks = [
-        ("bitorsor-axioms", 0.0, bitorsor_axioms),
-        ("fibre-blocks", 0.0, fibre_blocks),
-        ("weak-equivalence-pair", 0.0, weak_equiv),
-        ("induced-sign-cocycle", 0.0, induced_sign),
-        ("section-independence", 0.0, section_independence),
-        ("composition-roundtrip", 0.0, composition_roundtrip),
-    ]
     return Scenario(
-        "a2-example",
         f"double-cover discretization at N={N}: bitorsor, fibre blocks, weak "
         "equivalences, induced sign cocycle, composition round trip",
-        {"N": N},
-        checks,
+        [
+            ("bitorsor-axioms", 0.0, bitorsor_axioms),
+            ("fibre-blocks", 0.0, fibre_blocks),
+            ("weak-equivalence-pair", 0.0, weak_equiv),
+            ("induced-sign-cocycle", 0.0, induced_sign),
+            ("section-independence", 0.0, section_independence),
+            ("composition-roundtrip", 0.0, composition_roundtrip),
+        ],
     )
 
 
-def _rotation_setup(m, M, signs=None):
+def _rotation_setup(m, M):
     G = rotation_groupoid(m, FourierCircle(mode_cutoff=M))
-    rep = build_clifford(1)
-    lift = trivial_lift(G, rep) if signs is None else SpinLift(G, rep, dict(signs), True)
-    spec = DiracSpec(G, lift, (Fraction(0),), M)
-    cov = QuotientCovering.of(G)
-    return G, spec, cov
+    spec = DiracSpec(G, trivial_lift(G, build_clifford(1)), (Fraction(0),), M)
+    return G, spec, QuotientCovering.of(G)
 
 
-def build_free_rotation_circle(params) -> Scenario:
-    m = int(params.get("m", 2))
-    if m not in (2, 4):
-        raise ConfigError("free-rotation-circle supports m in {2, 4}")
-    M = int(params.get("modes", 32))
-    buffer = int(params.get("buffer", 2))
+def build_free_rotation_circle(m, modes, buffer) -> Scenario:
+    M = modes
     G, spec, cov = _rotation_setup(m, M)
     ind = induced_dirac(cov, spec)
     base = G.base
@@ -239,15 +245,26 @@ def build_free_rotation_circle(params) -> Scenario:
                         np.diag(ind.downstairs.dense()).real)
     ]
 
+    def random_invariant(rng, reach):
+        """Random coefficients on the invariant modes with |k| <= reach."""
+        c = np.zeros(2 * M + 1, dtype=complex)
+        for k in ind.invariant_modes:
+            if abs(k) <= reach:
+                c[k + M] = rng.standard_normal() + 1j * rng.standard_normal()
+        return CircleModes(base, M, c)
+
+    def cos_mode(scale):
+        """scale * cos(m x): the lowest invariant non-constant function."""
+        f = CircleModes.zero(base, M)
+        f.coeffs[m + M] = f.coeffs[-m + M] = scale / 2
+        return f
+
     def spectra_match(tol):
         up, down = matched_interior_spectra(ind, buffer)
         worst = float(np.max(np.abs(up - down))) if len(up) else float("inf")
-        return _result(
-            "spectra-match", worst <= tol and len(up) > 4,
-            f"invariant spectrum equals the quotient circle spectrum on the "
-            f"interior band ({len(up)} eigenvalues)",
-            value=worst, tol=tol,
-        )
+        return (worst <= tol and len(up) > 4, worst,
+                f"invariant spectrum equals the quotient circle spectrum on the "
+                f"interior band ({len(up)} eigenvalues)")
 
     def unitary_check(tol):
         rng = np.random.default_rng(0)
@@ -255,46 +272,31 @@ def build_free_rotation_circle(params) -> Scenario:
         down_base = ind.downstairs.space.base
         down_measure = uniform_measure(down_base, 1, 1)
         for _ in range(5):
-            c = np.zeros(2 * M + 1, dtype=complex)
-            for k in ind.invariant_modes:
-                c[k + M] = rng.standard_normal() + 1j * rng.standard_normal()
-            psi = CircleModes(base, M, c)
-            down = CircleModes(down_base, ind.downstairs.spec.cutoff, ind.unitary @ c,
+            psi = random_invariant(rng, M)
+            down = CircleModes(down_base, ind.downstairs.spec.cutoff, ind.unitary @ psi.coeffs,
                                twist=ind.down_twist)
             lhs = orbifold_inner(measure, psi, psi)
             rhs = orbifold_inner(down_measure, down, down)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
         # the algebra action conjugates onto the quotient algebra action
-        f = CircleModes.zero(base, M)
-        f.coeffs[m + M] = 0.5
-        f.coeffs[-m + M] = 0.5
+        f = cos_mode(1.0)
         f_down = pushforward_function(cov, f)
         f_down = CircleModes(down_base, f_down.cutoff, f_down.coeffs)
-        worst = max(
-            worst, conjugated_multiplication_residual(ind, f, f_down, buffer=buffer)
-        )
-        return _result(
-            "unitary-inner-product", worst <= tol,
-            "transport preserves the orbifold inner products and conjugates "
-            "the function action onto the quotient action",
-            value=worst, tol=tol,
-        )
+        worst = max(worst, conjugated_multiplication_residual(ind, f, f_down, buffer=buffer))
+        return worst <= tol, worst, ("transport preserves the orbifold inner products and "
+                                     "conjugates the function action onto the quotient action")
 
     def local_representatives(tol):
         worst = max(ind.conjugation_residual, ind.branch_residual)
-        return _result(
-            "local-representatives", worst <= tol,
-            "conjugated Dirac equals the quotient Dirac; branch representatives agree",
-            value=worst, tol=tol,
-        )
+        return worst <= tol, worst, (
+            "conjugated Dirac equals the quotient Dirac; branch representatives agree")
 
     def tangent_identification(tol):
         n_sheets = 3
         cover = CechCover(tuple(
             CircleArc(Fraction(i, n_sheets), Fraction(1, n_sheets)) for i in range(n_sheets)
         ))
-        branches = {i: i % m for i in range(n_sheets)}
-        induced = induced_tangent_cocycle(cov, cover, branches)
+        induced = induced_tangent_cocycle(cov, cover, {i: i % m for i in range(n_sheets)})
         down = downstairs_tangent_cocycle(cov, cover)
         same = set(induced) == set(down) and all(
             np.array_equal(induced[k], down[k]) for k in induced
@@ -302,55 +304,34 @@ def build_free_rotation_circle(params) -> Scenario:
         lifts = spin_lift_search(G, spec.lift.rep)
         transport = spin_structure_transport(cov, lifts)
         bijection = sorted(transport.values()) == [Fraction(0), Fraction(1, 2)]
-        return _result(
-            "tangent-and-spin-identification", same and bijection,
+        return same and bijection, None, (
             f"induced tangent cocycle equals the quotient tangent cocycle; "
-            f"{len(lifts)} lifts biject with the quotient twists",
-            value=0.0 if (same and bijection) else 1.0, tol=tol,
-        )
+            f"{len(lifts)} lifts biject with the quotient twists")
 
     def integration(tol):
         one = CircleModes.mode(base, M, 0)
         total = orbifold_integral(measure, one)
         expected = base.circumference / m
-        rho1 = CircleModes.zero(base, M)
-        rho1.coeffs[M] = 0.5
-        rho1.coeffs[m + M] = 0.25
-        rho1.coeffs[-m + M] = 0.25
-        rho2 = CircleModes.mode(base, M, 0) - rho1
+        rho1 = one * 0.5 + cos_mode(0.5)
+        rho2 = one - rho1
         split = OrbifoldMeasure(base, [Chart("lobe1", m, 1, rho1), Chart("lobe2", m, 1, rho2)])
         split.validate(G)
-        f = CircleModes.zero(base, M)
-        f.coeffs[M] = 1.0
-        f.coeffs[m + M] = 0.5
-        f.coeffs[-m + M] = 0.5
+        f = one + cos_mode(1.0)
         worst = max(abs(total - expected), abs(orbifold_integral(split, f) - orbifold_integral(measure, f)))
-        return _result(
-            "orbifold-integration", worst <= tol,
-            f"unit function integrates to {expected:.6f}; chart decompositions agree",
-            value=float(worst), tol=tol,
-        )
+        return worst <= tol, worst, (
+            f"unit function integrates to {expected:.6f}; chart decompositions agree")
 
     def divergence(tol):
         rng = np.random.default_rng(1)
-        pairs = []
-        for _ in range(4):
-            cs = []
-            for _ in range(2):
-                c = np.zeros(2 * M + 1, dtype=complex)
-                for k in ind.invariant_modes:
-                    if abs(k) <= M - buffer:
-                        c[k + M] = rng.standard_normal() + 1j * rng.standard_normal()
-                cs.append(CircleModes(base, M, c))
-            pairs.append(tuple(cs))
+        pairs = [
+            tuple(random_invariant(rng, M - buffer) for _ in range(2)) for _ in range(4)
+        ]
         report = check_spectral_triple(
             spec, [], measure=measure, invariant_pairs=pairs, label="divergence",
         )
-        return _result(
-            "divergence-symmetry", report.symmetry_residual <= tol,
-            "Dirac is symmetric on invariant spinors under orbifold integration",
-            value=report.symmetry_residual, tol=tol,
-        )
+        residual = report.symmetry_residual
+        return residual <= tol, residual, (
+            "Dirac is symmetric on invariant spinors under orbifold integration")
 
     def commutators(tol):
         gens = [(f"e{l}", fourier_element(G, {G.group.identity: CircleModes.mode(base, M, l)}))
@@ -360,79 +341,60 @@ def build_free_rotation_circle(params) -> Scenario:
         drift = max(report.commutator_drift.values())
         frame = max(report.frame_identity_residuals.values())
         ok = worst <= tol and drift <= 1e-9 and frame <= tol and report.representation_residual <= 1e-12
-        return _result(
-            "convolution-commutators", ok,
-            f"|[D, e^(il.)]| = l on the interior band; drift {drift:.2e}; "
-            f"frame identity residual {frame:.2e}; representation law "
-            f"residual {report.representation_residual:.2e}",
-            value=worst, tol=tol,
-        )
+        return ok, worst, (f"|[D, e^(il.)]| = l on the interior band; drift {drift:.2e}; "
+                           f"frame identity residual {frame:.2e}; representation law "
+                           f"residual {report.representation_residual:.2e}")
 
     def faithful(tol):
         probe_spec = _rotation_setup(m, 8)[1]
         rep = faithfulness_probe(probe_spec.groupoid, probe_spec, generator_degree=2)
-        return _result(
-            "faithfulness", rep.faithful and rep.matches_effectiveness,
-            f"zero kernel within band; {rep.detail}",
-            value=float(rep.kernel_dim), tol=tol,
-        )
+        ok = rep.faithful and rep.matches_effectiveness
+        return ok, rep.kernel_dim, f"zero kernel within band; {rep.detail}"
 
     def growth(tol):
         report = check_spectral_triple(spec, [], buffer=buffer)
         err = abs(report.growth_exponent - 1.0)
-        return _result(
-            "growth-exponent", err <= tol,
-            f"eigenvalue counting exponent {report.growth_exponent:.4f} vs n=1",
-            value=err, tol=tol,
-        )
+        return err <= tol, err, f"eigenvalue counting exponent {report.growth_exponent:.4f} vs n=1"
 
-    checks = [
-        ("spectra-match", 1e-9, spectra_match),
-        ("unitary-inner-product", 1e-9, unitary_check),
-        ("local-representatives", 1e-12, local_representatives),
-        ("tangent-and-spin-identification", 0.0, tangent_identification),
-        ("orbifold-integration", 1e-10, integration),
-        ("divergence-symmetry", 1e-10, divergence),
-        ("convolution-commutators", 1e-12, commutators),
-        ("faithfulness", 0.0, faithful),
-        ("growth-exponent", 0.15, growth),
-    ]
     return Scenario(
-        "free-rotation-circle",
         f"free Z_{m} rotation of the circle: quotient spectra, transport "
         "unitarity, tangent/spin identification, integration, commutators",
-        {"m": m, "modes": M, "buffer": buffer},
-        checks,
+        [
+            ("spectra-match", 1e-9, spectra_match),
+            ("unitary-inner-product", 1e-9, unitary_check),
+            ("local-representatives", 1e-12, local_representatives),
+            ("tangent-and-spin-identification", 0.0, tangent_identification),
+            ("orbifold-integration", 1e-10, integration),
+            ("divergence-symmetry", 1e-10, divergence),
+            ("convolution-commutators", 1e-12, commutators),
+            ("faithfulness", 0.0, faithful),
+            ("growth-exponent", 0.15, growth),
+        ],
         spectra,
     )
 
 
-def build_pillowcase_torus(params) -> Scenario:
-    M = int(params.get("modes", 24))
-    buffer = int(params.get("buffer", 2))
-    torus = FourierTorus((2 * np.pi, 2 * np.pi), M)
-    G = negation_torus_groupoid(torus)
-    rep2 = build_clifford(2)
-    lift = projective_lift(G, rep2)
-    spec = DiracSpec(G, lift, (Fraction(0), Fraction(0)), M)
-    dirac = assemble_dirac(spec)
-    spectra = []
-    for k in spec.space.mode_list:
-        w = spec.space.freq(k)
-        r = float(np.hypot(w[0], w[1]))
-        spectra.append((f"{k[0]},{k[1]}:+", r))
-        spectra.append((f"{k[0]},{k[1]}:-", -r))
+def _torus_spec(M):
+    G = negation_torus_groupoid(FourierTorus((2 * np.pi, 2 * np.pi), M))
+    return DiracSpec(G, projective_lift(G, build_clifford(2)), (Fraction(0), Fraction(0)), M)
+
+
+def build_pillowcase_torus(modes, buffer) -> Scenario:
+    M = modes
+    spec = _torus_spec(M)
+    G, lift = spec.groupoid, spec.lift
+    torus = G.base
+    spectra = [
+        (f"{k[0]},{k[1]}:{label}", sign * float(np.hypot(*spec.space.freq(k))))
+        for k in spec.space.mode_list for label, sign in (("+", 1), ("-", -1))
+    ]
 
     def lift_search(tol):
-        strict = spin_lift_search(G, rep2)
+        strict = spin_lift_search(G, lift.rep)
         # the half-turn lift squares to -1; the search must come back empty
-        ok = strict == [] and not lift.strict
-        return _result(
-            "order-four-lift", ok,
+        return strict == [] and not lift.strict, len(strict), (
             "no sign assignment closes the cocycle (half-turn lift has order "
-            "four); the scenario runs on the documented projective transport",
-            value=float(len(strict)), tol=tol,
-        )
+            "four); the scenario runs on the documented projective transport")
 
     def chirality_package(tol):
         sym = TorusModes.zero(torus, M)
@@ -447,214 +409,135 @@ def build_pillowcase_torus(params) -> Scenario:
             ("flip", fourier_element(G, {1: TorusModes.mode(torus, M, (0, 0))})),
         ]
         report = convolution_triple_report(spec, gens, buffer=buffer, label="pillowcase")
-        worst = max(
-            report.chirality_square_residual,
-            report.chirality_anticommutator,
-            max(report.chirality_commutators.values()),
-        )
+        commutator = max(report.chirality_commutators.values())
+        worst = max(report.chirality_square_residual, report.chirality_anticommutator, commutator)
         hermit = report.hermiticity_residual
-        detail = (
+        return worst <= tol and hermit <= tol, worst, (
             f"omega^2 residual {report.chirality_square_residual:.1e}; "
             f"anticommutator {report.chirality_anticommutator:.1e}; "
-            f"max [omega, pi(f)] {max(report.chirality_commutators.values()):.1e}; "
+            f"max [omega, pi(f)] {commutator:.1e}; "
             f"Hermiticity {hermit:.1e}; representation residual "
-            f"{report.representation_residual:.3f} (order-four transport)"
-        )
-        return _result("chirality-package", worst <= tol and hermit <= tol, detail, value=worst, tol=tol)
+            f"{report.representation_residual:.3f} (order-four transport)")
 
     def growth(tol):
         report = check_spectral_triple(spec, [], buffer=buffer)
         err = abs(report.growth_exponent - 2.0) / 2.0
-        return _result(
-            "growth-exponent", err <= tol,
-            f"counting exponent {report.growth_exponent:.4f} vs n=2 at M={M}",
-            value=err, tol=tol,
-        )
+        return err <= tol, err, f"counting exponent {report.growth_exponent:.4f} vs n=2 at M={M}"
 
     def effective(tol):
         eff, _ = is_effective(G)
         # probe at a small cutoff; the kernel question is cutoff independent
-        probe_G = negation_torus_groupoid(FourierTorus((2 * np.pi, 2 * np.pi), 8))
-        probe_spec = DiracSpec(
-            probe_G, projective_lift(probe_G, rep2), (Fraction(0), Fraction(0)), 8,
-        )
+        probe_spec = _torus_spec(8)
         rep = faithfulness_probe(probe_spec.groupoid, probe_spec, generator_degree=1)
-        return _result(
-            "effectiveness", eff and rep.faithful and rep.matches_effectiveness,
-            "negation action is effective; representation kernel empty within band",
-            value=float(rep.kernel_dim), tol=tol,
-        )
+        return eff and rep.faithful and rep.matches_effectiveness, rep.kernel_dim, (
+            "negation action is effective; representation kernel empty within band")
 
-    checks = [
-        ("order-four-lift", 0.0, lift_search),
-        ("chirality-package", 1e-12, chirality_package),
-        ("growth-exponent", 0.15, growth),
-        ("effectiveness", 0.0, effective),
-    ]
     return Scenario(
-        "pillowcase-torus",
         f"flip quotient of the square torus at M={M}: even structure, "
         "Weyl counting, effective convolution representation",
-        {"modes": M, "buffer": buffer},
-        checks,
+        [
+            ("order-four-lift", 0.0, lift_search),
+            ("chirality-package", 1e-12, chirality_package),
+            ("growth-exponent", 0.15, growth),
+            ("effectiveness", 0.0, effective),
+        ],
         spectra,
     )
 
 
-def build_noneffective_circle(params) -> Scenario:
-    M = int(params.get("modes", 8))
-    G = rotation_groupoid(4, FourierCircle(mode_cutoff=M), through="1/2")
-    rep1 = build_clifford(1)
-    lift = SpinLift(G, rep1, {g: 1 for g in G.group.elements}, True)
-    spec = DiracSpec(G, lift, (Fraction(0),), M)
+def build_noneffective_circle(modes) -> Scenario:
+    G = rotation_groupoid(4, FourierCircle(mode_cutoff=modes), through="1/2")
+    lift = SpinLift(G, build_clifford(1), {g: 1 for g in G.group.elements}, True)
+    spec = DiracSpec(G, lift, (Fraction(0),), modes)
 
     def effectiveness(tol):
         eff, witness = is_effective(G)
-        return _result(
-            "non-effectiveness", (not eff) and witness is not None,
-            f"two group elements share a germ: {witness!r}",
-            value=float(eff), tol=tol,
-        )
+        ok = (not eff) and witness is not None
+        return ok, eff, f"two group elements share a germ: {witness!r}"
 
     def kernel_witness(tol):
         rep = faithfulness_probe(G, spec, generator_degree=1)
         ok = (not rep.faithful) and rep.witness is not None and rep.matches_effectiveness
-        return _result(
-            "kernel-witness", ok,
-            f"kernel dimension {rep.kernel_dim}; witness pairs coinciding rotations",
-            value=float(rep.kernel_dim), tol=tol,
-        )
+        return ok, rep.kernel_dim, (
+            f"kernel dimension {rep.kernel_dim}; witness pairs coinciding rotations")
 
     def flagged_report(tol):
         report = convolution_triple_report(spec, [("unit", fourier_unit(G))])
         ok = "not faithful" in report.faithfulness_note
-        return _result(
-            "flagged-report", ok,
-            f"report produced and flagged: {report.faithfulness_note}",
-            value=0.0 if ok else 1.0, tol=tol,
-        )
+        return ok, None, f"report produced and flagged: {report.faithfulness_note}"
 
-    checks = [
-        ("non-effectiveness", 0.0, effectiveness),
-        ("kernel-witness", 0.0, kernel_witness),
-        ("flagged-report", 0.0, flagged_report),
-    ]
     return Scenario(
-        "noneffective-circle",
         "Z_4 acting through half turns: germ collision, exact kernel "
         "witness, flagged convolution report",
-        {"modes": M},
-        checks,
+        [
+            ("non-effectiveness", 0.0, effectiveness),
+            ("kernel-witness", 0.0, kernel_witness),
+            ("flagged-report", 0.0, flagged_report),
+        ],
     )
 
 
-def build_cech_localization(params) -> Scenario:
+def build_cech_localization(N) -> Scenario:
     G = cyclic_translation_groupoid(6, 3)
+    # one three-sheet cover serves G and xi, which are both Z_6 translating Z_3
     cover = CechCover(((0, 1), (1, 2), (2, 0)))
-    theta, xi, ab = double_cover_bitorsor(int(params.get("N", 3)))
+    C = cech_groupoid(G, cover)
+    theta, xi, ab = double_cover_bitorsor(N)
 
     def localized_valid(tol):
-        loc, _, _ = localize_cech(identity_bitorsor(G), trivial_cover(G), cover)
-        rep = validate_generalized_hom(loc, mode="bitorsor")
-        canonical = cech_bitorsor(G, cover)
-        rep2 = validate_generalized_hom(canonical, mode="bitorsor")
-        loc_a2, _, _ = localize_cech(ab, trivial_cover(theta), CechCover(((0, 1), (1, 2), (2, 0))))
-        rep3 = validate_generalized_hom(loc_a2, mode="bitorsor")
-        ok = rep.ok and rep2.ok and rep3.ok
-        return _result(
-            "localized-bitorsors-valid", ok,
-            "localized identity, canonical sheet bitorsor and localized "
-            "double cover all satisfy the torsor axioms",
-            value=0.0 if ok else 1.0, tol=tol,
-        )
+        localized = [_localize(identity_bitorsor(G), cover)[0], cech_bitorsor(G, cover),
+                     _localize(ab, cover)[0]]
+        ok = all(validate_generalized_hom(b, mode="bitorsor").ok for b in localized)
+        return ok, None, ("localized identity, canonical sheet bitorsor and localized "
+                          "double cover all satisfy the torsor axioms")
 
     def orbit_counts(tol):
-        C = cech_groupoid(G, cover)
-        same = orbits(C).count == orbits(G).count
-        return _result(
-            "orbit-count-preserved", same,
-            f"{orbits(C).count} orbit(s) before and after localization",
-            value=0.0 if same else 1.0, tol=tol,
-        )
+        count = orbits(C).count
+        return count == orbits(G).count, None, f"{count} orbit(s) before and after localization"
 
     def effectiveness_invariance(tol):
-        C = cech_groupoid(G, cover)
         pairs_agree = is_effective(G)[0] == is_effective(C)[0]
         a2_agree = is_effective(theta)[0] == is_effective(xi)[0]
-        return _result(
-            "effectiveness-invariance", pairs_agree and a2_agree,
-            "effectiveness agrees across the localized pair and the double-cover pair",
-            value=0.0 if (pairs_agree and a2_agree) else 1.0, tol=tol,
-        )
+        return (pairs_agree and a2_agree, None,
+                "effectiveness agrees across the localized pair and the double-cover pair")
 
     def weak_equiv(tol):
-        pair = weak_equivalence_pair(cech_bitorsor(G, cover))
-        rep = pair.check()
-        return _result(
-            "cech-weak-equivalence", rep.ok,
-            "sheet bitorsor splits into a span of weak equivalences",
-            value=float(len(rep.violations)), tol=tol,
-        )
+        rep = weak_equivalence_pair(cech_bitorsor(G, cover)).check()
+        return (rep.ok, len(rep.violations),
+                "sheet bitorsor splits into a span of weak equivalences")
 
     def recover(tol):
-        cover_y = CechCover(((0, 1), (1, 2), (2, 0)))
-        loc, cx, cy = localize_cech(ab, trivial_cover(theta), cover_y)
-        cb_x = cech_bitorsor(theta, trivial_cover(theta))
-        cb_x = Bitorsor(theta, cx, cb_x.carrier, cb_x.rho, cb_x.alpha,
-                        cb_x.left_act, cb_x.right_act, cb_x.name)
-        cb_y = cech_bitorsor(xi, cover_y)
-        cb_y = Bitorsor(xi, cy, cb_y.carrier, cb_y.rho, cb_y.alpha,
-                        cb_y.left_act, cb_y.right_act, cb_y.name)
+        loc, cx, cy = _localize(ab, cover)
+        cb_x = replace(cech_bitorsor(theta, trivial_cover(theta)), right=cx)
+        cb_y = replace(cech_bitorsor(xi, cover), right=cy)
         recovered = compose_homs(compose_homs(cb_x, loc), inverse_bitorsor(cb_y))
         ok = validate_generalized_hom(recovered, mode="bitorsor").ok
-        tm = find_two_morphism(recovered, ab)
-        ok = ok and tm not in (None, INCONCLUSIVE)
-        return _result(
-            "localization-roundtrip", ok,
-            "localized equivalence composed with the sheet bitorsors recovers "
-            "the original up to a 2-morphism",
-            value=0.0 if ok else 1.0, tol=tol,
-        )
+        ok = ok and find_two_morphism(recovered, ab) not in (None, INCONCLUSIVE)
+        return ok, None, ("localized equivalence composed with the sheet bitorsors recovers "
+                          "the original up to a 2-morphism")
 
-    checks = [
-        ("localized-bitorsors-valid", 0.0, localized_valid),
-        ("orbit-count-preserved", 0.0, orbit_counts),
-        ("effectiveness-invariance", 0.0, effectiveness_invariance),
-        ("cech-weak-equivalence", 0.0, weak_equiv),
-        ("localization-roundtrip", 0.0, recover),
-    ]
     return Scenario(
-        "cech-localization",
         "three-sheet localization of the translation groupoid and the "
         "double cover: torsor axioms, orbit and effectiveness invariance",
-        {"N": int(params.get("N", 3))},
-        checks,
+        [
+            ("localized-bitorsors-valid", 0.0, localized_valid),
+            ("orbit-count-preserved", 0.0, orbit_counts),
+            ("effectiveness-invariance", 0.0, effectiveness_invariance),
+            ("cech-weak-equivalence", 0.0, weak_equiv),
+            ("localization-roundtrip", 0.0, recover),
+        ],
     )
 
 
-def build_cocycle_transport(params) -> Scenario:
-    N = int(params.get("N", 3))
-    theta, xi, b = double_cover_bitorsor(N)
-    loc, cx, cy = localize_cech(b, trivial_cover(theta), trivial_cover(xi))
-    sign = sign_cocycle(cx, lambda arrow: -1 if arrow[0] == 1 else 1)
+def build_cocycle_transport(N) -> Scenario:
+    theta, xi, b, loc, cy, sign = _double_cover(N)
 
-    def oracle(tol):
-        induced = induce_cocycle(loc, sign, default_sections(loc))
-        mismatches = sum(
-            int(induced.entries[arrow][0, 0]) != _a2_oracle_sign(N, arrow[0][0], arrow[0][1])
-            for arrow in cy.arrows
-        )
-        ok = validate_cocycle(induced).ok and mismatches == 0
-        return _result(
-            "transport-oracle", ok,
-            "induced cocycle equals the seam-wrap sign rule",
-            value=float(mismatches), tol=tol,
-        )
+    oracle = _seam_wrap_check(N, loc, cy, sign, "induced cocycle equals the seam-wrap sign rule")
 
     def two_morphism_independence(tol):
         shift = {q: (q + 2) % (2 * N) for q in b.carrier}
-        b2 = Bitorsor(
-            left=theta, right=xi,
+        b2 = replace(
+            b,
             carrier=tuple(shift[q] for q in b.carrier),
             rho={shift[q]: b.rho[q] for q in b.carrier},
             alpha={shift[q]: b.alpha[q] for q in b.carrier},
@@ -662,10 +545,8 @@ def build_cocycle_transport(params) -> Scenario:
             right_act={(shift[q], t): shift[v] for (q, t), v in b.right_act.items()},
             name="relabeled",
         )
-        loc2, _, cy2 = localize_cech(b2, trivial_cover(theta), trivial_cover(xi))
+        loc2, _, cy2 = _localize(b2)
         beta = default_sections(loc)
-        from .cocycles import SectionFamily
-
         moved = SectionFamily(
             {
                 i: {y: (shift[p[0]], p[1], p[2]) for y, p in table.items()}
@@ -673,63 +554,40 @@ def build_cocycle_transport(params) -> Scenario:
             }
         )
         g1 = induce_cocycle(loc, sign, beta)
-        sign2 = sign_cocycle(loc2.left, lambda arrow: -1 if arrow[0] == 1 else 1)
-        g2 = induce_cocycle(loc2, sign2, moved)
+        g2 = induce_cocycle(loc2, _z2_sign(loc2.left), moved)
         same = all(
             np.array_equal(g1.entries[a1], g2.entries[a2])
             for a1, a2 in zip(cy.arrows, cy2.arrows)
         )
-        return _result(
-            "two-morphism-independence", same,
-            "sections moved through an equivariant bijection give entrywise "
-            "identical induced cocycles",
-            value=0.0 if same else 1.0, tol=tol,
-        )
+        return same, None, ("sections moved through an equivariant bijection give entrywise "
+                            "identical induced cocycles")
 
     def functoriality(tol):
-        composite = compose_homs(b, identity_bitorsor(xi))
-        locc, ccx, ccy = localize_cech(composite, trivial_cover(theta), trivial_cover(xi))
-        signc = sign_cocycle(ccx, lambda arrow: -1 if arrow[0] == 1 else 1)
-        g_direct = induce_cocycle(locc, signc, default_sections(locc))
+        locc, ccx, ccy = _localize(compose_homs(b, identity_bitorsor(xi)))
+        g_direct = induce_cocycle(locc, _z2_sign(ccx), default_sections(locc))
         g_steps = induce_cocycle(loc, sign, default_sections(loc))
         plain_direct = Cocycle(xi, 1, {a[0]: g_direct.entries[a] for a in ccy.arrows})
         plain_steps = Cocycle(xi, 1, {a[0]: g_steps.entries[a] for a in cy.arrows})
-        lam = cohomologous(plain_steps, plain_direct)
-        ok = lam not in (None, INCONCLUSIVE)
-        return _result(
-            "functoriality", ok,
-            "inducing through the composite equivalence is cohomologous to "
-            "inducing stepwise",
-            value=0.0 if ok else 1.0, tol=tol,
-        )
+        ok = cohomologous(plain_steps, plain_direct) not in (None, INCONCLUSIVE)
+        return ok, None, ("inducing through the composite equivalence is cohomologous to "
+                          "inducing stepwise")
 
     def bundle_square(tol):
         lhs = reconstruct_bundle(induce_cocycle(loc, sign, default_sections(loc)))
-        sign_plain = sign_cocycle(theta, lambda a: -1 if a == 1 else 1)
-        rhs = induced_bundle(b, reconstruct_bundle(sign_plain))
-        same = all(
-            np.array_equal(lhs.action[arrow], rhs.action[arrow[0]])
-            for arrow in cy.arrows
-        )
-        return _result(
-            "reconstruction-square", same,
-            "reconstructing the induced cocycle matches inducing the "
-            "reconstructed bundle",
-            value=0.0 if same else 1.0, tol=tol,
-        )
+        rhs = induced_bundle(b, reconstruct_bundle(_z2_sign(theta)))
+        same = all(np.array_equal(lhs.action[arrow], rhs.action[arrow[0]]) for arrow in cy.arrows)
+        return same, None, ("reconstructing the induced cocycle matches inducing the "
+                            "reconstructed bundle")
 
-    checks = [
-        ("transport-oracle", 0.0, oracle),
-        ("two-morphism-independence", 0.0, two_morphism_independence),
-        ("functoriality", 0.0, functoriality),
-        ("reconstruction-square", 0.0, bundle_square),
-    ]
     return Scenario(
-        "cocycle-transport",
         f"sign cocycle through the double cover at N={N}: oracle equality, "
         "section and 2-morphism independence, bundle square",
-        {"N": N},
-        checks,
+        [
+            ("transport-oracle", 0.0, oracle),
+            ("two-morphism-independence", 0.0, two_morphism_independence),
+            ("functoriality", 0.0, functoriality),
+            ("reconstruction-square", 0.0, bundle_square),
+        ],
     )
 
 
@@ -742,59 +600,129 @@ BUILTIN_SCENARIOS = {
     "cocycle-transport": (build_cocycle_transport, "induced cocycles and bundle squares"),
 }
 
+MODES_FLOOR = 8  # DiracSpec's smallest cutoff
+BUFFER = Param(int, 2, low=0)  # 0 already puts every mode in the interior band
+PARAMS = {
+    "a2-example": {"N": Param(int, 3, low=1)},
+    "free-rotation-circle": {
+        "m": Param(int, 2, choices=(2, 4)),
+        "modes": Param(int, 32, low=MODES_FLOOR),
+        "buffer": BUFFER,
+    },
+    "pillowcase-torus": {"modes": Param(int, 24, low=MODES_FLOOR), "buffer": BUFFER},
+    "noneffective-circle": {"modes": Param(int, 8, low=MODES_FLOOR)},
+    # the three-sheet cover is written for the three objects of N=3
+    "cech-localization": {"N": Param(int, 3, choices=(3,))},
+    "cocycle-transport": {"N": Param(int, 3, low=1)},
+}
+
 
 # ---------------------------------------------------------------------------
 # registry and runner
 
 
+def load_registry(registry_dir=None) -> dict:
+    """User presets by name, one per ``*.json`` file of ``registry_dir``."""
+    if not registry_dir:
+        return {}
+    if not os.path.isdir(registry_dir):
+        raise ConfigError(f"registry directory {registry_dir} does not exist")
+    presets = {}
+    for fname in sorted(f for f in os.listdir(registry_dir) if f.endswith(".json")):
+        path = os.path.join(registry_dir, fname)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict) or doc.get("scenario") not in BUILTIN_SCENARIOS:
+                raise ValueError("needs a 'scenario' naming a built-in")
+            if not isinstance(doc.get("params", {}), dict):
+                raise ValueError("'params' must be an object")
+            name = doc.get("name")
+            if not isinstance(name, str) or name in BUILTIN_SCENARIOS or name in presets:
+                raise ValueError(f"'name' must be a new scenario name, got {name!r}")
+        except (OSError, TypeError, ValueError) as exc:
+            raise ConfigError(f"corrupt scenario file {path}: {exc}") from exc
+        presets[name] = doc
+    return presets
+
+
 def list_scenarios(registry_dir=None):
     """Built-in scenario names plus any registered user scenario files."""
     rows = [(name, desc) for name, (_, desc) in sorted(BUILTIN_SCENARIOS.items())]
-    if registry_dir:
-        for fname in sorted(os.listdir(registry_dir)):
-            if not fname.endswith(".json"):
-                continue
-            path = os.path.join(registry_dir, fname)
-            try:
-                with open(path) as fh:
-                    doc = json.load(fh)
-                name = doc["name"]
-                base = doc["scenario"]
-                desc = doc.get("description", f"user preset of {base}")
-                if base not in BUILTIN_SCENARIOS:
-                    raise KeyError(f"unknown base scenario {base!r}")
-            except Exception as exc:
-                raise ConfigError(f"corrupt scenario file {path}: {exc}") from exc
-            rows.append((name, desc))
+    for name, doc in load_registry(registry_dir).items():
+        rows.append((name, doc.get("description", f"user preset of {doc['scenario']}")))
     return rows
 
 
-def resolve_config(config: dict, registry_dir=None) -> dict:
+def resolve_config(config, registry_dir=None, force=False):
+    """Validate a config against the declarations and build its scenario.
+
+    Returns ``(name, params, scenario, checks)``: the built-in behind the
+    config, every declared param, the scenario built at those params, and
+    ``(check name, tolerance, fn)`` for each selected check in declared
+    order.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
     if config.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config schema_version must be {SCHEMA_VERSION}, got {config.get('schema_version')!r}"
         )
+    if set(config) - CONFIG_KEYS:
+        raise ConfigError(f"unknown config key(s) {sorted(set(config) - CONFIG_KEYS)}")
+    for key, kind, what in (("params", dict, "an object"), ("tolerances", dict, "an object"),
+                            ("checks", list, "a list")):
+        if config.get(key) is not None and not isinstance(config[key], kind):
+            raise ConfigError(f"config {key!r} must be {what}, got {config[key]!r}")
+    presets = load_registry(registry_dir)
     name = config.get("scenario")
-    if name in BUILTIN_SCENARIOS:
-        return config
-    if registry_dir:
-        for fname in sorted(os.listdir(registry_dir)):
-            if not fname.endswith(".json"):
-                continue
-            path = os.path.join(registry_dir, fname)
-            try:
-                with open(path) as fh:
-                    doc = json.load(fh)
-            except Exception as exc:
-                raise ConfigError(f"corrupt scenario file {path}: {exc}") from exc
-            if doc.get("name") == name:
-                merged = dict(config)
-                merged["scenario"] = doc["scenario"]
-                params = dict(doc.get("params", {}))
-                params.update(config.get("params", {}))
-                merged["params"] = params
-                return merged
-    raise ConfigError(f"unknown scenario {name!r}")
+    if not isinstance(name, str) or (name not in BUILTIN_SCENARIOS and name not in presets):
+        raise ConfigError(f"unknown scenario {name!r}")
+    preset = presets.get(name, {"scenario": name})
+    name = preset["scenario"]
+
+    given = {**preset.get("params", {}), **(config.get("params") or {})}
+    given.update({k: config[k] for k in ("modes", "buffer") if config.get(k) is not None})
+    if set(given) - set(PARAMS[name]):
+        raise ConfigError(f"{name} takes no param(s) {sorted(set(given) - set(PARAMS[name]))}; "
+                          f"declared: {sorted(PARAMS[name])}")
+    params = {
+        key: param.validate(name, key, given.get(key, param.default))
+        for key, param in PARAMS[name].items()
+    }
+    builder, _ = BUILTIN_SCENARIOS[name]
+    scenario = builder(**params)
+
+    declared = [check for check, _, _ in scenario.checks]
+    selected = declared if config.get("checks") is None else config["checks"]
+    overrides = config.get("tolerances") or {}
+    unknown = [c for c in [*selected, *overrides] if c not in declared]
+    if unknown:
+        raise ConfigError(f"unknown check name(s) {unknown!r}; registered: {sorted(declared)!r}")
+    checks = []
+    for check, default, fn in scenario.checks:
+        tol = overrides.get(check, default)
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:
+            raise ConfigError(f"tolerance for {check!r} must be a finite number >= 0, got {tol!r}")
+        if tol > 10 * default and not force:
+            raise ConfigError(
+                f"tolerance for {check!r} loosened beyond 10x the default "
+                f"({tol} > {default}); pass force to allow"
+            )
+        if check in selected:
+            checks.append((check, tol, fn))
+    return name, params, scenario, checks
+
+
+def run_check(name, tol, fn) -> CheckResult:
+    """One check in isolation; an exception becomes a failed record."""
+    try:
+        ok, value, detail = fn(tol)
+    except Exception as exc:
+        return CheckResult(name, False, "", None, tol, error=f"{type(exc).__name__}: {exc}")
+    if value is None:
+        value = 0.0 if ok else 1.0
+    return CheckResult(name, bool(ok), detail, value, tol)
 
 
 def run_scenario(config: dict, out_dir=None, force=False, registry_dir=None):
@@ -802,47 +730,16 @@ def run_scenario(config: dict, out_dir=None, force=False, registry_dir=None):
 
     Returns (exit_code, report_doc).  Exit code 0 when every check passes.
     """
-    config = resolve_config(config, registry_dir)
-    name = config["scenario"]
-    params = dict(config.get("params", {}))
-    if config.get("modes") is not None:
-        params["modes"] = config["modes"]
-    if config.get("buffer") is not None:
-        params["buffer"] = config["buffer"]
-    builder, _ = BUILTIN_SCENARIOS[name]
-    scenario = builder(params)
-
-    selected = config.get("checks")
-    if selected is not None:
-        known = {check_name for check_name, _, _ in scenario.checks}
-        unknown = [c for c in selected if c not in known]
-        if unknown:
-            raise ConfigError(
-                f"unknown check name(s) {unknown!r}; registered: {sorted(known)!r}"
-            )
-        checks = [c for c in scenario.checks if c[0] in set(selected)]
-    else:
-        checks = scenario.checks
-
-    overrides = dict(config.get("tolerances", {}))
-    results = []
-    for check_name, default_tol, fn in checks:
-        tol = overrides.get(check_name, default_tol)
-        if tol is not None and default_tol is not None and tol > max(10 * default_tol, default_tol):
-            if not force:
-                raise ConfigError(
-                    f"tolerance for {check_name!r} loosened beyond 10x the default "
-                    f"({tol} > {default_tol}); pass force to allow"
-                )
-        results.append(fn(tol))
+    name, params, scenario, checks = resolve_config(config, registry_dir, force)
+    results = [run_check(check, tol, fn) for check, tol, fn in checks]
 
     passed = all(r.passed for r in results)
     report = {
         "schema": "orbikit/report/1",
         "version": __version__,
-        "scenario": scenario.name,
+        "scenario": name,
         "description": scenario.description,
-        "params": {k: scenario.params[k] for k in sorted(scenario.params)},
+        "params": {k: params[k] for k in sorted(params)},
         "checks": [r.as_dict() for r in results],
         "passed": passed,
     }
@@ -875,7 +772,8 @@ def render_summary(report: dict) -> str:
         extra = ""
         if "value" in chk and "tolerance" in chk:
             extra = f" (value {chk['value']:.3e}, tolerance {chk['tolerance']:.3e})"
-        lines.append(f"- [{mark}] {chk['name']}{extra}: {chk['detail']}")
+        detail = f"error {chk['error']}" if "error" in chk else chk["detail"]
+        lines.append(f"- [{mark}] {chk['name']}{extra}: {detail}")
     lines.append("")
     lines.append("overall: " + ("PASS" if report["passed"] else "FAIL"))
     lines.append("")

@@ -45,6 +45,7 @@ class CheckResult:
     detail: str = ""
     value: float | None = None
     tolerance: float | None = None
+    error: str | None = None  # "<Type>: <message>" when the check raised
 
     def as_dict(self):
         out = {"name": self.name, "passed": bool(self.passed), "detail": self.detail}
@@ -52,4 +53,6 @@ class CheckResult:
             out["value"] = float(self.value)
         if self.tolerance is not None:
             out["tolerance"] = float(self.tolerance)
+        if self.error is not None:
+            out["error"] = self.error
         return out

@@ -271,11 +271,12 @@ class TruncatedDirac:
         diff = (self.matrix - self.matrix.getH()).tocoo()
         return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
 
-    def eigenvalues(self) -> np.ndarray:
-        """Analytic spectrum of the per-mode blocks, sorted ascending."""
+    def eigenvalues(self, modes=None) -> np.ndarray:
+        """Analytic spectrum of the per-mode blocks of ``modes`` (default:
+        every mode), sorted ascending."""
         space = self.space
         vals = []
-        for k in space.mode_list:
+        for k in space.mode_list if modes is None else modes:
             w = space.freq(k)
             if space.n == 1:
                 vals.append(w[0])
@@ -285,16 +286,7 @@ class TruncatedDirac:
         return np.sort(np.asarray(vals))
 
     def interior_eigenvalues(self, buffer=DEFAULT_BUFFER) -> np.ndarray:
-        space = self.space
-        vals = []
-        for k in space.interior_modes(buffer):
-            w = space.freq(k)
-            if space.n == 1:
-                vals.append(w[0])
-            else:
-                r = float(np.hypot(w[0], w[1]))
-                vals.extend([r, -r])
-        return np.sort(np.asarray(vals))
+        return self.eigenvalues(self.space.interior_modes(buffer))
 
 
 def assemble_dirac(spec: DiracSpec) -> TruncatedDirac:

@@ -6,9 +6,8 @@ fibre over the anchor) and its inverse.  Finite bitorsors transport value
 tables; circle covering quotients transport mode coefficients, where the
 pushforward is an exact relabeling of invariant modes.
 
-Invariance of candidate inputs is decided through the averaging projector:
-an input is accepted when it is within 1e-10 of its average under the
-groupoid action.
+Invariance of candidate inputs is decided element by element: an input is
+accepted when no element of the group moves it by more than 1e-10.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from .bases import CatalogError, CircleModes, FourierCircle, unit_phase
 from .cocycles import ReconstructedBundle
-from .groupoids import ActionGroupoid, FiniteGroupoid, orbits
+from .groupoids import ActionGroupoid, FiniteGroupoid
 from .morita import Bitorsor, QuotientCovering, left_witness
 
 INVARIANCE_TOL = 1e-10
@@ -42,15 +41,6 @@ def function_invariance_witness(G: FiniteGroupoid, f: dict):
         if f[G.src[a]] != f[G.tgt[a]]:
             return a
     return None
-
-
-def project_invariant_function(G: FiniteGroupoid, f: dict) -> dict:
-    out = {}
-    for block in orbits(G).blocks:
-        mean = sum(f[x] for x in block) / len(block)
-        for x in block:
-            out[x] = mean
-    return out
 
 
 def pushforward_function(phi, f):
@@ -166,28 +156,13 @@ def scale_section(f: dict, psi: BundleSection) -> BundleSection:
 
 
 # ---------------------------------------------------------------------------
-# Fourier flavor: invariance through the averaging projector
+# Fourier flavor: invariance under every group element
 
 
 def function_action(G: ActionGroupoid, g, f: CircleModes) -> CircleModes:
     """(g . f)(x) = f(g^{-1} x); rotations only on the circle catalog."""
     iso = G.iso[g]
     return f.rotate_pullback(-iso.turns)
-
-
-def average_modes(G: ActionGroupoid, f: CircleModes, lift_signs=None) -> CircleModes:
-    total = None
-    for g in G.group.elements:
-        term = function_action(G, g, f)
-        if lift_signs is not None:
-            term = term * lift_signs[g]
-        total = term if total is None else total + term
-    return total * (1.0 / G.group.order)
-
-
-def modes_invariance_residual(G: ActionGroupoid, f: CircleModes, lift_signs=None) -> float:
-    avg = average_modes(G, f, lift_signs)
-    return float(np.max(np.abs(avg.coeffs - f.coeffs)))
 
 
 def require_invariant_modes(G: ActionGroupoid, f: CircleModes, lift_signs=None):

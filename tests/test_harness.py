@@ -180,3 +180,50 @@ def test_check_subset_runs_in_declared_order():
 def test_unknown_check_name_rejected():
     with pytest.raises(ConfigError):
         run_scenario(cfg("a2-example", checks=["no-such-check"]))
+
+
+@pytest.mark.parametrize(
+    "config, argv, preset",
+    [
+        pytest.param(cfg("cech-localization", params={"N": 4}), [], None, id="cech-N-not-3"),
+        pytest.param(cfg("a2-example", params={"N": "x"}), [], None, id="N-string"),
+        pytest.param(cfg("a2-example", params={"N": 2.7}), [], None, id="N-float"),
+        pytest.param(cfg("free-rotation-circle"), ["--modes", "4"], None, id="modes-below-floor"),
+        pytest.param(cfg("a2-example", tolerances={"fibre-blocks": "0"}), [], None, id="string-tolerance"),
+        pytest.param(cfg("a2-example", tolerances={"fibre-blocks": -1.0}), [], None, id="negative-tolerance"),
+        pytest.param(cfg("a2-example", tolerances={"spectra-match": 1e-9}), [], None, id="tolerance-of-no-check"),
+        pytest.param(cfg("a2-example"), ["--modes", "16"], None, id="modes-not-declared"),
+        pytest.param(cfg("noneffective-circle"), ["--buffer", "2"], None, id="buffer-not-declared"),
+        pytest.param(cfg("a2-example", params={"K": 1}), [], None, id="unknown-param"),
+        pytest.param(cfg("a2-example", tolerance={"fibre-blocks": 0}), [], None, id="unknown-config-key"),
+        pytest.param([cfg("a2-example")], ["--modes", "16"], None, id="config-not-object"),
+        # a second --registry wins over the one every case gets
+        pytest.param(cfg("a2-example"), ["--registry", "no-such-registry-dir"], None, id="registry-missing"),
+        pytest.param(cfg("p"), [], {"name": "p", "params": {"N": 5}}, id="preset-without-scenario"),
+        pytest.param(
+            cfg("p"), [], {"name": "p", "scenario": "a2-example", "params": [5]}, id="preset-params-not-object"
+        ),
+    ],
+)
+def test_bad_input_exits_2(config, argv, preset, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    registry = tmp_path / "registry"
+    registry.mkdir()
+    if preset is not None:
+        (registry / "preset.json").write_text(json.dumps(preset))
+    code = cli_main(["--config", str(path), "--registry", str(registry)] + argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), err
+
+
+def test_raising_check_becomes_failed_record(tmp_path):
+    # the interior band is empty, so the growth fit has no levels to fit
+    code, report = run_scenario(cfg("free-rotation-circle", modes=16, buffer=40), out_dir=str(tmp_path))
+    assert code == 1 and not report["passed"]
+    assert len(report["checks"]) == 9
+    growth = report["checks"][-1]
+    assert growth["name"] == "growth-exponent" and not growth["passed"]
+    assert growth["error"].startswith("CatalogError: not enough distinct eigenvalue levels")
+    assert json.loads((tmp_path / "report.json").read_text()) == report
+    assert "growth-exponent: error CatalogError" in (tmp_path / "summary.md").read_text()
