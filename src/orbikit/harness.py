@@ -80,6 +80,8 @@ from .morita import (
 from .reports import CheckResult
 from .transport import pushforward_function
 from .spectral import (
+    DEFAULT_BUFFER,
+    MIN_CUTOFF,
     Chart,
     DiracSpec,
     OrbifoldMeasure,
@@ -149,23 +151,24 @@ def _double_cover(N):
     """The double cover at scale N, localized along trivial covers.
 
     Returns (theta, xi, bitorsor, localized, right Čech groupoid, sign
-    cocycle on the left Čech groupoid).
+    cocycle on the left Čech groupoid, that sign induced along default
+    sections).
     """
     theta, xi, b = double_cover_bitorsor(N)
     loc, cx, cy = _localize(b)
-    return theta, xi, b, loc, cy, _z2_sign(cx)
+    sign = _z2_sign(cx)
+    return theta, xi, b, loc, cy, sign, induce_cocycle(loc, sign, default_sections(loc))
 
 
-def _seam_wrap_check(N, loc, cy, sign, detail):
-    """The seam-wrap check of ``sign`` induced along default sections.
+def _seam_wrap_check(N, cy, induced, detail):
+    """The seam-wrap check of the induced sign cocycle of ``_double_cover``.
 
-    It passes when the induced cocycle is valid and follows the oracle
-    entrywise; its value counts the entries that do not.  The oracle transports the source section point along the arrow and
-    counts seam wraps: the entry at Čech arrow ((a, y), i, j) is
-    (-1)^((y + a) // N).
+    It passes when the cocycle is valid and follows the oracle entrywise;
+    its value counts the entries that do not.  The oracle transports the
+    source section point along the arrow and counts seam wraps: the entry
+    at Čech arrow ((a, y), i, j) is (-1)^((y + a) // N).
     """
     def check(tol):
-        induced = induce_cocycle(loc, sign, default_sections(loc))
         mismatches = sum(
             int(induced.entries[arrow][0, 0]) != (-1) ** ((arrow[0][1] + arrow[0][0]) // N)
             for arrow in cy.arrows
@@ -175,7 +178,7 @@ def _seam_wrap_check(N, loc, cy, sign, detail):
 
 
 def build_a2_example(N) -> Scenario:
-    theta, xi, b, loc, cy, sign = _double_cover(N)
+    theta, xi, b, loc, cy, sign, induced = _double_cover(N)
 
     def bitorsor_axioms(tol):
         rep = validate_generalized_hom(b, mode="bitorsor")
@@ -197,7 +200,7 @@ def build_a2_example(N) -> Scenario:
             "surjectivity and cartesian conditions hold exhaustively" if rep.ok else rep.render())
 
     induced_sign = _seam_wrap_check(
-        N, loc, cy, sign, "matches the unique-arrow transport oracle entrywise")
+        N, cy, induced, "matches the unique-arrow transport oracle entrywise")
 
     def section_independence(tol):
         ga = induce_cocycle(loc, sign, sections_from_offsets(loc, 0))
@@ -483,10 +486,10 @@ def build_cech_localization(N) -> Scenario:
     cover = CechCover(((0, 1), (1, 2), (2, 0)))
     C = cech_groupoid(G, cover)
     theta, xi, ab = double_cover_bitorsor(N)
+    loc, cx, cy = _localize(ab, cover)
 
     def localized_valid(tol):
-        localized = [_localize(identity_bitorsor(G), cover)[0], cech_bitorsor(G, cover),
-                     _localize(ab, cover)[0]]
+        localized = [_localize(identity_bitorsor(G), cover)[0], cech_bitorsor(G, cover), loc]
         ok = all(validate_generalized_hom(b, mode="bitorsor").ok for b in localized)
         return ok, None, ("localized identity, canonical sheet bitorsor and localized "
                           "double cover all satisfy the torsor axioms")
@@ -507,7 +510,6 @@ def build_cech_localization(N) -> Scenario:
                 "sheet bitorsor splits into a span of weak equivalences")
 
     def recover(tol):
-        loc, cx, cy = _localize(ab, cover)
         cb_x = replace(cech_bitorsor(theta, trivial_cover(theta)), right=cx)
         cb_y = replace(cech_bitorsor(xi, cover), right=cy)
         recovered = compose_homs(compose_homs(cb_x, loc), inverse_bitorsor(cb_y))
@@ -530,9 +532,9 @@ def build_cech_localization(N) -> Scenario:
 
 
 def build_cocycle_transport(N) -> Scenario:
-    theta, xi, b, loc, cy, sign = _double_cover(N)
+    theta, xi, b, loc, cy, _, induced = _double_cover(N)
 
-    oracle = _seam_wrap_check(N, loc, cy, sign, "induced cocycle equals the seam-wrap sign rule")
+    oracle = _seam_wrap_check(N, cy, induced, "induced cocycle equals the seam-wrap sign rule")
 
     def two_morphism_independence(tol):
         shift = {q: (q + 2) % (2 * N) for q in b.carrier}
@@ -553,10 +555,9 @@ def build_cocycle_transport(N) -> Scenario:
                 for i, table in beta.assignments.items()
             }
         )
-        g1 = induce_cocycle(loc, sign, beta)
         g2 = induce_cocycle(loc2, _z2_sign(loc2.left), moved)
         same = all(
-            np.array_equal(g1.entries[a1], g2.entries[a2])
+            np.array_equal(induced.entries[a1], g2.entries[a2])
             for a1, a2 in zip(cy.arrows, cy2.arrows)
         )
         return same, None, ("sections moved through an equivariant bijection give entrywise "
@@ -565,15 +566,14 @@ def build_cocycle_transport(N) -> Scenario:
     def functoriality(tol):
         locc, ccx, ccy = _localize(compose_homs(b, identity_bitorsor(xi)))
         g_direct = induce_cocycle(locc, _z2_sign(ccx), default_sections(locc))
-        g_steps = induce_cocycle(loc, sign, default_sections(loc))
         plain_direct = Cocycle(xi, 1, {a[0]: g_direct.entries[a] for a in ccy.arrows})
-        plain_steps = Cocycle(xi, 1, {a[0]: g_steps.entries[a] for a in cy.arrows})
+        plain_steps = Cocycle(xi, 1, {a[0]: induced.entries[a] for a in cy.arrows})
         ok = cohomologous(plain_steps, plain_direct) not in (None, INCONCLUSIVE)
         return ok, None, ("inducing through the composite equivalence is cohomologous to "
                           "inducing stepwise")
 
     def bundle_square(tol):
-        lhs = reconstruct_bundle(induce_cocycle(loc, sign, default_sections(loc)))
+        lhs = reconstruct_bundle(induced)
         rhs = induced_bundle(b, reconstruct_bundle(_z2_sign(theta)))
         same = all(np.array_equal(lhs.action[arrow], rhs.action[arrow[0]]) for arrow in cy.arrows)
         return same, None, ("reconstructing the induced cocycle matches inducing the "
@@ -600,17 +600,16 @@ BUILTIN_SCENARIOS = {
     "cocycle-transport": (build_cocycle_transport, "induced cocycles and bundle squares"),
 }
 
-MODES_FLOOR = 8  # DiracSpec's smallest cutoff
-BUFFER = Param(int, 2, low=0)  # 0 already puts every mode in the interior band
+BUFFER = Param(int, DEFAULT_BUFFER, low=0)  # 0 already puts every mode in the interior band
 PARAMS = {
     "a2-example": {"N": Param(int, 3, low=1)},
     "free-rotation-circle": {
         "m": Param(int, 2, choices=(2, 4)),
-        "modes": Param(int, 32, low=MODES_FLOOR),
+        "modes": Param(int, 32, low=MIN_CUTOFF),
         "buffer": BUFFER,
     },
-    "pillowcase-torus": {"modes": Param(int, 24, low=MODES_FLOOR), "buffer": BUFFER},
-    "noneffective-circle": {"modes": Param(int, 8, low=MODES_FLOOR)},
+    "pillowcase-torus": {"modes": Param(int, 24, low=MIN_CUTOFF), "buffer": BUFFER},
+    "noneffective-circle": {"modes": Param(int, 8, low=MIN_CUTOFF)},
     # the three-sheet cover is written for the three objects of N=3
     "cech-localization": {"N": Param(int, 3, choices=(3,))},
     "cocycle-transport": {"N": Param(int, 3, low=1)},

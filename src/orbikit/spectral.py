@@ -36,6 +36,7 @@ from .transport import (
 )
 
 DEFAULT_BUFFER = 2
+MIN_CUTOFF = 8  # the smallest mode cutoff a DiracSpec accepts
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +105,8 @@ class DiracSpec:
     cutoff: int
 
     def __post_init__(self):
-        if self.cutoff < 8:
-            raise CatalogError("mode cutoff must be at least 8")
+        if self.cutoff < MIN_CUTOFF:
+            raise CatalogError(f"mode cutoff must be at least {MIN_CUTOFF}")
         self.twist = tuple(Fraction(t) for t in self.twist)
         if any(t not in (Fraction(0), Fraction(1, 2)) for t in self.twist):
             raise CatalogError("twists must be 0 or 1/2 per circle factor")
