@@ -203,10 +203,6 @@ class LabelPermutation:
             raise CatalogError("permutation pairs do not describe a bijection")
 
     @classmethod
-    def from_dict(cls, mapping):
-        return cls(tuple(mapping.items()))
-
-    @classmethod
     def identity(cls, points):
         return cls(tuple((p, p) for p in points))
 
@@ -272,20 +268,6 @@ class CircleModes:
         out = cls.zero(circle, cutoff, twist=twist)
         out.coeffs[k + cutoff] = amplitude
         return out
-
-    @classmethod
-    def from_values(cls, circle, cutoff, values, twist=Fraction(0)):
-        """Recover coefficients from samples on the uniform grid."""
-        values = np.asarray(values, dtype=complex)
-        n = values.shape[0]
-        if n < 2 * cutoff + 1:
-            raise BandLimitError("grid too coarse for the requested cutoff")
-        xs = np.arange(n) * (circle.circumference / n)
-        ks = np.arange(-cutoff, cutoff + 1)
-        freqs = (TAU / circle.circumference) * (ks + float(twist))
-        basis = np.exp(-1j * np.outer(freqs, xs)) / n
-        coeffs = np.tensordot(basis, values, axes=(1, 0))
-        return cls(circle, cutoff, coeffs, twist)
 
     @classmethod
     def random(cls, circle, cutoff, rng, fibre_shape=(), twist=Fraction(0), degree=None):
@@ -409,10 +391,6 @@ class CircleModes:
         for k in self.modes:
             out.coeffs[-int(k) - shift + out.cutoff] = np.conj(self.coeffs[int(k) + self.cutoff])
         return out
-
-    def norm_grid(self, n=None):
-        vals = self.grid_values(n)
-        return float(np.sqrt(np.mean(np.abs(vals) ** 2) * self.circle.circumference))
 
 
 class TorusModes:

@@ -138,9 +138,7 @@ def default_sections(loc: Bitorsor) -> SectionFamily:
         for a in x_tags:
             table = {}
             for y in ys:
-                hits = [
-                    p for p in loc.carrier if p[1] == a and p[2] == i and loc.alpha[p] == (y, i)
-                ]
+                hits = [p for p in loc.alpha_fibre((y, i)) if p[1] == a and p[2] == i]
                 if not hits:
                     table = None
                     break
@@ -165,8 +163,7 @@ def sections_from_offsets(loc: Bitorsor, offset: int) -> SectionFamily:
         new = {}
         for y in table:
             hits = sorted(
-                (p for p in loc.carrier if p[1] == a and p[2] == i and loc.alpha[p] == (y, i)),
-                key=repr,
+                (p for p in loc.alpha_fibre((y, i)) if p[1] == a and p[2] == i), key=repr
             )
             new[y] = hits[offset % len(hits)]
         assignments[i] = new
@@ -362,24 +359,23 @@ def _component_of(G: FiniteGroupoid, x0):
     stack = [x0]
     while stack:
         x = stack.pop()
-        for a in G.arrows:
-            for y in (
-                (G.tgt[a],) if G.src[a] == x else ()
-            ) + ((G.src[a],) if G.tgt[a] == x else ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+        near = [G.tgt[a] for a in G.arrows_from(x)] + [G.src[a] for a in G.arrows_into(x)]
+        for y in near:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
     return seen
 
 
 def _restrict(G: FiniteGroupoid, objs) -> FiniteGroupoid:
     arrows = tuple(a for a in G.arrows if G.src[a] in objs and G.tgt[a] in objs)
+    kept = set(arrows)
     return FiniteGroupoid(
         objects=tuple(x for x in G.objects if x in objs),
         arrows=arrows,
         src={a: G.src[a] for a in arrows},
         tgt={a: G.tgt[a] for a in arrows},
-        cmp={k: v for k, v in G.cmp.items() if k[0] in arrows and k[1] in arrows},
+        cmp={k: v for k, v in G.cmp.items() if k[0] in kept and k[1] in kept},
         inv={a: G.inv[a] for a in arrows},
         unit={x: G.unit[x] for x in objs if x in G.unit},
         name=f"{G.name}|component",
@@ -403,9 +399,6 @@ class ReconstructedBundle:
     rank: int
     action: dict
     name: str = "bundle"
-
-    def fibre_dim(self):
-        return self.rank
 
 
 def reconstruct_bundle(g: Cocycle, name=None) -> ReconstructedBundle:

@@ -7,11 +7,16 @@ finite label set it can be expanded into explicit tables.
 
 Composition is written ``compose(tau, sigma)`` = "sigma, then tau" and is
 defined exactly when ``src(tau) == tgt(sigma)``.
+
+Endpoint queries go through one hom-set index that ``FiniteGroupoid``
+builds from ``src``/``tgt`` when it is constructed: ``arrows_between``,
+``arrows_from``, ``arrows_into`` and ``composable_pairs`` read it, and
+``composition_table`` builds ``cmp`` tables from a composition rule with
+the same grouping.  Every result keeps the arrow order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,6 +67,30 @@ class FiniteGroup:
 # finite groupoids
 
 
+def group_by(items, key) -> dict:
+    """``key(item) -> tuple of items``, each tuple in the order of ``items``."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return {k: tuple(v) for k, v in groups.items()}
+
+
+def _composable(arrows, src, into):
+    """Pairs (tau, sigma) with src(tau) == tgt(sigma), tau-major in arrow order."""
+    for tau in arrows:
+        for sigma in into.get(src[tau], ()):
+            yield tau, sigma
+
+
+def composition_table(arrows, src, tgt, rule) -> dict:
+    """The ``cmp`` table ``(tau, sigma) -> rule(tau, sigma)`` on every composable pair.
+
+    Pairs come in the order of ``FiniteGroupoid.composable_pairs``.
+    """
+    into = group_by(arrows, tgt.__getitem__)
+    return {(tau, sigma): rule(tau, sigma) for tau, sigma in _composable(arrows, src, into)}
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
     objects: tuple
@@ -73,29 +102,33 @@ class FiniteGroupoid:
     unit: dict  # object -> unit arrow
     base: object = None  # optional BaseSpace (FiniteSet) for flavor checks
     name: str = "groupoid"
+    # hom-set index, built from src/tgt: (x, y), x or y -> arrows in arrow order
+    _hom: dict = field(init=False, repr=False)
+    _out: dict = field(init=False, repr=False)
+    _into: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        src, tgt = self.src, self.tgt
+        object.__setattr__(self, "_hom", group_by(self.arrows, lambda a: (src[a], tgt[a])))
+        object.__setattr__(self, "_out", group_by(self.arrows, src.__getitem__))
+        object.__setattr__(self, "_into", group_by(self.arrows, tgt.__getitem__))
 
     # -- structure access
 
     def compose(self, tau, sigma):
         return self.cmp[(tau, sigma)]
 
-    def is_unit(self, arrow):
-        return arrow == self.unit[self.src[arrow]]
-
     def composable_pairs(self):
-        for tau in self.arrows:
-            for sigma in self.arrows:
-                if self.src[tau] == self.tgt[sigma]:
-                    yield tau, sigma
+        return _composable(self.arrows, self.src, self._into)
 
     def arrows_from(self, x):
-        return [a for a in self.arrows if self.src[a] == x]
+        return self._out.get(x, ())
 
     def arrows_into(self, y):
-        return [a for a in self.arrows if self.tgt[a] == y]
+        return self._into.get(y, ())
 
     def arrows_between(self, x, y):
-        return [a for a in self.arrows if self.src[a] == x and self.tgt[a] == y]
+        return self._hom.get((x, y), ())
 
 
 def group_groupoid(group: FiniteGroup, point="*", name=None) -> FiniteGroupoid:
@@ -140,10 +173,9 @@ def finite_action_groupoid(group: FiniteGroup, points, act, name=None) -> Finite
     arrows = tuple((g, x) for g in group.elements for x in points)
     src = {a: a[1] for a in arrows}
     tgt = {a: act(a[0], a[1]) for a in arrows}
-    cmp = {}
-    for (g, y), (h, x) in itertools.product(arrows, arrows):
-        if y == act(h, x):
-            cmp[((g, y), (h, x))] = (group.mul(g, h), x)
+    cmp = composition_table(
+        arrows, src, tgt, lambda tau, sigma: (group.mul(tau[0], sigma[0]), sigma[1])
+    )
     inv = {(g, x): (group.inv(g), act(g, x)) for (g, x) in arrows}
     unit = {x: (group.identity, x) for x in points}
     return FiniteGroupoid(
@@ -348,7 +380,7 @@ def isotropy(G, x) -> IsotropyGroup:
     if isinstance(G, FiniteGroupoid):
         if x not in G.objects:
             raise KeyError(f"unknown object {x!r}")
-        return IsotropyGroup(x, tuple(G.arrows_between(x, x)))
+        return IsotropyGroup(x, G.arrows_between(x, x))
     if isinstance(G, ActionGroupoid):
         loops = tuple(
             (g, x) for g in G.group.elements if G.apply(g, x) == x
@@ -396,8 +428,8 @@ def _validate_finite(G: FiniteGroupoid) -> ValidationReport:
         u_t, u_s = G.unit[G.tgt[a]], G.unit[G.src[a]]
         if G.cmp.get((u_t, a)) != a or G.cmp.get((a, u_s)) != a:
             rep.add(f"unit law: units do not act neutrally on {a!r}")
-    for rho, tau, sigma in itertools.product(G.arrows, repeat=3):
-        if G.src[rho] == G.tgt[tau] and G.src[tau] == G.tgt[sigma]:
+    for rho, tau in G.composable_pairs():
+        for sigma in G.arrows_into(G.src[tau]):
             left = G.cmp.get((G.cmp.get((rho, tau)), sigma))
             right = G.cmp.get((rho, G.cmp.get((tau, sigma))))
             if left != right:
@@ -521,11 +553,9 @@ def cech_groupoid(G, cover: CechCover):
     )
     src = {(s, a, b): (G.src[s], b) for (s, a, b) in arrows}
     tgt = {(s, a, b): (G.tgt[s], a) for (s, a, b) in arrows}
-    cmp = {}
-    for (s1, a1, b1) in arrows:
-        for (s2, a2, b2) in arrows:
-            if b1 == a2 and G.src[s1] == G.tgt[s2]:
-                cmp[((s1, a1, b1), (s2, a2, b2))] = (G.compose(s1, s2), a1, b2)
+    cmp = composition_table(
+        arrows, src, tgt, lambda tau, sigma: (G.compose(tau[0], sigma[0]), tau[1], sigma[2])
+    )
     inv = {(s, a, b): (G.inv[s], b, a) for (s, a, b) in arrows}
     unit = {(x, a): (G.unit[x], a, a) for (x, a) in objects}
     return FiniteGroupoid(

@@ -183,7 +183,8 @@ def build_a2_example(N) -> Scenario:
     def bitorsor_axioms(tol):
         rep = validate_generalized_hom(b, mode="bitorsor")
         mutated = replace(
-            b, right_act={(q, t): (q + t[0]) % (2 * N) for (q, t) in b.right_act}, name="mutated",
+            b, right_act={(q, t): (q + t[0] + N) % (2 * N) for (q, t) in b.right_act},
+            name="mutated",
         )
         bad = validate_generalized_hom(mutated, mode="bitorsor")
         witness = bad.violations[0] if bad.violations else "none"
@@ -714,13 +715,15 @@ def resolve_config(config, registry_dir=None, force=False):
 
 
 def run_check(name, tol, fn) -> CheckResult:
-    """One check in isolation; an exception becomes a failed record."""
+    """One check in isolation; an exception or a non-finite value becomes a failed record."""
     try:
         ok, value, detail = fn(tol)
     except Exception as exc:
         return CheckResult(name, False, "", None, tol, error=f"{type(exc).__name__}: {exc}")
     if value is None:
         value = 0.0 if ok else 1.0
+    if not math.isfinite(value):
+        return CheckResult(name, False, detail, None, tol, error=f"non-finite value: {value}")
     return CheckResult(name, bool(ok), detail, value, tol)
 
 
@@ -745,7 +748,7 @@ def run_scenario(config: dict, out_dir=None, force=False, registry_dir=None):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
+            json.dump(report, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
             fh.write("index,eigenvalue\n")

@@ -19,7 +19,7 @@ alpha-fibres.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bases import CatalogError, FourierCircle
@@ -28,6 +28,8 @@ from .groupoids import (
     CechCover,
     FiniteGroupoid,
     cech_groupoid,
+    composition_table,
+    group_by,
     group_groupoid,
     cyclic_translation_groupoid,
     FiniteGroup,
@@ -49,18 +51,19 @@ class Bitorsor:
     left_act: dict  # (sigma, q) -> q'
     right_act: dict  # (q, tau) -> q'
     name: str = "bitorsor"
+    # fibre index, built from rho/alpha: anchor value -> carrier points in carrier order
+    _rho_fibres: dict = field(init=False, repr=False)
+    _alpha_fibres: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_rho_fibres", group_by(self.carrier, self.rho.get))
+        object.__setattr__(self, "_alpha_fibres", group_by(self.carrier, self.alpha.get))
 
     def rho_fibre(self, x):
-        return [q for q in self.carrier if self.rho[q] == x]
+        return self._rho_fibres.get(x, ())
 
     def alpha_fibre(self, y):
-        return [q for q in self.carrier if self.alpha[q] == y]
-
-    def act_left(self, sigma, q):
-        return self.left_act[(sigma, q)]
-
-    def act_right(self, q, tau):
-        return self.right_act[(q, tau)]
+        return self._alpha_fibres.get(y, ())
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +105,7 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
         raise ValueError(f"unknown mode {mode!r}")
     rep = ValidationReport(subject=f"{mode} {b.name}")
     L, R = b.left, b.right
+    carrier = set(b.carrier)
 
     for q in b.carrier:
         if q not in b.rho or q not in b.alpha:
@@ -121,7 +125,7 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
                 continue
             if defined:
                 q2 = b.left_act[(s, q)]
-                if q2 not in set(b.carrier):
+                if q2 not in carrier:
                     rep.add(f"left action: ({s!r},{q!r}) leaves the carrier")
                 elif b.rho[q2] != L.tgt[s] or b.alpha[q2] != b.alpha[q]:
                     rep.add(f"left anchors: ({s!r},{q!r}) moved anchors wrongly")
@@ -133,7 +137,7 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
                 continue
             if defined:
                 q2 = b.right_act[(q, t)]
-                if q2 not in set(b.carrier):
+                if q2 not in carrier:
                     rep.add(f"right action: ({q!r},{t!r}) leaves the carrier")
                 elif b.alpha[q2] != R.src[t] or b.rho[q2] != b.rho[q]:
                     rep.add(f"right anchors: ({q!r},{t!r}) moved anchors wrongly")
@@ -145,17 +149,13 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
         if b.right_act.get((q, R.unit[b.alpha[q]])) != q:
             rep.add(f"right unit: unit does not fix {q!r}")
     for (tau, sigma) in L.composable_pairs():
-        for q in b.carrier:
-            if L.src[sigma] != b.rho[q]:
-                continue
+        for q in b.rho_fibre(L.src[sigma]):
             two_step = b.left_act.get((tau, b.left_act[(sigma, q)]))
             one_step = b.left_act.get((L.compose(tau, sigma), q))
             if two_step != one_step:
                 rep.add(f"left action law: ({tau!r},{sigma!r}) on {q!r}")
     for (tau, kappa) in R.composable_pairs():
-        for q in b.carrier:
-            if R.tgt[tau] != b.alpha[q]:
-                continue
+        for q in b.alpha_fibre(R.tgt[tau]):
             two_step = b.right_act.get((b.right_act[(q, tau)], kappa))
             one_step = b.right_act.get((q, R.compose(tau, kappa)))
             if two_step != one_step:
@@ -214,23 +214,14 @@ def identity_bitorsor(G: FiniteGroupoid) -> Bitorsor:
     groupoid has isotropy).
     """
     carrier = tuple(G.arrows)
-    left_act = {}
-    right_act = {}
-    for q in carrier:
-        for s in G.arrows:
-            if G.src[s] == G.tgt[q]:
-                left_act[(s, q)] = G.compose(s, q)
-        for t in G.arrows:
-            if G.tgt[t] == G.src[q]:
-                right_act[(q, t)] = G.compose(q, t)
     return Bitorsor(
         left=G,
         right=G,
         carrier=carrier,
         rho=dict(G.tgt),
         alpha=dict(G.src),
-        left_act=left_act,
-        right_act=right_act,
+        left_act={(s, q): G.compose(s, q) for q in carrier for s in G.arrows_from(G.tgt[q])},
+        right_act={(q, t): G.compose(q, t) for q in carrier for t in G.arrows_into(G.src[q])},
         name=f"id({G.name})",
     )
 
@@ -278,11 +269,9 @@ def double_cover_bitorsor(N: int):
     for q in carrier:
         left_act[(0, q)] = q
         left_act[(1, q)] = (q + N) % (2 * N)
-    right_act = {}
-    for q in carrier:
-        for (a, y) in xi.arrows:
-            if (y + a) % N == q % N:  # tgt of the arrow meets alpha(q)
-                right_act[(q, (a, y))] = (q - a) % (2 * N)
+    right_act = {
+        (q, (a, y)): (q - a) % (2 * N) for q in carrier for (a, y) in xi.arrows_into(alpha[q])
+    }
     return theta, xi, Bitorsor(
         left=theta,
         right=xi,
@@ -309,12 +298,7 @@ def compose_homs(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
     if b1.right is not b2.left:
         raise CatalogError("middle groupoids differ; cannot compose")
     mid = b1.right
-    pairs = [
-        (q1, q2)
-        for q1 in b1.carrier
-        for q2 in b2.carrier
-        if b1.alpha[q1] == b2.rho[q2]
-    ]
+    pairs = [(q1, q2) for q1 in b1.carrier for q2 in b2.rho_fibre(b1.alpha[q1])]
     # close each pair under the middle action
     cls_of = {}
     classes = []
@@ -527,16 +511,14 @@ def cech_bitorsor(G: FiniteGroupoid, cover: CechCover) -> Bitorsor:
     )
     rho = {(s, a): G.tgt[s] for (s, a) in carrier}
     alpha = {(s, a): (G.src[s], a) for (s, a) in carrier}
-    left_act = {}
-    for (s, a) in carrier:
-        for r in G.arrows:
-            if G.src[r] == G.tgt[s]:
-                left_act[(r, (s, a))] = (G.compose(r, s), a)
-    right_act = {}
-    for (s, a) in carrier:
-        for (t, aa, bb) in cech.arrows:
-            if aa == a and G.tgt[t] == G.src[s]:
-                right_act[((s, a), (t, aa, bb))] = (G.compose(s, t), bb)
+    left_act = {
+        (r, (s, a)): (G.compose(r, s), a) for (s, a) in carrier for r in G.arrows_from(G.tgt[s])
+    }
+    right_act = {
+        ((s, a), (t, aa, bb)): (G.compose(s, t), bb)
+        for (s, a) in carrier
+        for (t, aa, bb) in cech.arrows_into(alpha[(s, a)])
+    }
     return Bitorsor(
         left=G,
         right=cech,
@@ -629,12 +611,8 @@ class StrictMorphism:
         # arrows q -> q' must biject with target arrows between the images
         for q in S.objects:
             for q2 in S.objects:
-                here = [a for a in S.arrows if S.src[a] == q and S.tgt[a] == q2]
-                there = [
-                    t
-                    for t in T.arrows
-                    if T.src[t] == self.obj_map[q] and T.tgt[t] == self.obj_map[q2]
-                ]
+                here = S.arrows_between(q, q2)
+                there = T.arrows_between(self.obj_map[q], self.obj_map[q2])
                 images = [self.arr_map[a] for a in here]
                 if len(images) != len(there) or set(images) != set(there) or len(
                     set(images)
@@ -675,8 +653,7 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
         for q in b.carrier
         for s in L.arrows
         if (s, q) in b.left_act
-        for t in R.arrows
-        if R.tgt[t] == b.alpha[q]
+        for t in R.arrows_into(b.alpha[q])
     )
 
     def target(arrow):
@@ -685,14 +662,9 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
 
     src = {a: a[1] for a in arrows}
     tgt = {a: target(a) for a in arrows}
-    cmp = {}
-    for a2 in arrows:
-        for a1 in arrows:
-            if src[a2] != tgt[a1]:
-                continue
-            s2, _, t2 = a2
-            s1, q1, t1 = a1
-            cmp[(a2, a1)] = (L.compose(s2, s1), q1, R.compose(t1, t2))
+    cmp = composition_table(
+        arrows, src, tgt, lambda a2, a1: (L.compose(a2[0], a1[0]), a1[1], R.compose(a1[2], a2[2]))
+    )
     inv = {}
     for a in arrows:
         s, q, t = a
@@ -811,14 +783,6 @@ class QuotientCovering:
         cutoff = G.base.mode_cutoff if cutoff is None else cutoff
         down = FourierCircle(G.base.circumference / m, max(2, cutoff))
         return cls(upstairs=G, degree=m, downstairs=down)
-
-    def project_turns(self, t: Fraction) -> Fraction:
-        """alpha in turns: upstairs turns t -> downstairs turns m*t mod 1."""
-        return (Fraction(t) * self.degree) % 1
-
-    def branch_turns(self, t_down: Fraction, branch: int) -> Fraction:
-        """Section of alpha: downstairs turns -> upstairs turns, one branch."""
-        return (Fraction(t_down) + branch) / self.degree % 1
 
     def deck_element(self, branch_from: int, branch_to: int):
         """Group element whose rotation carries one branch onto another."""

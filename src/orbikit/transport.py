@@ -142,7 +142,7 @@ def pushforward_section_inverse(b: Bitorsor, zeta: BundleSection, bundle: Recons
     reps = zeta.bundle.reps
     values = {}
     for x in b.left.objects:
-        q = next(p for p in b.carrier if b.rho[p] == x)
+        q = b.rho_fibre(x)[0]
         y = b.alpha[q]
         sigma = left_witness(b, q, reps[y])
         rho = np.asarray(bundle.action[sigma], dtype=complex)

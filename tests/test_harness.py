@@ -77,6 +77,15 @@ def test_a2_scenario_param_n5():
     assert code == 0 and report["params"]["N"] == 5
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_a2_bitorsor_axioms_at_small_n(n):
+    # the mutated right action must break the axioms even where N is tiny
+    code, report = run_scenario(cfg("a2-example", params={"N": n}, checks=["bitorsor-axioms"]))
+    (check,) = report["checks"]
+    assert code == 0 and check["passed"] and check["value"] == 0.0
+    assert "witness: none" not in check["detail"]
+
+
 def test_report_deterministic(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -225,5 +234,14 @@ def test_raising_check_becomes_failed_record(tmp_path):
     growth = report["checks"][-1]
     assert growth["name"] == "growth-exponent" and not growth["passed"]
     assert growth["error"].startswith("CatalogError: not enough distinct eigenvalue levels")
-    assert json.loads((tmp_path / "report.json").read_text()) == report
+    # the empty band's infinite gap is a failed record, not a bare Infinity
+    spectra = next(c for c in report["checks"] if c["name"] == "spectra-match")
+    assert not spectra["passed"] and "value" not in spectra
+    assert spectra["error"] == "non-finite value: inf"
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "report.json").read_text()
+    assert json.loads(text, parse_constant=reject) == report
     assert "growth-exponent: error CatalogError" in (tmp_path / "summary.md").read_text()
