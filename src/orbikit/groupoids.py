@@ -192,7 +192,12 @@ def finite_action_groupoid(group: FiniteGroup, points, act, name=None) -> Finite
 
 
 def cyclic_translation_groupoid(order: int, n_points: int, name=None) -> FiniteGroupoid:
-    """Z_order acting on Z_n by a.y = y + (a mod n); the finite workhorse."""
+    """Z_order acting on Z_n by a.y = y + (a mod n); the finite workhorse.
+
+    This is a group action only when n divides the order; other pairs raise.
+    """
+    if n_points < 1 or order % n_points:
+        raise CatalogError(f"Z{order} acts on Z{n_points} only when {n_points} >= 1 divides {order}")
     group = FiniteGroup.cyclic(order)
     return finite_action_groupoid(
         group,

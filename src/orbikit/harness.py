@@ -242,7 +242,7 @@ def build_free_rotation_circle(m, modes, buffer) -> Scenario:
     ind = induced_dirac(cov, spec)
     base = G.base
     measure = uniform_measure(base, m, 1)
-    spectra = [(f"up:{k}", float(spec.space.freq((k,))[0])) for k in range(-M, M + 1)]
+    spectra = [(f"up:{k}", float(w)) for (k,), (w,) in zip(spec.space.modes, spec.space.freqs)]
     spectra += [
         (f"down:{j}", float(v))
         for j, v in zip(range(-ind.downstairs.spec.cutoff, ind.downstairs.spec.cutoff + 1),
@@ -389,8 +389,9 @@ def build_pillowcase_torus(modes, buffer) -> Scenario:
     G, lift = spec.groupoid, spec.lift
     torus = G.base
     spectra = [
-        (f"{k[0]},{k[1]}:{label}", sign * float(np.hypot(*spec.space.freq(k))))
-        for k in spec.space.mode_list for label, sign in (("+", 1), ("-", -1))
+        (f"{k1},{k2}:{label}", sign * float(r))
+        for (k1, k2), r in zip(spec.space.modes, np.hypot(*spec.space.freqs.T))
+        for label, sign in (("+", 1), ("-", -1))
     ]
 
     def lift_search(tol):

@@ -13,6 +13,7 @@ the interior block is exact for band-limited generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from .transport import (
 
 DEFAULT_BUFFER = 2
 MIN_CUTOFF = 8  # the smallest mode cutoff a DiracSpec accepts
+DENSE_NORM_ROWS = 4000  # interior_norm is exact up to this many rows, a bound above
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,13 @@ MIN_CUTOFF = 8  # the smallest mode cutoff a DiracSpec accepts
 
 @dataclass(frozen=True, eq=False)
 class SpinorModeSpace:
+    """Modes k in {-M..M}^n, row-major, each carrying a spinor block.
+
+    ``modes`` is the ``(n_modes, n)`` integer array of mode labels and
+    ``freqs`` the matching ``(2 pi / L_i)(k_i + twist_i)``; spinor index
+    ``j`` of mode row ``r`` is basis vector ``r * spinor_dim + j``.
+    """
+
     base: object  # FourierCircle | FourierTorus
     cutoff: int
     twist: tuple  # one Fraction per circle factor
@@ -54,43 +63,38 @@ class SpinorModeSpace:
     def n(self):
         return self.base.dim
 
+    @cached_property
+    def modes(self) -> np.ndarray:
+        side = 2 * self.cutoff + 1
+        return np.indices((side,) * self.n).reshape(self.n, -1).T - self.cutoff
+
     @property
-    def mode_list(self):
-        M = self.cutoff
-        if self.n == 1:
-            return [(k,) for k in range(-M, M + 1)]
-        rng = range(-M, M + 1)
-        return [(k1, k2) for k1 in rng for k2 in rng]
+    def lengths(self) -> tuple:
+        """The circumference of each circle factor."""
+        return getattr(self.base, "circumferences", None) or (self.base.circumference,)
+
+    @cached_property
+    def freqs(self) -> np.ndarray:
+        scale = np.array([2.0 * np.pi / L for L in self.lengths])
+        return scale * (self.modes + np.array([float(t) for t in self.twist]))
 
     @property
     def dim(self):
-        return len(self.mode_list) * self.rep.spinor_dim
+        return len(self.modes) * self.rep.spinor_dim
 
-    def mode_index(self, k):
-        M = self.cutoff
-        if self.n == 1:
-            return k[0] + M
-        return (k[0] + M) * (2 * M + 1) + (k[1] + M)
+    def mode_index(self, k) -> np.ndarray:
+        """Row of each mode label in ``modes``; ``k`` has shape (..., n)."""
+        k = np.asarray(k) + self.cutoff
+        return np.ravel_multi_index(tuple(np.moveaxis(k, -1, 0)), (2 * self.cutoff + 1,) * self.n)
 
-    def freq(self, k):
-        if self.n == 1:
-            return ((2.0 * np.pi / self.base.circumference) * (k[0] + float(self.twist[0])),)
-        return tuple(
-            (2.0 * np.pi / L) * (ki + float(ti))
-            for L, ki, ti in zip(self.base.circumferences, k, self.twist)
-        )
+    def interior(self, buffer) -> np.ndarray:
+        """Mask of the modes with max_i |k_i| <= M - buffer."""
+        return np.abs(self.modes).max(axis=1) <= self.cutoff - buffer
 
-    def interior_modes(self, buffer):
-        M = self.cutoff
-        return [k for k in self.mode_list if max(abs(x) for x in k) <= M - buffer]
-
-    def interior_indices(self, buffer):
+    def interior_indices(self, buffer) -> np.ndarray:
         d = self.rep.spinor_dim
-        out = []
-        for k in self.interior_modes(buffer):
-            base = self.mode_index(k) * d
-            out.extend(range(base, base + d))
-        return np.array(out, dtype=int)
+        rows = np.flatnonzero(self.interior(buffer))
+        return (rows[:, None] * d + np.arange(d)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +121,7 @@ class DiracSpec:
             raise CatalogError("lift was built for a different groupoid")
         self._action_cache = {}
 
-    @property
+    @cached_property
     def space(self):
         return SpinorModeSpace(self.groupoid.base, self.cutoff, self.twist, self.lift.rep)
 
@@ -205,50 +209,29 @@ def action_matrix(spec: DiracSpec, g) -> sp.csr_matrix:
 def mult_operator(space: SpinorModeSpace, f) -> sp.csr_matrix:
     """Pointwise multiplication by a band-limited scalar function.
 
-    Rows and columns outside the shared truncation window are dropped; the
-    interior band of any derived operator stays exact as long as the
-    buffer covers the generator degree.
+    Mode l of ``f`` sends mode k to mode k + l.  Rows and columns outside
+    the shared truncation window are dropped; the interior band of any
+    derived operator stays exact as long as the buffer covers the
+    generator degree.
     """
-    d = space.rep.spinor_dim
-    M = space.cutoff
-    rows, cols, vals = [], [], []
-    if space.n == 1:
-        if not isinstance(f, CircleModes):
-            raise CatalogError("circle space needs CircleModes data")
-        for l in f.modes:
-            c = f.coeffs[l + f.cutoff]
-            if abs(c) == 0:
-                continue
-            for k in range(-M, M + 1):
-                if abs(k + l) > M:
-                    continue
-                rows.append(k + int(l) + M)
-                cols.append(k + M)
-                vals.append(c)
-        mode_mat = sp.csr_matrix((vals, (rows, cols)), shape=(2 * M + 1, 2 * M + 1))
-    else:
-        if not isinstance(f, TorusModes):
-            raise CatalogError("torus space needs TorusModes data")
-        size = (2 * M + 1) ** 2
-        for (l1, l2) in f.nonzero_modes():
-            c = f.coeffs[l1 + f.cutoff, l2 + f.cutoff]
-            for k1 in range(-M, M + 1):
-                if abs(k1 + l1) > M:
-                    continue
-                for k2 in range(-M, M + 1):
-                    if abs(k2 + l2) > M:
-                        continue
-                    rows.append((k1 + l1 + M) * (2 * M + 1) + (k2 + l2 + M))
-                    cols.append((k1 + M) * (2 * M + 1) + (k2 + M))
-                    vals.append(c)
-        mode_mat = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    return sp.kron(mode_mat, sp.identity(d, format="csr"), format="csr")
+    kind = (CircleModes, TorusModes)[space.n - 1]
+    if not isinstance(f, kind):
+        raise CatalogError(f"{type(space.base).__name__} space needs {kind.__name__} data")
+    shifts = np.argwhere(np.abs(f.coeffs) > 0)  # (n_nonzero, n), row-major
+    vals = f.coeffs[tuple(shifts.T)]
+    target = space.modes[None, :, :] + (shifts - f.cutoff)[:, None, :]
+    keep = np.abs(target).max(axis=2) <= space.cutoff
+    l_row, cols = np.nonzero(keep)
+    rows = space.mode_index(target[keep])
+    n_modes = len(space.modes)
+    mode_mat = sp.csr_matrix((vals[l_row], (rows, cols)), shape=(n_modes, n_modes))
+    return sp.kron(mode_mat, sp.identity(space.rep.spinor_dim, format="csr"), format="csr")
 
 
 def chirality_matrix(space: SpinorModeSpace) -> sp.csr_matrix:
     if space.rep.chirality is None:
         raise CatalogError("chirality needs an even-dimensional base")
-    n_modes = len(space.mode_list)
+    n_modes = len(space.modes)
     return sp.kron(sp.identity(n_modes, format="csr"), sp.csr_matrix(space.rep.chirality), format="csr")
 
 
@@ -272,22 +255,15 @@ class TruncatedDirac:
         diff = (self.matrix - self.matrix.getH()).tocoo()
         return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
 
-    def eigenvalues(self, modes=None) -> np.ndarray:
-        """Analytic spectrum of the per-mode blocks of ``modes`` (default:
-        every mode), sorted ascending."""
+    def eigenvalues(self, buffer=None) -> np.ndarray:
+        """Analytic spectrum of the per-mode blocks, sorted ascending: every
+        mode, or only the interior band of ``buffer`` when one is given."""
         space = self.space
-        vals = []
-        for k in space.mode_list if modes is None else modes:
-            w = space.freq(k)
-            if space.n == 1:
-                vals.append(w[0])
-            else:
-                r = float(np.hypot(w[0], w[1]))
-                vals.extend([r, -r])
-        return np.sort(np.asarray(vals))
-
-    def interior_eigenvalues(self, buffer=DEFAULT_BUFFER) -> np.ndarray:
-        return self.eigenvalues(self.space.interior_modes(buffer))
+        w = space.freqs if buffer is None else space.freqs[space.interior(buffer)]
+        if space.n == 1:
+            return np.sort(w[:, 0])
+        r = np.hypot(w[:, 0], w[:, 1])
+        return np.sort(np.stack([r, -r], axis=1).reshape(-1))
 
 
 def assemble_dirac(spec: DiracSpec) -> TruncatedDirac:
@@ -299,22 +275,10 @@ def assemble_dirac(spec: DiracSpec) -> TruncatedDirac:
     """
     space = spec.space
     d = space.rep.spinor_dim
-    n_modes = len(space.mode_list)
-    blocks_rows, blocks_cols, blocks_vals = [], [], []
-    for k in space.mode_list:
-        w = space.freq(k)
-        block = sum(w[i] * space.rep.gammas[i] for i in range(space.n))
-        base = space.mode_index(k) * d
-        for i in range(d):
-            for j in range(d):
-                v = block[i, j]
-                if v != 0:
-                    blocks_rows.append(base + i)
-                    blocks_cols.append(base + j)
-                    blocks_vals.append(v)
-    D = sp.csr_matrix(
-        (blocks_vals, (blocks_rows, blocks_cols)), shape=(n_modes * d, n_modes * d)
-    )
+    w = space.freqs[:, :, None, None]
+    blocks = sum(w[:, i] * gamma for i, gamma in enumerate(space.rep.gammas))  # (n_modes, d, d)
+    m, i, j = np.nonzero(blocks)
+    D = sp.csr_matrix((blocks[m, i, j], (m * d + i, m * d + j)), shape=(space.dim, space.dim))
     out = TruncatedDirac(spec, D)
     if out.hermiticity_residual() > 1e-14:
         raise CatalogError("assembled Dirac is not Hermitian")
@@ -483,7 +447,7 @@ def induced_dirac(cov: QuotientCovering, spec: DiracSpec) -> InducedDirac:
     ks = invariant_mode_indices(cov, spec.twist[0], signs)
     tw = solve_downstairs_twist(cov, spec.twist[0], signs)
     m = cov.degree
-    down_cut = max(8, max(abs(int((Fraction(k) + spec.twist[0]) / m - tw)) for k in ks))
+    down_cut = max(MIN_CUTOFF, max(abs(int((Fraction(k) + spec.twist[0]) / m - tw)) for k in ks))
     down_circle = FourierCircle(cov.downstairs.circumference, down_cut)
     down_group = trivial_groupoid(down_circle)
     down_lift = SpinLift(down_group, spec.lift.rep, {0: 1}, strict=True)
@@ -527,14 +491,7 @@ def conjugated_multiplication_residual(
     down_op = mult_operator(ind.downstairs.space, f_down).toarray()
     U = ind.unitary
     conj = U @ up_op @ np.conj(U.T)
-    down_cut = ind.downstairs.spec.cutoff
-    keep = []
-    for j in range(-down_cut, down_cut + 1):
-        if abs(j) > down_cut - buffer:
-            continue
-        if np.abs(U[j + down_cut]).sum() > 0:
-            keep.append(j + down_cut)
-    keep = np.array(keep, dtype=int)
+    keep = np.flatnonzero(ind.downstairs.space.interior(buffer) & (np.abs(U).sum(axis=1) > 0))
     if keep.size == 0:
         return 0.0
     diff = (conj - down_op)[np.ix_(keep, keep)]
@@ -551,15 +508,11 @@ def matched_interior_spectra(ind: InducedDirac, buffer=DEFAULT_BUFFER):
     up_space = ind.upstairs.space
     dn_space = ind.downstairs.space
     edge = min(_interior_edge(up_space, buffer), _interior_edge(dn_space, buffer))
-    up_vals = np.sort(
-        [
-            up_space.freq((k,))[0]
-            for k in ind.invariant_modes
-            if abs(up_space.freq((k,))[0]) <= edge + 1e-12
-        ]
-    )
+    ks = np.asarray(ind.invariant_modes, dtype=int).reshape(-1, 1)
+    up_vals = up_space.freqs[up_space.mode_index(ks), 0]
+    up_vals = np.sort(up_vals[np.abs(up_vals) <= edge + 1e-12])
     dn_vals = ind.downstairs.eigenvalues()
-    dn_vals = np.sort(dn_vals[np.abs(dn_vals) <= edge + 1e-12])
+    dn_vals = dn_vals[np.abs(dn_vals) <= edge + 1e-12]
     return up_vals, dn_vals
 
 
@@ -642,30 +595,25 @@ class SpectralTripleReport:
         return out
 
 
-def compress_interior(space: SpinorModeSpace, mat, buffer) -> np.ndarray:
-    idx = space.interior_indices(buffer)
-    sub = sp.csr_matrix(mat)[idx][:, idx]
-    return sub.toarray()
-
-
-def operator_norm(mat) -> float:
-    arr = np.asarray(mat)
-    if arr.size == 0:
-        return 0.0
-    return float(np.linalg.norm(arr, 2))
-
-
 def interior_norm(space: SpinorModeSpace, mat, buffer) -> float:
-    dim = mat.shape[0]
-    if dim <= 4000:
-        return operator_norm(compress_interior(space, mat, buffer))
+    """Operator norm of the interior-band block of ``mat``.
+
+    The method depends only on the block and the size of ``mat``:
+    - exactly 0.0 when the block has no nonzero entry (this includes an
+      empty interior band);
+    - the exact 2-norm of the dense block when ``mat`` has at most
+      ``DENSE_NORM_ROWS`` rows;
+    - above that, the upper bound sqrt(||A||_1 ||A||_inf).
+    """
     idx = space.interior_indices(buffer)
-    sub = sp.csr_matrix(mat)[idx][:, idx]
-    if sub.nnz == 0:
+    block = sp.csr_matrix(mat)[idx][:, idx]
+    if block.count_nonzero() == 0:
         return 0.0
-    one = float(np.max(np.abs(sub).sum(axis=0)))
-    inf = float(np.max(np.abs(sub).sum(axis=1)))
-    return float(np.sqrt(one * inf))  # upper bound, tight enough for residuals
+    if mat.shape[0] <= DENSE_NORM_ROWS:
+        return float(np.linalg.norm(block.toarray(), 2))
+    one = float(np.max(np.abs(block).sum(axis=0)))
+    inf = float(np.max(np.abs(block).sum(axis=1)))
+    return float(np.sqrt(one * inf))
 
 
 def growth_exponent(eigenvalues, lam_max, lam_min=None) -> float:
@@ -765,7 +713,7 @@ def check_spectral_triple(
         cutoff=spec.cutoff,
         buffer=buffer,
         hermiticity_residual=dirac.hermiticity_residual(),
-        eigenvalues=dirac.interior_eigenvalues(buffer),
+        eigenvalues=dirac.eigenvalues(buffer),
     )
 
     double = spec.with_cutoff(2 * spec.cutoff)
@@ -817,11 +765,7 @@ def check_spectral_triple(
 
 
 def _interior_edge(space: SpinorModeSpace, buffer) -> float:
-    if space.n == 1:
-        return (2.0 * np.pi / space.base.circumference) * (space.cutoff - buffer)
-    return min(
-        (2.0 * np.pi / L) * (space.cutoff - buffer) for L in space.base.circumferences
-    )
+    return min((2.0 * np.pi / L) * (space.cutoff - buffer) for L in space.lengths)
 
 
 def _is_untwisted(f) -> bool:

@@ -35,6 +35,13 @@ def test_group_groupoid_valid():
     assert validate_groupoid(z2_point()).ok
 
 
+@pytest.mark.parametrize("order, n_points", [(2, 3), (6, 4), (6, 0), (3, -1)])
+def test_translation_groupoid_needs_n_dividing_order(order, n_points):
+    # y + a mod n is a Z_order action only when n divides the order
+    with pytest.raises(CatalogError):
+        cyclic_translation_groupoid(order, n_points)
+
+
 def test_translation_groupoid_valid_exhaustively():
     G = z6z3()
     assert len(G.arrows) == 18

@@ -1,0 +1,224 @@
+"""The array-backed mode space against per-mode loops over every mode.
+
+The reference loops below are the per-mode code the arrays replace: mode
+tuples in row-major order, read one frequency, block and matrix entry at a
+time.  Operators are compared entry by entry, exactly.
+"""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbikit.bases import CircleModes, FourierCircle, FourierTorus, TorusModes
+from orbikit.clifford import build_clifford, projective_lift, trivial_lift
+from orbikit.groupoids import negation_torus_groupoid, rotation_groupoid, trivial_groupoid
+from orbikit.spectral import (
+    DENSE_NORM_ROWS,
+    DiracSpec,
+    assemble_dirac,
+    interior_norm,
+    mult_operator,
+)
+
+TAU = 2 * np.pi
+
+
+def unit_spec(n, M, twist=0, lengths=(TAU, TAU)):
+    base = FourierCircle(lengths[0], M) if n == 1 else FourierTorus(lengths, M)
+    G = trivial_groupoid(base)
+    return DiracSpec(G, trivial_lift(G, build_clifford(n)), (Fraction(twist),) * n, M)
+
+
+# -- reference: one mode at a time
+
+
+def ref_modes(space):
+    return list(itertools.product(range(-space.cutoff, space.cutoff + 1), repeat=space.n))
+
+
+def ref_index(space):
+    return {k: i for i, k in enumerate(ref_modes(space))}
+
+
+def ref_freq(space, k):
+    return tuple((TAU / L) * (ki + float(ti)) for L, ki, ti in zip(space.lengths, k, space.twist))
+
+
+def ref_interior_indices(space, buffer):
+    d = space.rep.spinor_dim
+    out = []
+    for i, k in enumerate(ref_modes(space)):
+        if max(abs(x) for x in k) <= space.cutoff - buffer:
+            out.extend(range(i * d, i * d + d))
+    return out
+
+
+def ref_dirac_entries(space):
+    d = space.rep.spinor_dim
+    out = {}
+    for i, k in enumerate(ref_modes(space)):
+        w = ref_freq(space, k)
+        block = sum(w[a] * space.rep.gammas[a] for a in range(space.n))
+        for r in range(d):
+            for c in range(d):
+                if block[r, c] != 0:
+                    out[(i * d + r, i * d + c)] = block[r, c]
+    return out
+
+
+def ref_mult_entries(space, f):
+    d = space.rep.spinor_dim
+    index = ref_index(space)
+    out = {}
+    for pos in itertools.product(range(2 * f.cutoff + 1), repeat=space.n):
+        c = f.coeffs[pos]
+        if c == 0:
+            continue
+        shift = tuple(p - f.cutoff for p in pos)
+        for k, col in index.items():
+            row = index.get(tuple(ki + li for ki, li in zip(k, shift)))
+            if row is not None:
+                for s in range(d):
+                    out[(row * d + s, col * d + s)] = c
+    return out
+
+
+def ref_eigenvalues(space, buffer=None):
+    vals = []
+    for k in ref_modes(space):
+        if buffer is not None and max(abs(x) for x in k) > space.cutoff - buffer:
+            continue
+        w = ref_freq(space, k)
+        if space.n == 1:
+            vals.append(w[0])
+        else:
+            r = float(np.hypot(w[0], w[1]))
+            vals.extend([r, -r])
+    return sorted(vals)
+
+
+def entries(mat):
+    coo = sp.coo_matrix(mat)
+    return {(int(r), int(c)): v for r, c, v in zip(coo.row, coo.col, coo.data) if v != 0}
+
+
+def random_modes(space, f_cutoff, degree, seed):
+    """Scalar mode data with about half of the modes up to ``degree`` set."""
+    rng = np.random.default_rng(seed)
+    side = 2 * f_cutoff + 1
+    coeffs = np.zeros((side,) * space.n, dtype=complex)
+    window = (slice(f_cutoff - degree, f_cutoff + degree + 1),) * space.n
+    shape = coeffs[window].shape
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[window] = np.where(rng.random(shape) < 0.5, vals, 0)
+    if space.n == 1:
+        return CircleModes(space.base, f_cutoff, coeffs)
+    return TorusModes(space.base, f_cutoff, coeffs)
+
+
+# -- the array layer against the reference
+
+grid = dict(
+    n=st.sampled_from([1, 2]),
+    M=st.integers(min_value=8, max_value=20),
+    twist=st.sampled_from([Fraction(0), Fraction(1, 2)]),
+    lengths=st.sampled_from([(TAU, TAU), (3.0, 5.5)]),
+    buffer=st.sampled_from([0, 1, 2, 5, 8, 21]),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**grid)
+def test_modes_freqs_and_interior_match_reference(n, M, twist, lengths, buffer):
+    space = unit_spec(n, M, twist, lengths).space
+    modes = ref_modes(space)
+    assert [tuple(int(x) for x in k) for k in space.modes] == modes
+    assert space.modes.shape == (len(modes), n)
+    assert list(space.mode_index(space.modes)) == list(range(len(modes)))
+    for k, i in ref_index(space).items():
+        assert space.mode_index(k) == i
+    assert [tuple(w) for w in space.freqs] == [ref_freq(space, k) for k in modes]
+    assert list(space.interior_indices(buffer)) == ref_interior_indices(space, buffer)
+    assert space.dim == len(modes) * space.rep.spinor_dim
+
+
+@settings(max_examples=30, deadline=None)
+@given(**grid, f_small=st.booleans(), degree=st.integers(0, 3), seed=st.integers(0, 2**16))
+def test_operators_and_spectrum_match_reference(n, M, twist, lengths, buffer, f_small, degree, seed):
+    spec = unit_spec(n, M, twist, lengths)
+    space = spec.space
+    dirac = assemble_dirac(spec)
+    assert entries(dirac.matrix) == ref_dirac_entries(space)
+    f = random_modes(space, 4 if f_small else M, degree, seed)
+    assert entries(mult_operator(space, f)) == ref_mult_entries(space, f)
+    assert list(dirac.eigenvalues()) == ref_eigenvalues(space)
+    assert list(dirac.eigenvalues(buffer)) == ref_eigenvalues(space, buffer)
+
+
+@pytest.mark.parametrize("kind", ["rotation-circle", "pillowcase"])
+def test_group_operators_match_reference(kind):
+    if kind == "rotation-circle":
+        G = rotation_groupoid(3, FourierCircle(mode_cutoff=9))
+        spec = DiracSpec(G, trivial_lift(G, build_clifford(1)), (Fraction(1, 2),), 9)
+    else:
+        G = negation_torus_groupoid(FourierTorus((TAU, TAU), 10))
+        spec = DiracSpec(G, projective_lift(G, build_clifford(2)), (Fraction(0),) * 2, 10)
+    space = spec.space
+    assert spec.space is space  # built once per spec
+    assert entries(assemble_dirac(spec).matrix) == ref_dirac_entries(space)
+    f = random_modes(space, 3, 3, seed=7)
+    assert entries(mult_operator(space, f)) == ref_mult_entries(space, f)
+
+
+# -- interior_norm
+
+
+@pytest.fixture
+def no_dense_norm(monkeypatch):
+    """Fail if interior_norm reaches the dense 2-norm."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense 2-norm computed for a block with no nonzero entry")
+
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+
+
+def test_interior_norm_of_all_zero_block_is_zero(no_dense_norm):
+    space = unit_spec(2, 10).space
+    assert space.dim <= DENSE_NORM_ROWS
+    assert interior_norm(space, sp.csr_matrix((space.dim, space.dim), dtype=complex), 2) == 0.0
+
+
+def test_interior_norm_of_explicit_zeros_is_zero(no_dense_norm):
+    space = unit_spec(2, 10).space
+    idx = space.interior_indices(2)
+    mat = sp.csr_matrix((np.zeros(len(idx), dtype=complex), (idx, idx)), shape=(space.dim, space.dim))
+    assert mat.nnz == len(idx) > 0
+    assert interior_norm(space, mat, 2) == 0.0
+
+
+@pytest.mark.parametrize("n, M", [(1, 8), (2, 8), (2, 46)])
+def test_interior_norm_of_empty_interior_is_zero(n, M):
+    # buffer >= cutoff leaves no interior mode; (2, 46) is above DENSE_NORM_ROWS
+    space = unit_spec(n, M).space
+    mat = sp.identity(space.dim, dtype=complex, format="csr")
+    for buffer in (M + 1, M + 5):
+        assert space.interior_indices(buffer).size == 0
+        assert interior_norm(space, mat, buffer) == 0.0
+
+
+@pytest.mark.parametrize("n, M, buffer", [(1, 8, 2), (1, 12, 0), (2, 8, 2), (2, 10, 3)])
+def test_interior_norm_is_the_dense_two_norm_up_to_the_row_limit(n, M, buffer):
+    space = unit_spec(n, M).space
+    rng = np.random.default_rng(M + buffer)
+    mat = sp.random(space.dim, space.dim, density=0.05, format="csr", random_state=rng, dtype=complex)
+    mat = mat + 1j * sp.random(space.dim, space.dim, density=0.05, format="csr", random_state=rng)
+    idx = ref_interior_indices(space, buffer)
+    block = mat.toarray()[np.ix_(idx, idx)]
+    assert np.abs(block).max() > 0
+    assert interior_norm(space, mat, buffer) == np.linalg.norm(block, 2)

@@ -393,8 +393,8 @@ def test_interior_band_spectra_stable_under_cutoff_doubling():
     for make in (lambda M_: unit_circle_spec(M=M_), lambda M_: pillowcase_spec(M=M_)):
         d_m = assemble_dirac(make(M))
         d_2m = assemble_dirac(make(2 * M))
-        vals_m = d_m.interior_eigenvalues(buffer=B)
-        vals_2m = d_2m.interior_eigenvalues(buffer=2 * M - (M - B))
+        vals_m = d_m.eigenvalues(buffer=B)
+        vals_2m = d_2m.eigenvalues(buffer=2 * M - (M - B))
         assert len(vals_m) == len(vals_2m)
         assert np.max(np.abs(np.sort(vals_m) - np.sort(vals_2m))) <= 1e-12
 
