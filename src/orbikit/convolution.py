@@ -355,13 +355,14 @@ def convolution_triple_report(spec: DiracSpec, generators, *, buffer=None, label
         label=label,
     )
     space = spec.space
+    reps = [(f, representation_matrix(spec, f)) for _, f in elements]
     worst = 0.0
-    for _, f1 in elements:
-        for _, f2 in elements:
+    for f1, r1 in reps:
+        for f2, r2 in reps:
             if f1.degree() + f2.degree() > spec.cutoff:
                 continue
             lhs = representation_matrix(spec, convolve(f1, f2))
-            rhs = representation_matrix(spec, f1) @ representation_matrix(spec, f2)
+            rhs = r1 @ r2
             worst = max(worst, interior_norm(space, lhs - rhs, report.buffer))
     report.representation_residual = worst
     if not effective:

@@ -601,8 +601,10 @@ def interior_norm(space: SpinorModeSpace, mat, buffer) -> float:
     The method depends only on the block and the size of ``mat``:
     - exactly 0.0 when the block has no nonzero entry (this includes an
       empty interior band);
-    - the exact 2-norm of the dense block when ``mat`` has at most
-      ``DENSE_NORM_ROWS`` rows;
+    - the exact 2-norm when ``mat`` has at most ``DENSE_NORM_ROWS`` rows,
+      taken as the largest dense 2-norm over the coupling components (see
+      ``_component_norm``); it equals the 2-norm of the whole block up to
+      rounding, so only the last bits can differ;
     - above that, the upper bound sqrt(||A||_1 ||A||_inf).
     """
     idx = space.interior_indices(buffer)
@@ -610,10 +612,44 @@ def interior_norm(space: SpinorModeSpace, mat, buffer) -> float:
     if block.count_nonzero() == 0:
         return 0.0
     if mat.shape[0] <= DENSE_NORM_ROWS:
-        return float(np.linalg.norm(block.toarray(), 2))
+        return _component_norm(block)
     one = float(np.max(np.abs(block).sum(axis=0)))
     inf = float(np.max(np.abs(block).sum(axis=1)))
     return float(np.sqrt(one * inf))
+
+
+def _component_norm(block: sp.csr_matrix) -> float:
+    """Exact 2-norm of a square sparse block, one coupling component at a time.
+
+    The components are those of the symmetric pattern |A| + |A^T|.  One
+    shared row and column permutation makes A block-diagonal with one
+    block per component, and the 2-norm of a block-diagonal matrix is the
+    largest 2-norm of its blocks.  Components of equal size go through
+    one batched SVD; a single component costs one SVD of the whole block.
+    """
+    # imported here: loading csgraph is a noticeable share of `import orbikit`
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(abs(block), directed=False)
+    sizes = np.bincount(labels)
+    # nodes grouped by component size, then by component; original order within one
+    order = np.lexsort((labels, sizes[labels]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    coo = block.tocoo()
+    coo.sum_duplicates()
+    row, col = rank[coo.row], rank[coo.col]
+    best = 0.0
+    start = 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        end = start + count * size
+        hit = (row >= start) & (row < end)
+        r, c = row[hit] - start, col[hit] - start
+        stack = np.zeros((count, size, size), dtype=block.dtype)
+        stack[r // size, r % size, c % size] = coo.data[hit]
+        best = max(best, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
+        start = end
+    return best
 
 
 def growth_exponent(eigenvalues, lam_max, lam_min=None) -> float:
@@ -658,12 +694,9 @@ def _frame_identity_rhs(space: SpinorModeSpace, f) -> sp.csr_matrix:
         terms.append((CircleModes(f.circle, f.cutoff, -1j * df.coeffs, f.twist), 0))
     else:
         for axis in range(2):
-            fr = (2.0 * np.pi / space.base.circumferences[axis])
-            coeffs = np.zeros_like(f.coeffs)
-            for (l1, l2) in f.nonzero_modes():
-                w = fr * (l1 if axis == 0 else l2)
-                coeffs[l1 + f.cutoff, l2 + f.cutoff] = w * f.coeffs[l1 + f.cutoff, l2 + f.cutoff]
-            terms.append((TorusModes(f.torus, f.cutoff, coeffs, f.twist), axis))
+            fr = 2.0 * np.pi / space.base.circumferences[axis]
+            w = fr * (f.modes[:, None] if axis == 0 else f.modes[None, :])
+            terms.append((TorusModes(f.torus, f.cutoff, w * f.coeffs, f.twist), axis))
     total = None
     d = space.rep.spinor_dim
     for tf, axis in terms:
@@ -718,8 +751,9 @@ def check_spectral_triple(
 
     double = spec.with_cutoff(2 * spec.cutoff)
     dirac2 = assemble_dirac(double)
+    ops = {}
     for name, f in gens:
-        op = build(spec, f)
+        op = ops[name] = build(spec, f)
         comm = dirac.matrix @ op - op @ dirac.matrix
         norm1 = interior_norm(space, comm, buffer)
         f2 = _regrade(f, double)
@@ -746,8 +780,7 @@ def check_spectral_triple(
         report.chirality_anticommutator = interior_norm(
             space, dirac.matrix @ omega + omega @ dirac.matrix, buffer
         )
-        for name, f in gens:
-            op = build(spec, f)
+        for name, op in ops.items():
             report.chirality_commutators[name] = interior_norm(
                 space, omega @ op - op @ omega, buffer
             )

@@ -250,6 +250,17 @@ def test_commutator_norm_of_unit_component_exponential():
     assert report.faithfulness_note == ""
 
 
+def test_representation_residual_keeps_the_product_order():
+    spec = rotation_spec(4, 12)
+    base = spec.groupoid.base
+    e1 = fourier_element(spec.groupoid, {0: CircleModes.mode(base, 12, 1)})
+    turn = fourier_element(spec.groupoid, {1: CircleModes.mode(base, 12, 0)})
+    r1, r2 = representation_matrix(spec, e1), representation_matrix(spec, turn)
+    assert abs(r1 @ r2 - r2 @ r1).max() > 0.1  # the pair does not commute
+    report = convolution_triple_report(spec, [("e1", e1), ("turn", turn)])
+    assert report.representation_residual <= 1e-12
+
+
 def test_unit_generator_commutes():
     spec = rotation_spec(2, 8)
     report = convolution_triple_report(spec, [("unit", fourier_unit(spec.groupoid))])

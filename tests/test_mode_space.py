@@ -6,7 +6,11 @@ time.  Operators are compared entry by entry, exactly.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +21,12 @@ from hypothesis import strategies as st
 from orbikit.bases import CircleModes, FourierCircle, FourierTorus, TorusModes
 from orbikit.clifford import build_clifford, projective_lift, trivial_lift
 from orbikit.groupoids import negation_torus_groupoid, rotation_groupoid, trivial_groupoid
+from orbikit.harness import SCHEMA_VERSION, run_scenario
 from orbikit.spectral import (
     DENSE_NORM_ROWS,
     DiracSpec,
     assemble_dirac,
+    check_spectral_triple,
     interior_norm,
     mult_operator,
 )
@@ -175,6 +181,19 @@ def test_group_operators_match_reference(kind):
     assert entries(mult_operator(space, f)) == ref_mult_entries(space, f)
 
 
+def test_frame_identity_holds_per_axis_and_generator():
+    # unequal circumferences and generators that are not symmetric in the
+    # axes, so that mixing up the axes or their lengths shows
+    spec = unit_spec(2, 12, lengths=(3.0, 5.5))
+    gens = [("a", random_modes(spec.space, 12, 2, seed=3)), ("b", random_modes(spec.space, 12, 3, seed=4))]
+    report = check_spectral_triple(spec, gens, buffer=3)
+    assert set(report.frame_identity_residuals) == set(report.chirality_commutators) == {"a", "b"}
+    for name, _ in gens:
+        assert report.commutator_norms[name] > 1.0
+        assert report.frame_identity_residuals[name] <= 1e-12
+        assert report.chirality_commutators[name] == 0.0
+
+
 # -- interior_norm
 
 
@@ -222,3 +241,92 @@ def test_interior_norm_is_the_dense_two_norm_up_to_the_row_limit(n, M, buffer):
     block = mat.toarray()[np.ix_(idx, idx)]
     assert np.abs(block).max() > 0
     assert interior_norm(space, mat, buffer) == np.linalg.norm(block, 2)
+
+
+def permuted_direct_sum(n, layout, empty, stored_zeros, seed):
+    """An ``n``-row sparse complex block: a direct sum of random blocks,
+    rows and columns then permuted by one shared permutation.
+
+    ``empty`` rows and columns stay empty.  The other rows split into 1x1
+    blocks ("ones"), one block ("single") or blocks of 1 to 9 rows
+    ("mixed").  Each block has a random pattern plus a superdiagonal, so it
+    is one component whose pattern is not symmetric.
+    """
+    rng = np.random.default_rng(seed)
+    live = n - empty
+    if layout == "ones":
+        sizes = [1] * live
+    elif layout == "single":
+        sizes = [live]
+    else:
+        sizes = []
+        while sum(sizes) < live:
+            sizes.append(min(int(rng.integers(1, 10)), live - sum(sizes)))
+    blocks = []
+    for s in sizes:
+        vals = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        keep = (rng.random((s, s)) < 0.3) | np.eye(s, k=1, dtype=bool)
+        keep[0, 0] |= s == 1
+        blocks.append(sp.csr_matrix(np.where(keep, vals, 0)))
+    blocks.append(sp.csr_matrix((empty, empty), dtype=complex))
+    coo = sp.block_diag(blocks, format="coo")
+    rows, cols, data = coo.row, coo.col, coo.data
+    if stored_zeros:
+        # explicit zeros at three unstored positions and on the empty rows
+        stored = coo.toarray() != 0
+        free_r, free_c = np.nonzero(~stored)
+        pick = rng.choice(len(free_r), size=3, replace=False)
+        extra = np.arange(live, n)
+        rows = np.concatenate([rows, free_r[pick], extra])
+        cols = np.concatenate([cols, free_c[pick], extra])
+        data = np.concatenate([data, np.zeros(3 + len(extra), dtype=complex)])
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    return sp.csr_matrix((data, (inv[rows], inv[cols])), shape=(n, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.integers(min_value=8, max_value=30),
+    layout=st.sampled_from(["ones", "mixed", "single"]),
+    empty=st.sampled_from([0, 1, 6]),
+    stored_zeros=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_interior_norm_of_permuted_direct_sums_is_the_dense_two_norm(M, layout, empty, stored_zeros, seed):
+    space = unit_spec(1, M).space  # buffer 0: the interior block is the whole matrix
+    mat = permuted_direct_sum(space.dim, layout, empty, stored_zeros, seed)
+    if stored_zeros:
+        assert mat.nnz > mat.count_nonzero()
+    want = np.linalg.norm(mat.toarray(), 2)
+    assert want > 0
+    assert abs(interior_norm(space, mat, 0) - want) <= 1e-12 * want
+
+
+def test_dense_norms_never_exceed_the_largest_coupling_component(monkeypatch, tmp_path):
+    """At pillowcase-torus modes=12 the interior blocks have 882 rows, but
+    no coupling component of any of them has more than 21."""
+    rows = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and np.ndim(x) >= 2:
+            rows.append(np.shape(x)[-2])
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    config = {"schema_version": SCHEMA_VERSION, "scenario": "pillowcase-torus", "params": {"modes": 12}}
+    code, _ = run_scenario(config, out_dir=str(tmp_path))
+    assert code == 0
+    assert rows and max(rows) <= 21
+
+
+def test_import_does_not_load_csgraph():
+    # interior_norm imports csgraph on first use; loading it with the package
+    # is a measurable share of the import time
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, orbikit; print('scipy.sparse.csgraph' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "False"
