@@ -355,7 +355,7 @@ def convolution_triple_report(spec: DiracSpec, generators, *, buffer=None, label
         label=label,
     )
     space = spec.space
-    reps = [(f, representation_matrix(spec, f)) for _, f in elements]
+    reps = [(f, op) for (_, f), (_, op) in zip(elements, report.operators)]
     worst = 0.0
     for f1, r1 in reps:
         for f2, r2 in reps:

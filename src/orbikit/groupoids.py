@@ -13,12 +13,24 @@ builds from ``src``/``tgt`` when it is constructed: ``arrows_between``,
 ``arrows_from``, ``arrows_into`` and ``composable_pairs`` read it, and
 ``composition_table`` builds ``cmp`` tables from a composition rule with
 the same grouping.  Every result keeps the arrow order.
+
+Beside the label ``cmp`` dict, a ``FiniteGroupoid`` has one integer
+composition table, ``table``: ``(P, 3)`` rows ``[later, earlier, result]``
+of arrow indices, sorted by ``(later, earlier)``, which is the ``compose``
+layout of the groupoid file format.  Constructors that compute the table
+first hand it over with ``with_table``; every other groupoid derives it
+from ``cmp`` on first use.  ``compose_ids`` looks pairs up in it, and
+``composites`` lists the composable pairs and their composites as index
+arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .bases import (
     CatalogError,
@@ -91,6 +103,65 @@ def composition_table(arrows, src, tgt, rule) -> dict:
     return {(tau, sigma): rule(tau, sigma) for tau, sigma in _composable(arrows, src, into)}
 
 
+def cmp_from_table(arrows, table) -> dict:
+    """The label ``cmp`` dict of ``[later, earlier, result]`` index rows, in row order."""
+    # fromiter keeps each label, tuples included, as one entry
+    labels = np.fromiter(arrows, dtype=object, count=len(arrows))
+    later, earlier, result = (labels[column].tolist() for column in table.T)
+    return dict(zip(zip(later, earlier), result))
+
+
+def sorted_table(rows, n_arrows) -> np.ndarray:
+    """``[later, earlier, result]`` rows sorted by ``(later, earlier)``.
+
+    Of rows that repeat a pair, the last one stays, as in a dict built from
+    the rows in order.
+    """
+    keys = rows[:, 0] * n_arrows + rows[:, 1]
+    if np.all(keys[1:] > keys[:-1]):
+        return rows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return rows[order[np.append(keys[1:] != keys[:-1], True)]]
+
+
+def object_ids(arrows, src, tgt):
+    """Integer object ids of each arrow's source and target, in arrow order."""
+    ids = {}
+    n = len(arrows)
+    s = np.fromiter((ids.setdefault(src[a], len(ids)) for a in arrows), np.int64, n)
+    t = np.fromiter((ids.setdefault(tgt[a], len(ids)) for a in arrows), np.int64, n)
+    return s, t
+
+
+def composable_index(src, tgt):
+    """``(later, earlier)`` index arrays of the pairs with ``src[later] == tgt[earlier]``.
+
+    ``src`` and ``tgt`` hold integer object ids per arrow.  The pairs come in
+    the order of ``FiniteGroupoid.composable_pairs``: ``later`` ascending,
+    then ``earlier`` ascending.
+    """
+    n_objects = int(max(src.max(initial=-1), tgt.max(initial=-1))) + 1
+    by_target = np.argsort(tgt, kind="stable")
+    counts = np.bincount(tgt, minlength=n_objects)
+    starts = np.cumsum(counts) - counts
+    n = counts[src]
+    later = np.repeat(np.arange(len(src)), n)
+    first = np.cumsum(n) - n
+    earlier = by_target[np.repeat(starts[src] - first, n) + np.arange(len(later))]
+    return later, earlier
+
+
+def with_table(G, table):
+    """``G``, holding ``table`` as its composition table.
+
+    For constructors that build ``cmp`` from the table: the table must hold
+    exactly the sorted index rows of ``cmp``, so it need not be derived again.
+    """
+    G.__dict__["table"] = table
+    return G
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
     objects: tuple
@@ -129,6 +200,52 @@ class FiniteGroupoid:
 
     def arrows_between(self, x, y):
         return self._hom.get((x, y), ())
+
+    # -- the integer composition table
+
+    @cached_property
+    def arrow_index(self) -> dict:
+        """arrow -> its position in ``arrows``."""
+        return {a: i for i, a in enumerate(self.arrows)}
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """``cmp`` as ``(P, 3)`` int rows ``[later, earlier, result]`` of arrow indices.
+
+        Sorted by ``(later, earlier)``; on a groupoid this is the order of
+        ``composable_pairs``.
+        """
+        index = self.arrow_index
+        flat = np.fromiter(
+            (index[a] for pair, result in self.cmp.items() for a in (*pair, result)),
+            np.int64,
+            3 * len(self.cmp),
+        )
+        return sorted_table(flat.reshape(-1, 3), len(self.arrows))
+
+    def compose_ids(self, later, earlier) -> np.ndarray:
+        """Index of ``later o earlier`` for two index arrays; -1 where undefined.
+
+        A negative index, standing for an arrow that is not there, reads -1.
+        """
+        table, n = self.table, len(self.arrows)
+        if not len(table):
+            return np.full(later.shape, -1, dtype=np.int64)
+        keys = table[:, 0] * n + table[:, 1]
+        wanted = later * n + earlier
+        pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
+        found = (keys[pos] == wanted) & (later >= 0) & (earlier >= 0)
+        return np.where(found, table[pos, 2], -1)
+
+    @cached_property
+    def composites(self):
+        """``(later, earlier, result)`` index arrays over ``composable_pairs()``, in its order.
+
+        ``result`` reads -1 where ``cmp`` misses a pair; on a groupoid the
+        three arrays are the columns of ``table``.
+        """
+        later, earlier = composable_index(*object_ids(self.arrows, self.src, self.tgt))
+        return later, earlier, self.compose_ids(later, earlier)
 
 
 def group_groupoid(group: FiniteGroup, point="*", name=None) -> FiniteGroupoid:

@@ -18,9 +18,11 @@ alpha-fibres.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .bases import CatalogError, FourierCircle
 from .groupoids import (
@@ -28,13 +30,16 @@ from .groupoids import (
     CechCover,
     FiniteGroupoid,
     cech_groupoid,
-    composition_table,
+    cmp_from_table,
+    composable_index,
     group_by,
     group_groupoid,
     cyclic_translation_groupoid,
     FiniteGroup,
     isotropy,
+    object_ids,
     validate_cover,
+    with_table,
 )
 from .reports import ValidationReport
 
@@ -179,12 +184,13 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
         fibre = b.rho_fibre(x)
         if not fibre:
             rep.add(f"rho surjectivity: empty fibre over {x!r}")
-        for q, q2 in itertools.product(fibre, fibre):
-            hits = [t for t in R.arrows if b.right_act.get((q, t)) == q2]
-            if len(hits) != 1:
-                rep.add(
-                    f"right torsor: {len(hits)} arrows carry {q!r} to {q2!r} over {x!r}"
-                )
+        for q in fibre:
+            hits = Counter(b.right_act.get((q, t)) for t in R.arrows)
+            for q2 in fibre:
+                if hits[q2] != 1:
+                    rep.add(
+                        f"right torsor: {hits[q2]} arrows carry {q!r} to {q2!r} over {x!r}"
+                    )
     if mode == "generalized":
         return rep
 
@@ -193,12 +199,13 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
         fibre = b.alpha_fibre(y)
         if not fibre:
             rep.add(f"alpha surjectivity: empty fibre over {y!r}")
-        for q, q2 in itertools.product(fibre, fibre):
-            hits = [s for s in L.arrows if b.left_act.get((s, q)) == q2]
-            if len(hits) != 1:
-                rep.add(
-                    f"left torsor: {len(hits)} arrows carry {q!r} to {q2!r} over {y!r}"
-                )
+        for q in fibre:
+            hits = Counter(b.left_act.get((s, q)) for s in L.arrows)
+            for q2 in fibre:
+                if hits[q2] != 1:
+                    rep.add(
+                        f"left torsor: {hits[q2]} arrows carry {q!r} to {q2!r} over {y!r}"
+                    )
     return rep
 
 
@@ -592,13 +599,19 @@ class StrictMorphism:
                 continue
             if T.src[img] != self.obj_map[S.src[a]] or T.tgt[img] != self.obj_map[S.tgt[a]]:
                 rep.add(f"endpoints: image of {a!r} has wrong endpoints")
-        for (tau, sigma) in S.composable_pairs():
-            lhs = self.arr_map[S.compose(tau, sigma)]
-            rhs = T.compose(self.arr_map[tau], self.arr_map[sigma])
-            if lhs != rhs:
-                rep.add(f"functoriality: ({tau!r},{sigma!r})")
+        # image indices in T, -1 for a missing image; a pair fails unless its
+        # composite and both images exist and the composite's image composes them
+        index = T.arrow_index
+        image = np.fromiter(
+            (index.get(self.arr_map.get(a), -1) for a in S.arrows), np.int64, len(S.arrows)
+        )
+        later, earlier, composite = S.composites
+        lhs = np.append(image, -1)[composite]
+        rhs = T.compose_ids(image[later], image[earlier])
+        for i in np.flatnonzero((lhs < 0) | (lhs != rhs)).tolist():
+            rep.add(f"functoriality: ({S.arrows[later[i]]!r},{S.arrows[earlier[i]]!r})")
         for x in S.objects:
-            if self.arr_map[S.unit[x]] != T.unit[self.obj_map[x]]:
+            if self.arr_map.get(S.unit[x]) != T.unit[self.obj_map[x]]:
                 rep.add(f"units: image of unit at {x!r} is not a unit")
         return rep
 
@@ -613,7 +626,7 @@ class StrictMorphism:
             for q2 in S.objects:
                 here = S.arrows_between(q, q2)
                 there = T.arrows_between(self.obj_map[q], self.obj_map[q2])
-                images = [self.arr_map[a] for a in here]
+                images = [self.arr_map.get(a) for a in here]
                 if len(images) != len(there) or set(images) != set(there) or len(
                     set(images)
                 ) != len(images):
@@ -655,30 +668,49 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
         if (s, q) in b.left_act
         for t in R.arrows_into(b.alpha[q])
     )
-
-    def target(arrow):
-        s, q, t = arrow
-        return b.right_act[(b.left_act[(s, q)], t)]
-
     src = {a: a[1] for a in arrows}
-    tgt = {a: target(a) for a in arrows}
-    cmp = composition_table(
-        arrows, src, tgt, lambda a2, a1: (L.compose(a2[0], a1[0]), a1[1], R.compose(a1[2], a2[2]))
-    )
+    tgt = {(s, q, t): b.right_act[(b.left_act[(s, q)], t)] for s, q, t in arrows}
+
+    # The rule a2 o a1 = (s2 o s1, q1, t1 o t2) in integers.  Arrows come
+    # q-major, then s and t in arrow order, so the code (q, s, t) ascends
+    # with the arrow index.
+    carrier_index = {q: i for i, q in enumerate(b.carrier)}
+    n_left, n_right = len(L.arrows), len(R.arrows)
+    sigmas, points, taus = np.array(
+        [(L.arrow_index[s], carrier_index[q], R.arrow_index[t]) for s, q, t in arrows],
+        dtype=np.int64,
+    ).reshape(-1, 3).T
+    codes = (points * n_left + sigmas) * n_right + taus
+    later, earlier = composable_index(*object_ids(arrows, src, tgt))
+    left = L.compose_ids(sigmas[later], sigmas[earlier])
+    right = R.compose_ids(taus[earlier], taus[later])
+    wanted = (points[earlier] * n_left + left) * n_right + right
+    result = np.searchsorted(codes, wanted).clip(max=max(len(codes) - 1, 0))
+    bad = np.flatnonzero((left < 0) | (right < 0) | (codes[result] != wanted))
+    if len(bad):
+        i = bad[0]
+        raise CatalogError(
+            f"middle composite of ({arrows[later[i]]!r},{arrows[earlier[i]]!r}) is not a middle arrow"
+        )
+    table = np.stack([later, earlier, result], axis=1)
+
     inv = {}
     for a in arrows:
         s, q, t = a
         inv[a] = (L.inv[s], tgt[a], R.inv[t])
     unit = {q: (L.unit[b.rho[q]], q, R.unit[b.alpha[q]]) for q in b.carrier}
-    middle = FiniteGroupoid(
-        objects=b.carrier,
-        arrows=arrows,
-        src=src,
-        tgt=tgt,
-        cmp=cmp,
-        inv=inv,
-        unit=unit,
-        name=f"middle({b.name})",
+    middle = with_table(
+        FiniteGroupoid(
+            objects=b.carrier,
+            arrows=arrows,
+            src=src,
+            tgt=tgt,
+            cmp=cmp_from_table(arrows, table),
+            inv=inv,
+            unit=unit,
+            name=f"middle({b.name})",
+        ),
+        table,
     )
     to_left = StrictMorphism(
         source=middle,

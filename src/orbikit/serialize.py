@@ -8,6 +8,7 @@ within that family round-trips are lossless.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -31,6 +32,8 @@ from .groupoids import (
     CircleArc,
     FiniteGroup,
     FiniteGroupoid,
+    sorted_table,
+    with_table,
 )
 from .morita import Bitorsor
 
@@ -47,7 +50,7 @@ SCHEMAS = {
 def _freeze(value):
     """Lists decoded from JSON become tuples, recursively."""
     if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
+        return tuple(map(_freeze, value))
     return value
 
 
@@ -91,21 +94,18 @@ def covers_from_groupoid_doc(doc: dict):
 
 def _groupoid_body(G) -> dict:
     if isinstance(G, FiniteGroupoid):
-        arrows = list(G.arrows)
-        a_index = {a: i for i, a in enumerate(arrows)}
+        index = G.arrow_index
         return {
             "schema": SCHEMAS["groupoid"],
             "flavor": "finite",
             "name": G.name,
             "objects": [_thaw(x) for x in G.objects],
-            "arrows": [_thaw(a) for a in arrows],
-            "src": [_thaw(G.src[a]) for a in arrows],
-            "tgt": [_thaw(G.tgt[a]) for a in arrows],
-            "compose": sorted(
-                [a_index[t], a_index[s], a_index[r]] for (t, s), r in G.cmp.items()
-            ),
-            "inverse": [a_index[G.inv[a]] for a in arrows],
-            "unit": [a_index[G.unit[x]] for x in G.objects],
+            "arrows": [_thaw(a) for a in G.arrows],
+            "src": [_thaw(G.src[a]) for a in G.arrows],
+            "tgt": [_thaw(G.tgt[a]) for a in G.arrows],
+            "compose": G.table.tolist(),
+            "inverse": [index[G.inv[a]] for a in G.arrows],
+            "unit": [index[G.unit[x]] for x in G.objects],
         }
     if isinstance(G, ActionGroupoid):
         base = G.base
@@ -169,12 +169,12 @@ def groupoid_from_dict(doc: dict):
         arrows = tuple(_freeze(a) for a in doc["arrows"])
         src = {a: _freeze(x) for a, x in zip(arrows, doc["src"])}
         tgt = {a: _freeze(x) for a, x in zip(arrows, doc["tgt"])}
-        cmp = {
-            (arrows[t], arrows[s]): arrows[r] for t, s, r in doc["compose"]
-        }
+        compose = doc["compose"]
+        cmp = {(arrows[t], arrows[s]): arrows[r] for t, s, r in compose}
+        rows = np.fromiter(itertools.chain.from_iterable(compose), np.int64, 3 * len(compose))
         inv = {a: arrows[i] for a, i in zip(arrows, doc["inverse"])}
         unit = {x: arrows[i] for x, i in zip(objects, doc["unit"])}
-        return FiniteGroupoid(
+        G = FiniteGroupoid(
             objects=objects,
             arrows=arrows,
             src=src,
@@ -185,6 +185,10 @@ def groupoid_from_dict(doc: dict):
             base=FiniteSet(objects),
             name=doc.get("name", "groupoid"),
         )
+        # every row passed the lookups above, so it holds three indices in
+        # [-A, A); a negative one counts from the end, as a list index does
+        rows = rows.reshape(-1, 3) % max(len(arrows), 1)
+        return with_table(G, sorted_table(rows, len(arrows)))
     if doc["flavor"] == "fourier_action":
         b = doc["base"]
         if b["kind"] == "circle":
@@ -393,8 +397,13 @@ def convolution_from_dict(doc: dict, groupoid) -> ConvolutionElement:
 
 
 def save_json(path, doc: dict):
+    """Write ``doc`` as compact JSON with sorted keys and a trailing newline.
+
+    Without indentation ``json`` runs its C encoder; the value read back is
+    the same as from an indented file.
+    """
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

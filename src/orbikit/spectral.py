@@ -563,6 +563,8 @@ class SpectralTripleReport:
     symmetry_residual: float | None = None
     representation_residual: float | None = None
     faithfulness_note: str = ""
+    # (name, operator at the spec cutoff) per generator, in generator order
+    operators: list = field(default_factory=list, repr=False, compare=False)
 
     def as_dict(self):
         out = {
@@ -728,7 +730,8 @@ def check_spectral_triple(
     represented by multiplication unless ``operator_builder(spec, gen)``
     supplies something else (the convolution module does).  Commutator
     norms are computed on the interior band at the spec cutoff and again
-    at double cutoff to witness stability.
+    at double cutoff to witness stability.  The operators built at the spec
+    cutoff come back in ``report.operators``.
     """
     gens = list(generators)
     max_deg = max([generator_degree(f) for _, f in gens], default=0)
@@ -751,9 +754,9 @@ def check_spectral_triple(
 
     double = spec.with_cutoff(2 * spec.cutoff)
     dirac2 = assemble_dirac(double)
-    ops = {}
     for name, f in gens:
-        op = ops[name] = build(spec, f)
+        op = build(spec, f)
+        report.operators.append((name, op))
         comm = dirac.matrix @ op - op @ dirac.matrix
         norm1 = interior_norm(space, comm, buffer)
         f2 = _regrade(f, double)
@@ -780,7 +783,7 @@ def check_spectral_triple(
         report.chirality_anticommutator = interior_norm(
             space, dirac.matrix @ omega + omega @ dirac.matrix, buffer
         )
-        for name, op in ops.items():
+        for name, op in report.operators:
             report.chirality_commutators[name] = interior_norm(
                 space, omega @ op - op @ omega, buffer
             )

@@ -261,6 +261,19 @@ def test_representation_residual_keeps_the_product_order():
     assert report.representation_residual <= 1e-12
 
 
+def test_triple_report_hands_back_the_operators_it_built():
+    spec = rotation_spec(4, 12)
+    base = spec.groupoid.base
+    gens = [
+        ("e1", fourier_element(spec.groupoid, {0: CircleModes.mode(base, 12, 1)})),
+        ("turn", fourier_element(spec.groupoid, {1: CircleModes.mode(base, 12, 0)})),
+    ]
+    report = convolution_triple_report(spec, gens)
+    assert [name for name, _ in report.operators] == ["e1", "turn"]
+    for (_, f), (_, op) in zip(gens, report.operators):
+        assert (op != representation_matrix(spec, f)).nnz == 0
+
+
 def test_unit_generator_commutes():
     spec = rotation_spec(2, 8)
     report = convolution_triple_report(spec, [("unit", fourier_unit(spec.groupoid))])
