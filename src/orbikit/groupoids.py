@@ -111,20 +111,6 @@ def cmp_from_table(arrows, table) -> dict:
     return dict(zip(zip(later, earlier), result))
 
 
-def sorted_table(rows, n_arrows) -> np.ndarray:
-    """``[later, earlier, result]`` rows sorted by ``(later, earlier)``.
-
-    Of rows that repeat a pair, the last one stays, as in a dict built from
-    the rows in order.
-    """
-    keys = rows[:, 0] * n_arrows + rows[:, 1]
-    if np.all(keys[1:] > keys[:-1]):
-        return rows
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    return rows[order[np.append(keys[1:] != keys[:-1], True)]]
-
-
 def object_ids(arrows, src, tgt):
     """Integer object ids of each arrow's source and target, in arrow order."""
     ids = {}
@@ -213,15 +199,18 @@ class FiniteGroupoid:
         """``cmp`` as ``(P, 3)`` int rows ``[later, earlier, result]`` of arrow indices.
 
         Sorted by ``(later, earlier)``; on a groupoid this is the order of
-        ``composable_pairs``.
+        ``composable_pairs``.  A result outside ``arrows`` reads -1, and an
+        entry whose pair names a label outside ``arrows`` has no row.
         """
         index = self.arrow_index
         flat = np.fromiter(
-            (index[a] for pair, result in self.cmp.items() for a in (*pair, result)),
+            (index.get(a, -1) for pair, result in self.cmp.items() for a in (*pair, result)),
             np.int64,
             3 * len(self.cmp),
         )
-        return sorted_table(flat.reshape(-1, 3), len(self.arrows))
+        rows = flat.reshape(-1, 3)
+        rows = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)]
+        return rows[np.argsort(rows[:, 0] * len(self.arrows) + rows[:, 1])]
 
     def compose_ids(self, later, earlier) -> np.ndarray:
         """Index of ``later o earlier`` for two index arrays; -1 where undefined.

@@ -8,7 +8,6 @@ within that family round-trips are lossless.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
@@ -32,8 +31,6 @@ from .groupoids import (
     CircleArc,
     FiniteGroup,
     FiniteGroupoid,
-    sorted_table,
-    with_table,
 )
 from .morita import Bitorsor
 
@@ -94,7 +91,9 @@ def covers_from_groupoid_doc(doc: dict):
 
 def _groupoid_body(G) -> dict:
     if isinstance(G, FiniteGroupoid):
-        index = G.arrow_index
+        index, table = G.arrow_index, G.table
+        if len(table) != len(G.cmp) or (table[:, 2] < 0).any():
+            raise ValueError(f"cannot serialize {G.name!r}: cmp names a label outside its arrows")
         return {
             "schema": SCHEMAS["groupoid"],
             "flavor": "finite",
@@ -103,7 +102,7 @@ def _groupoid_body(G) -> dict:
             "arrows": [_thaw(a) for a in G.arrows],
             "src": [_thaw(G.src[a]) for a in G.arrows],
             "tgt": [_thaw(G.tgt[a]) for a in G.arrows],
-            "compose": G.table.tolist(),
+            "compose": table.tolist(),
             "inverse": [index[G.inv[a]] for a in G.arrows],
             "unit": [index[G.unit[x]] for x in G.objects],
         }
@@ -169,12 +168,10 @@ def groupoid_from_dict(doc: dict):
         arrows = tuple(_freeze(a) for a in doc["arrows"])
         src = {a: _freeze(x) for a, x in zip(arrows, doc["src"])}
         tgt = {a: _freeze(x) for a, x in zip(arrows, doc["tgt"])}
-        compose = doc["compose"]
-        cmp = {(arrows[t], arrows[s]): arrows[r] for t, s, r in compose}
-        rows = np.fromiter(itertools.chain.from_iterable(compose), np.int64, 3 * len(compose))
+        cmp = {(arrows[t], arrows[s]): arrows[r] for t, s, r in doc["compose"]}
         inv = {a: arrows[i] for a, i in zip(arrows, doc["inverse"])}
         unit = {x: arrows[i] for x, i in zip(objects, doc["unit"])}
-        G = FiniteGroupoid(
+        return FiniteGroupoid(
             objects=objects,
             arrows=arrows,
             src=src,
@@ -185,10 +182,6 @@ def groupoid_from_dict(doc: dict):
             base=FiniteSet(objects),
             name=doc.get("name", "groupoid"),
         )
-        # every row passed the lookups above, so it holds three indices in
-        # [-A, A); a negative one counts from the end, as a list index does
-        rows = rows.reshape(-1, 3) % max(len(arrows), 1)
-        return with_table(G, sorted_table(rows, len(arrows)))
     if doc["flavor"] == "fourier_action":
         b = doc["base"]
         if b["kind"] == "circle":

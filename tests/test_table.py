@@ -27,8 +27,13 @@ COVER = CechCover(((0, 1), (1, 2), (2, 0)))
 
 
 def ref_table(G):
+    """A result outside ``arrows`` reads -1; a pair naming such a label has no row."""
     index = {a: i for i, a in enumerate(G.arrows)}
-    return sorted([index[t], index[s], index[r]] for (t, s), r in G.cmp.items())
+    return sorted(
+        [index[t], index[s], index.get(r, -1)]
+        for (t, s), r in G.cmp.items()
+        if t in index and s in index
+    )
 
 
 def ref_functor_violations(mor):
@@ -82,6 +87,14 @@ def malformed(G):
     return replace(G, cmp=cmp), dropped, extra
 
 
+def stray(G):
+    """``G`` with one result and one pair naming a label outside its arrows."""
+    cmp = dict(G.cmp)
+    cmp[next(iter(cmp))] = "stray"
+    cmp[("stray", G.arrows[0])] = G.arrows[0]
+    return replace(G, cmp=cmp)
+
+
 @pytest.fixture(scope="module")
 def groupoids():
     G = cyclic_translation_groupoid(6, 3)
@@ -94,16 +107,25 @@ def groupoids():
         "middle(Cech)": cech.middle,
         "read back": groupoid_from_dict(json.loads(json.dumps(groupoid_to_dict(cech.middle)))),
         "malformed": malformed(G)[0],
+        "stray labels": stray(G),
     }
 
 
 @pytest.mark.parametrize(
-    "name", ["Z6xZ3", "Cech(Z6xZ3)", "middle(a2 N=3)", "middle(Cech)", "read back", "malformed"]
+    "name",
+    ["Z6xZ3", "Cech(Z6xZ3)", "middle(a2 N=3)", "middle(Cech)", "read back", "malformed", "stray labels"],
 )
 def test_table_is_the_sorted_index_rows_of_cmp(groupoids, name):
     G = groupoids[name]
-    assert G.table.dtype == np.int64 and G.table.shape == (len(G.cmp), 3)
-    assert G.table.tolist() == ref_table(G)
+    ref = ref_table(G)
+    assert G.table.dtype == np.int64 and G.table.shape == (len(ref), 3)
+    assert G.table.tolist() == ref
+    assert (len(ref) == len(G.cmp)) == (name != "stray labels")
+
+
+def test_writer_refuses_labels_outside_the_arrows(groupoids):
+    with pytest.raises(ValueError, match="outside its arrows"):
+        groupoid_to_dict(groupoids["stray labels"])
 
 
 @pytest.mark.parametrize("name", ["middle(a2 N=3)", "middle(Cech)"])
@@ -156,16 +178,25 @@ def functor_cases():
     first, second = list(cmp)[10], list(cmp)[20]
     cmp[first] = cmp[second]
     del cmp[list(cmp)[30]]
+    cmp[list(cmp)[40]] = "stray"
+    cmp[("stray", M.arrows[0])] = M.arrows[0]
     corrupted = replace(M, cmp=cmp)
+    # the image of one composable middle pair composes to a label outside T
+    T = right.target
+    tau, sigma = next(iter(M.composable_pairs()))
+    target_cmp = {**T.cmp, (right.arr_map[tau], right.arr_map[sigma]): "stray"}
     return {
         "sound": pair.to_left,
         "wrong image": wrong,
         "missing image": missing,
         "corrupted middle": StrictMorphism(corrupted, right.target, right.obj_map, right.arr_map),
+        "stray target result": replace(right, target=replace(T, cmp=target_cmp)),
     }
 
 
-@pytest.mark.parametrize("case", ["sound", "wrong image", "missing image", "corrupted middle"])
+@pytest.mark.parametrize(
+    "case", ["sound", "wrong image", "missing image", "corrupted middle", "stray target result"]
+)
 def test_check_functor_matches_the_label_loop(case):
     mor = functor_cases()[case]
     ref = ref_functor_violations(mor)
