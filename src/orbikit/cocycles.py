@@ -17,20 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import CatalogError
-from .groupoids import FiniteGroupoid
+from .groupoids import FiniteGroupoid, label_ids
 from .morita import Bitorsor, INCONCLUSIVE, left_witness
 from .reports import ValidationReport
 
 ENTRY_TOL = 1e-12
 
 
-def _same(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
+def _close(a, b):
+    """Per matrix of two ``(n, k, k)`` stacks: equal if both are integer, else within ``ENTRY_TOL``."""
     if a.dtype.kind in "iu" and b.dtype.kind in "iu":
-        return np.array_equal(a, b)
-    return bool(np.allclose(a, b, rtol=0.0, atol=ENTRY_TOL))
+        return (a == b).all(axis=(1, 2))
+    return np.isclose(a, b, rtol=0.0, atol=ENTRY_TOL).all(axis=(1, 2))
 
 
 @dataclass(eq=False)
@@ -56,25 +54,47 @@ def sign_cocycle(G: FiniteGroupoid, sign_of) -> Cocycle:
 
 
 def validate_cocycle(g: Cocycle) -> ValidationReport:
+    """Totality, invertibility, the cocycle law and normalization.
+
+    The entries are checked as one ``(arrows, k, k)`` stack: one batched
+    determinant, and the cocycle law as ``E[later] @ E[earlier]`` against
+    ``E[result]`` over ``composites``.  An all-integer stack compares
+    exactly, any other within ``ENTRY_TOL``.  A composite or unit that is
+    not one of the arrows fails its pair or object.
+    """
+    G = g.groupoid
     rep = ValidationReport(subject=f"cocycle {g.name}")
-    for a in g.groupoid.arrows:
+    held, entries = [], []
+    for i, a in enumerate(G.arrows):
         m = g.entries.get(a)
         if m is None:
-            rep.add(f"totality: no entry for arrow {a!r}")
             continue
-        if np.asarray(m).shape != (g.rank, g.rank):
+        m = np.asarray(m)
+        if m.shape != (g.rank, g.rank):
             raise CatalogError(f"rank mismatch at arrow {a!r}")
-        if abs(np.linalg.det(np.asarray(m, dtype=complex))) < 1e-9:
-            rep.add(f"invertibility: entry at {a!r} is singular")
+        held.append(i)
+        entries.append(m)
+    E = np.stack(entries) if entries else np.zeros((0, g.rank, g.rank), dtype=int)
+    missing = np.ones(len(G.arrows), dtype=bool)
+    missing[held] = False
+    singular = np.zeros(len(G.arrows), dtype=bool)
+    singular[held] = np.abs(np.linalg.det(E.astype(complex))) < 1e-9
+    for i in np.flatnonzero(missing | singular):
+        if missing[i]:
+            rep.add(f"totality: no entry for arrow {G.arrows[i]!r}")
+        else:
+            rep.add(f"invertibility: entry at {G.arrows[i]!r} is singular")
     if not rep.ok:
         return rep
-    for tau, sigma in g.groupoid.composable_pairs():
-        prod = np.asarray(g.entries[tau]) @ np.asarray(g.entries[sigma])
-        if not _same(prod, g.entries[g.groupoid.compose(tau, sigma)]):
-            rep.add(f"cocycle law: ({tau!r},{sigma!r})")
-    for x in g.groupoid.objects:
-        if not _same(g.entries[g.groupoid.unit[x]], np.eye(g.rank)):
-            rep.add(f"normalization: unit arrow at {x!r} is not the identity")
+    # a -1 (no composite, or no unit among the arrows) gathers the last entry and fails
+    later, earlier, result = G.composites
+    law = (result >= 0) & _close(E[later] @ E[earlier], E[result])
+    for i in np.flatnonzero(~law):
+        rep.add(f"cocycle law: ({G.arrows[later[i]]!r},{G.arrows[earlier[i]]!r})")
+    units = np.array([G.arrow_index.get(G.unit.get(x), -1) for x in G.objects], np.int64)
+    normal = (units >= 0) & _close(E[units], np.eye(g.rank)[None])
+    for i in np.flatnonzero(~normal):
+        rep.add(f"normalization: unit arrow at {G.objects[i]!r} is not the identity")
     return rep
 
 
@@ -206,18 +226,18 @@ def induce_cocycle(loc: Bitorsor, g: Cocycle, beta: SectionFamily) -> Cocycle:
 
 
 def verify_coboundary(g1: Cocycle, g2: Cocycle, lam: dict) -> bool:
+    """Whether ``g2(a) = lam(tgt a) g1(a) lam(src a)^-1`` within ``ENTRY_TOL`` on every arrow.
+
+    One stack per side, and one batched inverse of the ``lam`` values.
+    """
     G = g1.groupoid
-    for a in G.arrows:
-        lhs = np.asarray(g2.entries[a])
-        x, x2 = G.src[a], G.tgt[a]
-        rhs = (
-            np.asarray(lam[x2])
-            @ np.asarray(g1.entries[a])
-            @ np.linalg.inv(np.asarray(lam[x], dtype=complex))
-        )
-        if not _same(lhs, rhs) and not np.allclose(lhs, rhs, atol=ENTRY_TOL):
-            return False
-    return True
+    ids = {}
+    src, tgt = (label_ids(ids, G.arrows, end) for end in (G.src, G.tgt))
+    lams = np.stack([np.asarray(lam[x]) for x in ids])
+    inverses = np.linalg.inv(lams.astype(complex))
+    lhs = np.stack([np.asarray(g2.entries[a]) for a in G.arrows])
+    rhs = lams[tgt] @ np.stack([np.asarray(g1.entries[a]) for a in G.arrows]) @ inverses[src]
+    return bool(np.allclose(lhs, rhs, atol=ENTRY_TOL))
 
 
 def _components_and_tree(G: FiniteGroupoid):

@@ -21,11 +21,13 @@ layout of the groupoid file format.  Constructors that compute the table
 first hand it over with ``with_table``; every other groupoid derives it
 from ``cmp`` on first use.  ``compose_ids`` looks pairs up in it, and
 ``composites`` lists the composable pairs and their composites as index
-arrays.
+arrays.  A groupoid built from its table can hold a ``TableCmp`` as ``cmp``,
+which builds the label dict only when a key is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -111,13 +113,42 @@ def cmp_from_table(arrows, table) -> dict:
     return dict(zip(zip(later, earlier), result))
 
 
+class TableCmp(Mapping):
+    """A read-only label ``cmp`` over ``[later, earlier, result]`` index rows.
+
+    The label dict is ``cmp_from_table(arrows, table)``, built on the first
+    key access; ``len`` reads the table, so it builds nothing.
+    """
+
+    def __init__(self, arrows, table):
+        self._arrows, self._table = arrows, table
+
+    @cached_property
+    def _dict(self) -> dict:
+        return cmp_from_table(self._arrows, self._table)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._table)
+
+    def items(self):  # the dict's own view: deriving a table walks every item
+        return self._dict.items()
+
+
+def label_ids(ids, labels, of) -> np.ndarray:
+    """``ids[of[label]]`` per label; a value met for the first time gets the next id."""
+    return np.fromiter((ids.setdefault(of[a], len(ids)) for a in labels), np.int64, len(labels))
+
+
 def object_ids(arrows, src, tgt):
     """Integer object ids of each arrow's source and target, in arrow order."""
     ids = {}
-    n = len(arrows)
-    s = np.fromiter((ids.setdefault(src[a], len(ids)) for a in arrows), np.int64, n)
-    t = np.fromiter((ids.setdefault(tgt[a], len(ids)) for a in arrows), np.int64, n)
-    return s, t
+    return label_ids(ids, arrows, src), label_ids(ids, arrows, tgt)
 
 
 def composable_index(src, tgt):
@@ -130,12 +161,15 @@ def composable_index(src, tgt):
     n_objects = int(max(src.max(initial=-1), tgt.max(initial=-1))) + 1
     by_target = np.argsort(tgt, kind="stable")
     counts = np.bincount(tgt, minlength=n_objects)
-    starts = np.cumsum(counts) - counts
-    n = counts[src]
-    later = np.repeat(np.arange(len(src)), n)
-    first = np.cumsum(n) - n
-    earlier = by_target[np.repeat(starts[src] - first, n) + np.arange(len(later))]
-    return later, earlier
+    later, j = expand_runs(counts[src], (np.cumsum(counts) - counts)[src])
+    return later, by_target[j]
+
+
+def expand_runs(counts, starts):
+    """``(row, position)``: row ``i`` repeated ``counts[i]`` times, beside ``starts[i]``, ``starts[i] + 1``, ..."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return row, np.repeat(starts - first, counts) + np.arange(len(row))
 
 
 def with_table(G, table):
@@ -539,13 +573,61 @@ def _validate_finite(G: FiniteGroupoid) -> ValidationReport:
         u_t, u_s = G.unit[G.tgt[a]], G.unit[G.src[a]]
         if G.cmp.get((u_t, a)) != a or G.cmp.get((a, u_s)) != a:
             rep.add(f"unit law: units do not act neutrally on {a!r}")
-    for rho, tau in G.composable_pairs():
-        for sigma in G.arrows_into(G.src[tau]):
-            left = G.cmp.get((G.cmp.get((rho, tau)), sigma))
-            right = G.cmp.get((rho, G.cmp.get((tau, sigma))))
-            if left != right:
-                rep.add(f"associativity: triple ({rho!r},{tau!r},{sigma!r}) fails")
+    for rho, tau, sigma in _associativity_failures(G):
+        rep.add(f"associativity: triple ({rho!r},{tau!r},{sigma!r}) fails")
     return rep
+
+
+# The associativity walk gathers about this many composable triples at a
+# time (whole runs of one rho), so no array holds all of them: the Cech
+# span's middle has 13.4 M.
+ASSOCIATIVITY_CHUNK = 1 << 16
+
+
+def _associativity_failures(G: FiniteGroupoid):
+    """Triples ``(rho, tau, sigma)`` with ``(rho tau) sigma != rho (tau sigma)``.
+
+    The walk is ``(rho, tau)`` over ``composable_pairs``, then ``sigma`` over
+    ``arrows_into(src tau)``: tau's block of ``composites``, which also holds
+    ``tau sigma``.  When the endpoints are right, ``(rho tau) sigma`` sits at
+    the same place in the block of ``rho tau``, and ``rho (tau sigma)`` in
+    rho's block at the rank of ``tau sigma`` among the arrows into its
+    target, so all three are gathers, taken for a run of ``rho`` at a time.
+    Any other triple (a missing composite, wrong endpoints) is settled by
+    the label lookups of ``cmp``.
+    """
+    later, earlier, result = G.composites
+    src, tgt = object_ids(G.arrows, G.src, G.tgt)
+    counts = np.bincount(later, minlength=len(G.arrows))
+    starts = np.cumsum(counts) - counts
+    # rank of each arrow among the arrows into its target, in arrow order
+    into = np.bincount(tgt)
+    by_target = np.argsort(tgt, kind="stable")
+    rank = np.empty_like(tgt)
+    rank[by_target] = np.arange(len(tgt)) - (np.cumsum(into) - into)[tgt[by_target]]
+    n = counts[earlier]  # triples of each pair
+    rho_ends = np.cumsum(counts)[counts > 0]
+    rho_triples = np.add.reduceat(n, rho_ends - counts[counts > 0]) if len(n) else n
+    lo, size = 0, 0
+    for hi, k in zip(rho_ends.tolist(), rho_triples.tolist()):
+        size += k
+        if size < ASSOCIATIVITY_CHUNK and hi < len(later):
+            continue
+        pair, block = expand_runs(n[lo:hi], starts[earlier[lo:hi]])
+        pair += lo
+        rho, tau, rho_tau = later[pair], earlier[pair], result[pair]
+        offset = block - starts[tau]
+        tau_sigma = result[block]
+        rt, ts = rho_tau.clip(0), tau_sigma.clip(0)
+        left_ok = (rho_tau >= 0) & (src[rt] == src[tau])
+        right_ok = (tau_sigma >= 0) & (tgt[ts] == src[rho])
+        left = result[np.where(left_ok, starts[rt] + offset, 0)]
+        right = result[np.where(right_ok, starts[rho] + rank[ts], 0)]
+        for i in np.flatnonzero(~left_ok | ~right_ok | (left != right) | (left < 0)).tolist():
+            r, t, s = (G.arrows[j] for j in (rho[i], tau[i], earlier[block[i]]))
+            if G.cmp.get((G.cmp.get((r, t)), s)) != G.cmp.get((r, G.cmp.get((t, s)))):
+                yield r, t, s
+        lo, size = hi, 0
 
 
 def _validate_action(G: ActionGroupoid) -> ValidationReport:

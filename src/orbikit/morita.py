@@ -18,7 +18,6 @@ alpha-fibres.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,14 +28,15 @@ from .groupoids import (
     ActionGroupoid,
     CechCover,
     FiniteGroupoid,
+    TableCmp,
     cech_groupoid,
-    cmp_from_table,
     composable_index,
     group_by,
     group_groupoid,
     cyclic_translation_groupoid,
     FiniteGroup,
     isotropy,
+    label_ids,
     object_ids,
     validate_cover,
     with_table,
@@ -105,12 +105,17 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
     mode "generalized" checks the one-sided (right torsor over X) axioms;
     mode "bitorsor" additionally checks the left torsor condition over Y.
     Violations are report entries naming the failing pair or fibre.
+
+    The actions are checked as int arrays (``_action_arrays``); each
+    violation is reported as a loop over the labels would meet it, for
+    example arrow-major and then in carrier order for the action domains.
+    A missing action entry reads as undefined, and so does a composite or
+    unit that is not one of the groupoid's arrows.
     """
     if mode not in ("generalized", "bitorsor"):
         raise ValueError(f"unknown mode {mode!r}")
     rep = ValidationReport(subject=f"{mode} {b.name}")
     L, R = b.left, b.right
-    carrier = set(b.carrier)
 
     for q in b.carrier:
         if q not in b.rho or q not in b.alpha:
@@ -121,92 +126,145 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
         if b.alpha[q] not in R.objects:
             rep.add(f"anchors: alpha({q!r}) not an object of the right groupoid")
 
-    # action domains and anchor compatibility
-    for s in L.arrows:
-        for q in b.carrier:
-            defined = (s, q) in b.left_act
-            if defined != (L.src[s] == b.rho[q]):
-                rep.add(f"left domain: ({s!r},{q!r}) defined={defined}")
-                continue
-            if defined:
-                q2 = b.left_act[(s, q)]
-                if q2 not in carrier:
-                    rep.add(f"left action: ({s!r},{q!r}) leaves the carrier")
-                elif b.rho[q2] != L.tgt[s] or b.alpha[q2] != b.alpha[q]:
-                    rep.add(f"left anchors: ({s!r},{q!r}) moved anchors wrongly")
-    for t in R.arrows:
-        for q in b.carrier:
-            defined = (q, t) in b.right_act
-            if defined != (R.tgt[t] == b.alpha[q]):
-                rep.add(f"right domain: ({q!r},{t!r}) defined={defined}")
-                continue
-            if defined:
-                q2 = b.right_act[(q, t)]
-                if q2 not in carrier:
-                    rep.add(f"right action: ({q!r},{t!r}) leaves the carrier")
-                elif b.alpha[q2] != R.src[t] or b.rho[q2] != b.rho[q]:
-                    rep.add(f"right anchors: ({q!r},{t!r}) moved anchors wrongly")
+    carrier, n, n_left, n_right = b.carrier, len(b.carrier), len(L.arrows), len(R.arrows)
+    left_act, right_act, index = _action_arrays(b)
+    n_points, points = len(index), np.arange(n)
+    # object ids per side: the left side's for L's endpoints and rho, the right's for R's and alpha
+    left_ids, right_ids = {}, {}
+    l_src, l_tgt = (label_ids(left_ids, L.arrows, end) for end in (L.src, L.tgt))
+    r_src, r_tgt = (label_ids(right_ids, R.arrows, end) for end in (R.src, R.tgt))
+    rho, alpha = label_ids(left_ids, carrier, b.rho), label_ids(right_ids, carrier, b.alpha)
+    # anchors of every point index; a point outside the carrier reads -1
+    rho_of = np.append(rho, np.full(n_points + 1 - n, -1))
+    alpha_of = np.append(alpha, np.full(n_points + 1 - n, -1))
+
+    # action domains and anchor compatibility: left per (sigma, q), right per (tau, q)
+    q2 = left_act[:n_left, :n]
+    _report_domains(
+        rep, "left", q2, l_src[:, None] == rho[None, :],
+        (rho_of[q2] != l_tgt[:, None]) | (alpha_of[q2] != alpha[None, :]),
+        lambda s, q: f"({L.arrows[s]!r},{carrier[q]!r})",
+    )
+    q2 = right_act[:n, :n_right].T
+    _report_domains(
+        rep, "right", q2, r_tgt[:, None] == alpha[None, :],
+        (alpha_of[q2] != r_src[:, None]) | (rho_of[q2] != rho[None, :]),
+        lambda t, q: f"({carrier[q]!r},{R.arrows[t]!r})",
+    )
 
     # unit and associativity laws
-    for q in b.carrier:
-        if b.left_act.get((L.unit[b.rho[q]], q)) != q:
-            rep.add(f"left unit: unit does not fix {q!r}")
-        if b.right_act.get((q, R.unit[b.alpha[q]])) != q:
-            rep.add(f"right unit: unit does not fix {q!r}")
-    for (tau, sigma) in L.composable_pairs():
-        for q in b.rho_fibre(L.src[sigma]):
-            two_step = b.left_act.get((tau, b.left_act[(sigma, q)]))
-            one_step = b.left_act.get((L.compose(tau, sigma), q))
-            if two_step != one_step:
-                rep.add(f"left action law: ({tau!r},{sigma!r}) on {q!r}")
-    for (tau, kappa) in R.composable_pairs():
-        for q in b.alpha_fibre(R.tgt[tau]):
-            two_step = b.right_act.get((b.right_act[(q, tau)], kappa))
-            one_step = b.right_act.get((q, R.compose(tau, kappa)))
-            if two_step != one_step:
-                rep.add(f"right action law: ({tau!r},{kappa!r}) on {q!r}")
+    l_unit = np.array([L.arrow_index.get(L.unit.get(b.rho[q]), -1) for q in carrier], np.int64)
+    r_unit = np.array([R.arrow_index.get(R.unit.get(b.alpha[q]), -1) for q in carrier], np.int64)
+    l_fixed = left_act[l_unit, points] == points
+    r_fixed = right_act[points, r_unit] == points
+    for q in np.flatnonzero(~l_fixed | ~r_fixed):
+        if not l_fixed[q]:
+            rep.add(f"left unit: unit does not fix {carrier[q]!r}")
+        if not r_fixed[q]:
+            rep.add(f"right unit: unit does not fix {carrier[q]!r}")
+    # each composable pair beside the points of its fibre, in carrier order
+    tau, sigma, composite = L.composites
+    pair, q = composable_index(l_src[sigma], rho)
+    two_step = left_act[tau[pair], left_act[sigma[pair], q]]
+    one_step = left_act[composite[pair], q]
+    for i in np.flatnonzero(two_step != one_step):
+        p = pair[i]
+        rep.add(f"left action law: ({L.arrows[tau[p]]!r},{L.arrows[sigma[p]]!r}) on {carrier[q[i]]!r}")
+    tau, kappa, composite = R.composites
+    pair, q = composable_index(r_tgt[tau], alpha)
+    two_step = right_act[right_act[q, tau[pair]], kappa[pair]]
+    one_step = right_act[q, composite[pair]]
+    for i in np.flatnonzero(two_step != one_step):
+        p = pair[i]
+        rep.add(f"right action law: ({R.arrows[tau[p]]!r},{R.arrows[kappa[p]]!r}) on {carrier[q[i]]!r}")
 
-    # commutativity
-    for s in L.arrows:
-        for q in b.carrier:
-            if (s, q) not in b.left_act:
-                continue
-            for t in R.arrows:
-                if (q, t) not in b.right_act:
-                    continue
-                a = b.right_act.get((b.left_act[(s, q)], t))
-                c = b.left_act.get((s, b.right_act[(q, t)]))
-                if a != c or a is None:
-                    rep.add(f"commutativity: ({s!r},{q!r},{t!r})")
+    # commutativity, over (s, q, t) with s . q and q . t both defined
+    s, q = np.nonzero(left_act[:n_left, :n] >= 0)
+    q_right, t = np.nonzero(right_act[:n, :n_right] >= 0)
+    row, j = composable_index(q, q_right)
+    s, q, t = s[row], q[row], t[j]
+    a = right_act[left_act[s, q], t]
+    c = left_act[s, right_act[q, t]]
+    for i in np.flatnonzero((a != c) | (a < 0)):
+        rep.add(f"commutativity: ({L.arrows[s[i]]!r},{carrier[q[i]]!r},{R.arrows[t[i]]!r})")
 
     # right torsor over X: rho surjective, Xi free and transitive on rho-fibres
-    for x in L.objects:
-        fibre = b.rho_fibre(x)
-        if not fibre:
-            rep.add(f"rho surjectivity: empty fibre over {x!r}")
-        for q in fibre:
-            hits = Counter(b.right_act.get((q, t)) for t in R.arrows)
-            for q2 in fibre:
-                if hits[q2] != 1:
-                    rep.add(
-                        f"right torsor: {hits[q2]} arrows carry {q!r} to {q2!r} over {x!r}"
-                    )
+    _report_torsor(rep, "right", "rho", L.objects, b.rho_fibre, index,
+                   lambda ids: right_act[ids, :n_right])
     if mode == "generalized":
         return rep
-
     # left torsor over Y
-    for y in R.objects:
-        fibre = b.alpha_fibre(y)
-        if not fibre:
-            rep.add(f"alpha surjectivity: empty fibre over {y!r}")
-        for q in fibre:
-            hits = Counter(b.left_act.get((s, q)) for s in L.arrows)
-            for q2 in fibre:
-                if hits[q2] != 1:
-                    rep.add(
-                        f"left torsor: {hits[q2]} arrows carry {q!r} to {q2!r} over {y!r}"
-                    )
+    _report_torsor(rep, "left", "alpha", R.objects, b.alpha_fibre, index,
+                   lambda ids: left_act[:n_left, ids].T)
     return rep
+
+
+def _report_domains(rep, side, values, in_domain, moved, pair):
+    """Domain, carrier and anchor violations of one action, row-major over ``values``.
+
+    ``values[i, q]`` is the point index that arrow ``i`` moves carrier point
+    ``q`` to, -1 where undefined; ``moved`` marks wrong anchors there.
+    """
+    n = values.shape[1]
+    defined = values >= 0
+    domain = defined != in_domain
+    leaves = defined & (values >= n)
+    for i, q in zip(*np.nonzero(domain | (defined & (leaves | moved)))):
+        if domain[i, q]:
+            rep.add(f"{side} domain: {pair(i, q)} defined={bool(defined[i, q])}")
+        elif leaves[i, q]:
+            rep.add(f"{side} action: {pair(i, q)} leaves the carrier")
+        else:
+            rep.add(f"{side} anchors: {pair(i, q)} moved anchors wrongly")
+
+
+def _report_torsor(rep, side, anchor, objects, fibre_of, index, values_of):
+    """Surjectivity, and one arrow carrying each point of a fibre to each other.
+
+    ``values_of(ids)`` holds, per fibre point, the point indices its arrows
+    move it to; the hits of one fibre are one ``bincount``.
+    """
+    for x in objects:
+        fibre = fibre_of(x)
+        if not fibre:
+            rep.add(f"{anchor} surjectivity: empty fibre over {x!r}")
+        ids = [index[p] for p in fibre]
+        f = len(ids)
+        position = np.full(len(index) + 1, -1)
+        position[ids] = np.arange(f)
+        found = position[values_of(ids)]
+        rows = np.broadcast_to(np.arange(f)[:, None], found.shape)[found >= 0]
+        hits = np.bincount(rows * f + found[found >= 0], minlength=f * f).reshape(f, f)
+        for i, k in zip(*np.nonzero(hits != 1)):
+            rep.add(f"{side} torsor: {hits[i, k]} arrows carry {fibre[i]!r} to {fibre[k]!r} over {x!r}")
+
+
+def _action_arrays(b: Bitorsor):
+    """Both actions as int arrays of point indices, and the point index.
+
+    The points are the carrier, in carrier order, then each action value
+    outside the carrier.  ``left[s, q]`` is the index of ``sigma . q`` for
+    the left arrow of index ``s``, and ``right[q, t]`` that of ``q . tau``;
+    -1 where undefined.  Each array has one more row and column, all -1, so
+    a gather at index -1 reads undefined.  Entries keyed by a label that is
+    neither an arrow nor a point are never read and are left out.
+    """
+    points = {q: i for i, q in enumerate(b.carrier)}
+    left_values = [points.setdefault(v, len(points)) for v in b.left_act.values()]
+    right_values = [points.setdefault(v, len(points)) for v in b.right_act.values()]
+    left = _action_array(b.left_act, b.left.arrow_index, points, left_values)
+    right = _action_array(b.right_act, points, b.right.arrow_index, right_values)
+    return left, right, points
+
+
+def _action_array(act, row_index, column_index, values):
+    out = np.full((len(row_index) + 1, len(column_index) + 1), -1, dtype=np.int64)
+    n = len(act)
+    rows = np.fromiter((row_index.get(r, -1) for r, _ in act), np.int64, n)
+    columns = np.fromiter((column_index.get(c, -1) for _, c in act), np.int64, n)
+    keep = (rows >= 0) & (columns >= 0)
+    out[rows[keep], columns[keep]] = np.asarray(values, dtype=np.int64)[keep]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +716,8 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
     (sigma, q, tau) with src(sigma) == rho(q) and tgt(tau) == alpha(q),
     read as q -> (sigma . q) . tau.  One projection keeps sigma, the other
     keeps tau^-1.  This is one valid realization; nothing downstream may
-    depend on the arrow labels.
+    depend on the arrow labels.  The middle's composition is computed as
+    its integer table, and its ``cmp`` is a ``TableCmp`` over that table.
     """
     L, R = b.left, b.right
     arrows = tuple(
@@ -705,7 +764,7 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
             arrows=arrows,
             src=src,
             tgt=tgt,
-            cmp=cmp_from_table(arrows, table),
+            cmp=TableCmp(arrows, table),
             inv=inv,
             unit=unit,
             name=f"middle({b.name})",

@@ -95,15 +95,20 @@ def test_index_of_serialized_read_back():
 def test_associativity_walk_matches_reference_triples():
     G = cyclic_translation_groupoid(6, 3)
     # (5, 0) has the endpoints of the true composite (2, 0), so only associativity breaks
-    bad = replace(G, cmp={**G.cmp, ((1, 1), (1, 0)): (5, 0)})
-    ref = [
-        f"associativity: triple ({r!r},{t!r},{s!r}) fails"
-        for r, t, s in itertools.product(bad.arrows, repeat=3)
-        if bad.src[r] == bad.tgt[t] and bad.src[t] == bad.tgt[s]
-        and bad.cmp.get((bad.cmp.get((r, t)), s)) != bad.cmp.get((r, bad.cmp.get((t, s))))
-    ]
-    found = [v for v in validate_groupoid(bad).violations if v.startswith("associativity")]
-    assert ref and found == ref
+    closed = {((1, 1), (1, 0)): (5, 0)}
+    # (0, 1) starts at the wrong object; one entry off the composable pairs
+    # still answers one of its triples, and one pair is missing
+    cmp = {**G.cmp, ((1, 1), (1, 0)): (0, 1), ((0, 1), (0, 0)): (0, 1)}
+    del cmp[((2, 0), (3, 0))]
+    for bad in (replace(G, cmp={**G.cmp, **closed}), replace(G, cmp=cmp)):
+        ref = [
+            f"associativity: triple ({r!r},{t!r},{s!r}) fails"
+            for r, t, s in itertools.product(bad.arrows, repeat=3)
+            if bad.src[r] == bad.tgt[t] and bad.src[t] == bad.tgt[s]
+            and bad.cmp.get((bad.cmp.get((r, t)), s)) != bad.cmp.get((r, bad.cmp.get((t, s))))
+        ]
+        found = [v for v in validate_groupoid(bad).violations if v.startswith("associativity")]
+        assert ref and found == ref
 
 
 def test_fibre_index_matches_reference_scans():

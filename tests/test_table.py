@@ -1,19 +1,35 @@
 """The integer composition table and its readers against label-loop references.
 
-The references below are the label loops the table replaces: the sorted
-index rows of ``cmp.items()``, the functoriality loop of ``check_functor``
-over ``composable_pairs``, the torsor hit scans of
-``validate_generalized_hom``, and the indented JSON writer.
+The references below are the label loops the index arrays replace: the
+sorted index rows of ``cmp.items()``, the functoriality loop of
+``check_functor`` over ``composable_pairs``, the torsor hit scans and the
+whole of ``validate_generalized_hom``, ``validate_cocycle`` and
+``verify_coboundary`` one label or matrix at a time, and the indented JSON
+writer.
 """
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from orbikit.groupoids import CechCover, cech_groupoid, cyclic_translation_groupoid
+from orbikit.bases import CatalogError
+from orbikit.cocycles import (
+    ENTRY_TOL,
+    Cocycle,
+    identity_cocycle,
+    validate_cocycle,
+    verify_coboundary,
+)
+from orbikit.groupoids import (
+    CechCover,
+    cech_groupoid,
+    cmp_from_table,
+    cyclic_translation_groupoid,
+)
 from orbikit.morita import (
     StrictMorphism,
     cech_bitorsor,
@@ -206,12 +222,17 @@ def test_check_functor_matches_the_label_loop(case):
         assert any(v.startswith("functoriality") for v in ref)
 
 
+def stray_right(b):
+    """A right arrow outside the action's domain at the first carrier point."""
+    return next(t for t in b.right.arrows if b.right.tgt[t] != b.alpha[b.carrier[0]])
+
+
 def torsor_cases():
     _, _, b = double_cover_bitorsor(3)
     R = b.right
     t1 = R.arrows[4]  # not a unit: it now fixes every point, so one pair has 2 hits, another 0
     q0 = b.carrier[0]
-    stray = next(t for t in R.arrows if R.tgt[t] != b.alpha[q0])  # outside the action's domain
+    stray = stray_right(b)
     s1 = b.left.arrows[1]
     return {
         "collapsed right arrow": replace(
@@ -241,3 +262,283 @@ def test_compact_file_reads_as_the_document_and_the_indented_bytes(tmp_path):
     assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert load_json(path) == doc
     assert load_json(path) == json.loads(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# bitorsor and cocycle validation against label loops
+
+
+def ref_validate_generalized_hom(b, mode="bitorsor"):
+    """The label loops of ``validate_generalized_hom``; a missing action entry reads None."""
+    out = []
+    L, R = b.left, b.right
+    carrier = set(b.carrier)
+    for q in b.carrier:
+        if q not in b.rho or q not in b.alpha:
+            return [f"anchors: {q!r} missing rho or alpha"]
+        if b.rho[q] not in L.objects:
+            out.append(f"anchors: rho({q!r}) not an object of the left groupoid")
+        if b.alpha[q] not in R.objects:
+            out.append(f"anchors: alpha({q!r}) not an object of the right groupoid")
+    for s in L.arrows:
+        for q in b.carrier:
+            defined = (s, q) in b.left_act
+            if defined != (L.src[s] == b.rho[q]):
+                out.append(f"left domain: ({s!r},{q!r}) defined={defined}")
+                continue
+            if defined:
+                q2 = b.left_act[(s, q)]
+                if q2 not in carrier:
+                    out.append(f"left action: ({s!r},{q!r}) leaves the carrier")
+                elif b.rho[q2] != L.tgt[s] or b.alpha[q2] != b.alpha[q]:
+                    out.append(f"left anchors: ({s!r},{q!r}) moved anchors wrongly")
+    for t in R.arrows:
+        for q in b.carrier:
+            defined = (q, t) in b.right_act
+            if defined != (R.tgt[t] == b.alpha[q]):
+                out.append(f"right domain: ({q!r},{t!r}) defined={defined}")
+                continue
+            if defined:
+                q2 = b.right_act[(q, t)]
+                if q2 not in carrier:
+                    out.append(f"right action: ({q!r},{t!r}) leaves the carrier")
+                elif b.alpha[q2] != R.src[t] or b.rho[q2] != b.rho[q]:
+                    out.append(f"right anchors: ({q!r},{t!r}) moved anchors wrongly")
+    for q in b.carrier:
+        if b.left_act.get((L.unit[b.rho[q]], q)) != q:
+            out.append(f"left unit: unit does not fix {q!r}")
+        if b.right_act.get((q, R.unit[b.alpha[q]])) != q:
+            out.append(f"right unit: unit does not fix {q!r}")
+    for (tau, sigma) in L.composable_pairs():
+        for q in b.rho_fibre(L.src[sigma]):
+            two_step = b.left_act.get((tau, b.left_act.get((sigma, q))))
+            if two_step != b.left_act.get((L.compose(tau, sigma), q)):
+                out.append(f"left action law: ({tau!r},{sigma!r}) on {q!r}")
+    for (tau, kappa) in R.composable_pairs():
+        for q in b.alpha_fibre(R.tgt[tau]):
+            two_step = b.right_act.get((b.right_act.get((q, tau)), kappa))
+            if two_step != b.right_act.get((q, R.compose(tau, kappa))):
+                out.append(f"right action law: ({tau!r},{kappa!r}) on {q!r}")
+    for s in L.arrows:
+        for q in b.carrier:
+            if (s, q) not in b.left_act:
+                continue
+            for t in R.arrows:
+                if (q, t) not in b.right_act:
+                    continue
+                a = b.right_act.get((b.left_act[(s, q)], t))
+                c = b.left_act.get((s, b.right_act[(q, t)]))
+                if a != c or a is None:
+                    out.append(f"commutativity: ({s!r},{q!r},{t!r})")
+    for x in L.objects:
+        fibre = b.rho_fibre(x)
+        if not fibre:
+            out.append(f"rho surjectivity: empty fibre over {x!r}")
+        for q in fibre:
+            hits = Counter(b.right_act.get((q, t)) for t in R.arrows)
+            for q2 in fibre:
+                if hits[q2] != 1:
+                    out.append(f"right torsor: {hits[q2]} arrows carry {q!r} to {q2!r} over {x!r}")
+    if mode == "generalized":
+        return out
+    for y in R.objects:
+        fibre = b.alpha_fibre(y)
+        if not fibre:
+            out.append(f"alpha surjectivity: empty fibre over {y!r}")
+        for q in fibre:
+            hits = Counter(b.left_act.get((s, q)) for s in L.arrows)
+            for q2 in fibre:
+                if hits[q2] != 1:
+                    out.append(f"left torsor: {hits[q2]} arrows carry {q!r} to {q2!r} over {y!r}")
+    return out
+
+
+def ref_same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        return False
+    if a.dtype.kind in "iu" and b.dtype.kind in "iu":
+        return np.array_equal(a, b)
+    return bool(np.allclose(a, b, rtol=0.0, atol=ENTRY_TOL))
+
+
+def ref_validate_cocycle(g):
+    """``validate_cocycle`` one arrow and one composable pair at a time."""
+    out = []
+    for a in g.groupoid.arrows:
+        m = g.entries.get(a)
+        if m is None:
+            out.append(f"totality: no entry for arrow {a!r}")
+            continue
+        if np.asarray(m).shape != (g.rank, g.rank):
+            raise CatalogError(f"rank mismatch at arrow {a!r}")
+        if abs(np.linalg.det(np.asarray(m, dtype=complex))) < 1e-9:
+            out.append(f"invertibility: entry at {a!r} is singular")
+    if out:
+        return out
+    for tau, sigma in g.groupoid.composable_pairs():
+        prod = np.asarray(g.entries[tau]) @ np.asarray(g.entries[sigma])
+        if not ref_same(prod, g.entries[g.groupoid.compose(tau, sigma)]):
+            out.append(f"cocycle law: ({tau!r},{sigma!r})")
+    for x in g.groupoid.objects:
+        if not ref_same(g.entries[g.groupoid.unit[x]], np.eye(g.rank)):
+            out.append(f"normalization: unit arrow at {x!r} is not the identity")
+    return out
+
+
+def ref_verify_coboundary(g1, g2, lam):
+    G = g1.groupoid
+    for a in G.arrows:
+        lhs = np.asarray(g2.entries[a])
+        x, x2 = G.src[a], G.tgt[a]
+        inv = np.linalg.inv(np.asarray(lam[x], dtype=complex))
+        rhs = np.asarray(lam[x2]) @ np.asarray(g1.entries[a]) @ inv
+        if not ref_same(lhs, rhs) and not np.allclose(lhs, rhs, atol=ENTRY_TOL):
+            return False
+    return True
+
+
+def missing_entry_bitorsor():
+    _, _, b = double_cover_bitorsor(3)
+    return replace(b, right_act={k: v for k, v in b.right_act.items() if k != (0, (0, 0))})
+
+
+def bitorsor_cases():
+    _, _, b = double_cover_bitorsor(3)
+    q0, q1 = b.carrier[0], b.carrier[1]
+    t_unit = b.right.unit[b.alpha[q0]]
+    t1 = next(t for t in b.right.arrows_into(b.alpha[q0]) if t != t_unit)
+    # an entry changed on every side it touches, so one commutativity triple breaks
+    swapped = b.right_act[(q0, t1)]
+    target = next(q for q in b.alpha_fibre(b.right.src[t1]) if q != swapped)
+    cech = cech_bitorsor(cyclic_translation_groupoid(6, 3), COVER)
+    p0 = cech.carrier[0]
+    return {
+        **torsor_cases(),
+        # the second entry is outside the action's domain too, which is reported first
+        "point leaves the carrier": replace(
+            b, left_act={**b.left_act, (1, q0): "outside"},
+            right_act={**b.right_act, (q0, stray_right(b)): "outside"},
+        ),
+        "wrong anchors": replace(b, alpha={**b.alpha, q0: b.alpha[q1]}),
+        "broken unit": replace(
+            b, left_act={**b.left_act, (0, q1): b.carrier[2]},
+            right_act={**b.right_act, (q0, t_unit): b.carrier[3]},
+        ),
+        "broken left action law": replace(b, left_act={**b.left_act, (1, q1): q1}),
+        "broken commutativity": replace(b, right_act={**b.right_act, (q0, t1): target}),
+        "missing entry": missing_entry_bitorsor(),
+        "Cech stray left entry": replace(cech, left_act={**cech.left_act, (cech.left.arrows[5], p0): p0}),
+    }
+
+
+BITORSOR_CASES = [
+    "collapsed right arrow", "stray right entry", "doubled left hit", "point leaves the carrier",
+    "wrong anchors", "broken unit", "broken left action law", "broken commutativity",
+    "missing entry", "Cech stray left entry",
+]
+
+
+@pytest.mark.parametrize("case", BITORSOR_CASES)
+def test_bitorsor_report_matches_the_label_loops(case):
+    b = bitorsor_cases()[case]
+    for mode in ("generalized", "bitorsor"):
+        ref = ref_validate_generalized_hom(b, mode)
+        assert ref and validate_generalized_hom(b, mode).violations == ref
+
+
+def test_sound_bitorsors_match_the_label_loops():
+    G = cyclic_translation_groupoid(6, 3)
+    for b in (double_cover_bitorsor(4)[2], cech_bitorsor(G, COVER)):
+        assert validate_generalized_hom(b).violations == ref_validate_generalized_hom(b) == []
+
+
+def test_missing_action_entry_fails_naming_the_pair():
+    rep = validate_generalized_hom(missing_entry_bitorsor())
+    assert not rep.ok
+    assert rep.violations[0] == "right domain: (0,(0, 0)) defined=False"
+
+
+def float_cocycle(C, rank=2):
+    """A coboundary of random float matrices per object: a cocycle up to rounding."""
+    rng = np.random.default_rng(7)
+    lam = {x: rng.standard_normal((rank, rank)) + 2 * np.eye(rank) for x in C.objects}
+    entries = {a: lam[C.tgt[a]] @ np.linalg.inv(lam[C.src[a]]) for a in C.arrows}
+    return Cocycle(C, rank, entries, name="float")
+
+
+def with_entry(g, arrow, m):
+    return Cocycle(g.groupoid, g.rank, {**g.entries, arrow: m}, name=g.name)
+
+
+def cocycle_cases():
+    C = cech_groupoid(cyclic_translation_groupoid(6, 3), COVER)
+    a = C.arrows[9]
+    exact, floats = identity_cocycle(C, 2), float_cocycle(C)
+    bump = np.array([[0, 1], [0, 0]])
+    return {
+        "sound integer": exact,
+        "sound float": floats,
+        "singular entry": with_entry(exact, a, np.zeros((2, 2), dtype=int)),
+        "integer entry off by 1": with_entry(exact, a, exact.entries[a] + bump),
+        "float entry off by 1e-13": with_entry(floats, a, floats.entries[a] + 1e-13 * bump),
+        "float entry off by 1e-11": with_entry(floats, a, floats.entries[a] + 1e-11 * bump),
+        "missing entry": Cocycle(C, 2, {k: v for k, v in exact.entries.items() if k != a}),
+        # totality and invertibility messages interleave in arrow order
+        "missing and singular entries": Cocycle(C, 2, {
+            k: np.zeros((2, 2)) if k == C.arrows[0] else v
+            for k, v in exact.entries.items() if k != a
+        }),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "sound integer", "sound float", "singular entry", "integer entry off by 1",
+    "float entry off by 1e-13", "float entry off by 1e-11", "missing entry",
+    "missing and singular entries",
+])
+def test_cocycle_report_matches_the_label_loop(case):
+    g = cocycle_cases()[case]
+    ref = ref_validate_cocycle(g)
+    assert validate_cocycle(g).violations == ref
+    if case.startswith("sound"):
+        assert ref == []
+    elif case != "float entry off by 1e-13":  # within ENTRY_TOL on the entry, not always on products
+        assert ref
+
+
+def test_coboundary_matches_the_label_loop():
+    cases = cocycle_cases()
+    C = cases["sound integer"].groupoid
+    rng = np.random.default_rng(3)
+    floats = {x: rng.standard_normal((2, 2)) + 2 * np.eye(2) for x in C.objects}
+    signs = {x: np.diag([1, -1 if i % 2 else 1]) for i, x in enumerate(C.objects)}
+    a, bump = C.arrows[9], np.array([[0, 1], [0, 0]])
+    for g1, lam in ((cases["sound float"], floats), (cases["sound integer"], signs)):
+        twisted = {b: lam[C.tgt[b]] @ np.asarray(g1.entries[b]) @ np.linalg.inv(lam[C.src[b]])
+                   for b in C.arrows}
+        if lam is signs:  # an integer coboundary of an integer cocycle
+            twisted = {b: np.rint(m).astype(int) for b, m in twisted.items()}
+        g2 = Cocycle(C, 2, twisted)
+        for off in (0, 1e-13, 1e-11, 1e-4, 1):
+            moved = with_entry(g2, a, g2.entries[a] + off * bump)
+            assert verify_coboundary(g1, moved, lam) == ref_verify_coboundary(g1, moved, lam)
+        assert verify_coboundary(g1, g2, lam)
+        assert not verify_coboundary(g1, with_entry(g2, a, g2.entries[a] + bump), lam)
+
+
+# ---------------------------------------------------------------------------
+# the span's label cmp, built when it is read
+
+
+def test_span_check_leaves_the_middle_cmp_unbuilt():
+    pair = weak_equivalence_pair(double_cover_bitorsor(3)[2])
+    assert pair.check().ok
+    M = pair.middle
+    doc = groupoid_to_dict(M)
+    assert len(M.cmp) == len(M.table) == len(doc["compose"])
+    assert "_dict" not in vars(M.cmp)
+    ref = cmp_from_table(M.arrows, M.table)
+    assert list(M.cmp.items()) == list(ref.items())
+    assert M.cmp == ref and not (M.cmp != ref) and M.cmp.get(("no", "pair")) is None
+    assert replace(M).cmp == M.cmp and dict(M.cmp) == ref
