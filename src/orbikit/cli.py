@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or bad JSON
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 2
     elif args.scenario:

@@ -23,11 +23,12 @@ to one, so kernel elements are exact difference vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-import sympy
 
 from .bases import BandLimitError, CatalogError, CircleModes, TorusModes
 from .cocycles import ReconstructedBundle, trivial_bundle
@@ -200,6 +201,10 @@ def representation_matrix(spec: DiracSpec, f: ConvolutionElement) -> sp.csr_matr
 # faithfulness
 
 
+# transport entries are read as fractions with at most this denominator
+RATIONAL_DENOMINATOR = 10**6
+
+
 @dataclass
 class FaithfulnessReport:
     faithful: bool
@@ -213,7 +218,10 @@ def faithfulness_probe(G, bundle_or_spec=None, generator_degree=2) -> Faithfulne
     """Kernel of the representation, exactly (finite) or within band.
 
     Finite flavor solves the exact rational nullspace of the linear map
-    sending an element to its action matrix.  Fourier flavor probes the
+    sending an element to its action matrix, by ``Fraction`` elimination
+    one hom-set at a time; a transport entry that is not a fraction with
+    denominator at most ``RATIONAL_DENOMINATOR`` (sqrt(3)/2, a non-real or
+    non-finite value) raises ``CatalogError``.  Fourier flavor probes the
     span of single-mode elements per group element up to
     ``generator_degree``.  The outcome is compared against effectiveness.
     """
@@ -229,25 +237,34 @@ def faithfulness_probe(G, bundle_or_spec=None, generator_degree=2) -> Faithfulne
 
 
 def _finite_probe(G: FiniteGroupoid, bundle: ReconstructedBundle, effective) -> FaithfulnessReport:
+    """Exact kernel of ``f -> act(f)``, one small elimination per hom-set.
+
+    An arrow's column of the action map is nonzero only in the block
+    ``(tgt, src)``, so the kernel is the direct sum over hom-sets of the
+    kernels of their ``k^2 x |hom(x, y)|`` transport matrices, each reduced
+    to RREF in ``G.arrows`` order.  The witness is the basis vector of the
+    earliest free arrow in ``G.arrows``; restricted to one hom-set the
+    global RREF is that hom-set's RREF, so it is the first basis vector of
+    the global nullspace.
+    """
     k = bundle.rank
-    n = len(G.objects)
-    index = {x: i for i, x in enumerate(G.objects)}
-    cols = []
-    for sigma in G.arrows:
-        mat = np.zeros((n * k, n * k))
-        transport = np.asarray(bundle.action[sigma], dtype=float)
-        r, c = index[G.tgt[sigma]], index[G.src[sigma]]
-        mat[r * k : r * k + k, c * k : c * k + k] = transport
-        cols.append(mat.reshape(-1))
-    A = sympy.Matrix([[sympy.nsimplify(v, rational=True) for v in row] for row in np.array(cols).T])
-    null = A.nullspace()
-    kernel_dim = len(null)
+    position = G.arrow_index
+    kernel_dim = 0
     witness = None
-    if null:
-        vec = null[0]
-        data = {
-            a: complex(vec[i]) for i, a in enumerate(G.arrows) if vec[i] != 0
-        }
+    first_free = len(G.arrows)
+    for arrows in (G.arrows_between(x, y) for x in G.objects for y in G.objects):
+        if not arrows:
+            continue
+        columns = [_exact_transport(bundle.action[a], k, a) for a in arrows]
+        rows, pivots = _rref(zip(*columns))
+        kernel_dim += len(arrows) - len(pivots)
+        free = next((j for j in range(len(arrows)) if j not in pivots), None)
+        if free is None or position[arrows[free]] >= first_free:
+            continue
+        first_free = position[arrows[free]]
+        # every column before the first free one is a pivot: row i pivots at column i
+        data = {arrows[i]: complex(-rows[i][free]) for i in range(free) if rows[i][free]}
+        data[arrows[free]] = complex(1)
         witness = ConvolutionElement(G, data)
     return FaithfulnessReport(
         faithful=kernel_dim == 0,
@@ -256,6 +273,48 @@ def _finite_probe(G: FiniteGroupoid, bundle: ReconstructedBundle, effective) -> 
         matches_effectiveness=(kernel_dim == 0) == effective,
         detail=f"exact rational nullspace over {len(G.arrows)} arrows",
     )
+
+
+def _exact_transport(transport, k, arrow) -> list:
+    """The ``k^2`` entries of a transport matrix as exact rationals.
+
+    Each entry is read as the nearest fraction with denominator at most
+    ``RATIONAL_DENOMINATOR``; an entry that is not that fraction's float
+    (an irrational such as sqrt(3)/2, a non-real or non-finite value) is
+    refused.
+    """
+    out = []
+    for v in np.asarray(transport, dtype=complex).reshape(k * k).tolist():
+        exact = None
+        if v.imag == 0 and math.isfinite(v.real):
+            exact = Fraction(v.real).limit_denominator(RATIONAL_DENOMINATOR)
+        if exact is None or float(exact) != v.real:
+            raise CatalogError(f"transport of arrow {arrow!r} has entry {v!r}, not an exact rational")
+        out.append(exact)
+    return out
+
+
+def _rref(rows) -> tuple[list, list]:
+    """Reduced row echelon form of a nonempty Fraction matrix, given by rows.
+
+    Returns its nonzero rows and, for each, the column of its pivot.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        done = len(pivots)
+        pick = next((i for i in range(done, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[done], rows[pick] = rows[pick], rows[done]
+        lead = rows[done][col]
+        rows[done] = [v / lead for v in rows[done]]
+        for i, row in enumerate(rows):
+            if i != done and row[col]:
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[done])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
 
 
 def _fourier_probe(G: ActionGroupoid, spec: DiracSpec, degree, effective) -> FaithfulnessReport:

@@ -734,6 +734,12 @@ def run_scenario(config: dict, out_dir=None, force=False, registry_dir=None):
     Returns (exit_code, report_doc).  Exit code 0 when every check passes.
     """
     name, params, scenario, checks = resolve_config(config, registry_dir, force)
+    if out_dir:
+        # fail before the checks run, not after
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {out_dir}: {exc}") from None
     results = [run_check(check, tol, fn) for check, tol, fn in checks]
 
     passed = all(r.passed for r in results)
@@ -747,7 +753,6 @@ def run_scenario(config: dict, out_dir=None, force=False, registry_dir=None):
         "passed": passed,
     }
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")

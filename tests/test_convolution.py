@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbikit.bases import BandLimitError, CircleModes, FourierCircle, FourierTorus, TorusModes
+from orbikit.bases import BandLimitError, CatalogError, CircleModes, FourierCircle, FourierTorus, TorusModes
 from orbikit.clifford import build_clifford, projective_lift, trivial_lift
-from orbikit.cocycles import trivial_bundle
+from orbikit.cocycles import ReconstructedBundle, trivial_bundle
 from orbikit.convolution import (
     ConvolutionElement,
     act,
@@ -28,6 +28,7 @@ from orbikit.groupoids import (
     negation_torus_groupoid,
     rotation_groupoid,
     trivial_groupoid,
+    unit_groupoid,
 )
 from orbikit.clifford import SpinLift
 from orbikit.spectral import DiracSpec
@@ -215,6 +216,135 @@ def test_unit_groupoid_is_faithful():
     G = unit_groupoid(("p", "q"))
     rep = faithfulness_probe(G)
     assert rep.faithful and rep.kernel_dim == 0 and rep.matches_effectiveness
+
+
+def reference_finite_kernel(G, bundle):
+    """kernel_dim and first nullspace vector of the action map, by one global RREF.
+
+    The map sends an element to its ``(n k) x (n k)`` action matrix; its
+    matrix has one column per arrow in ``G.arrows`` order and no hom-set
+    split.  The first basis vector is that of the first free column.
+    """
+    k, n = bundle.rank, len(G.objects)
+    index = {x: i for i, x in enumerate(G.objects)}
+    A = [[Fraction(0)] * len(G.arrows) for _ in range((n * k) ** 2)]
+    for j, a in enumerate(G.arrows):
+        r, c = index[G.tgt[a]], index[G.src[a]]
+        T = np.asarray(bundle.action[a], dtype=float)
+        for p in range(k):
+            for q in range(k):
+                A[(r * k + p) * n * k + c * k + q][j] = Fraction(float(T[p, q])).limit_denominator(10**6)
+    pivots = []
+    for col in range(len(G.arrows)):
+        row = len(pivots)
+        pick = next((i for i in range(row, len(A)) if A[i][col] != 0), None)
+        if pick is None:
+            continue
+        A[row], A[pick] = A[pick], A[row]
+        lead = A[row][col]
+        A[row] = [v / lead for v in A[row]]
+        for i in range(len(A)):
+            if i != row and A[i][col] != 0:
+                factor = A[i][col]
+                A[i] = [x - factor * y for x, y in zip(A[i], A[row])]
+        pivots.append(col)
+    free = [c for c in range(len(G.arrows)) if c not in pivots]
+    if not free:
+        return 0, None
+    vec = [Fraction(0)] * len(G.arrows)
+    vec[free[0]] = Fraction(1)
+    for i, p in enumerate(pivots):
+        vec[p] = -A[i][free[0]]
+    return len(free), [(a, complex(v)) for a, v in zip(G.arrows, vec) if v != 0]
+
+
+def assert_probe_matches_reference(G, bundle):
+    rep = faithfulness_probe(G, bundle)
+    dim, witness = reference_finite_kernel(G, bundle)
+    assert rep.kernel_dim == dim
+    assert (None if rep.witness is None else list(rep.witness.data.items())) == witness
+    return rep
+
+
+def sign_bundle_on_xi():
+    from orbikit.cocycles import induced_bundle, reconstruct_bundle, sign_cocycle
+    from orbikit.morita import double_cover_bitorsor
+
+    theta, xi, b = double_cover_bitorsor(3)
+    sign = reconstruct_bundle(sign_cocycle(theta, lambda a: -1 if a == 1 else 1))
+    return xi, induced_bundle(b, sign)
+
+
+def later_hom_set_frees_first():
+    """Z9 x Z3 translations, rank 2: hom(0, 0) comes first but frees (6, 0);
+    hom(0, 1) frees (4, 0), which precedes (6, 0) in the arrows."""
+    G = cyclic_translation_groupoid(9, 3)
+    eye, flip, swap = np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    action = {}
+    for a, y in G.arrows:
+        action[(a, y)] = (eye, flip, swap)[a // 3]
+    action[(6, 0)] = -flip  # in the span of I and flip
+    action[(4, 0)] = eye  # equal to the transport of (1, 0)
+    return G, ReconstructedBundle(G, 2, action)
+
+
+def with_trivial_bundle(G):
+    return G, trivial_bundle(G, 1)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: with_trivial_bundle(z2()), id="z2-point"),
+        pytest.param(lambda: with_trivial_bundle(cyclic_translation_groupoid(6, 3)), id="z6-z3"),
+        pytest.param(lambda: with_trivial_bundle(cyclic_translation_groupoid(12, 4)), id="z12-z4"),
+        pytest.param(lambda: with_trivial_bundle(unit_groupoid(("p", "q"))), id="unit-pq"),
+        pytest.param(sign_bundle_on_xi, id="sign-on-xi"),
+    ],
+)
+def test_finite_kernel_matches_global_elimination(case):
+    G, bundle = case()
+    assert_probe_matches_reference(G, bundle)
+
+
+def test_witness_is_the_earliest_free_arrow_over_all_hom_sets():
+    rep = assert_probe_matches_reference(*later_hom_set_frees_first())
+    assert list(rep.witness.data.items()) == [((1, 0), -1 + 0j), ((4, 0), 1 + 0j)]
+
+
+SMALL_RATIONALS = [0.0, 1.0, -1.0, 0.5, -0.5, 1 / 3, -1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_finite_kernel_matches_global_elimination_on_random_bundles(data):
+    G = data.draw(
+        st.sampled_from([z2(), group_groupoid(FiniteGroup.cyclic(3)), cyclic_translation_groupoid(4, 2),
+                         cyclic_translation_groupoid(6, 3)])
+    )
+    k = data.draw(st.sampled_from([1, 2]))
+    entry = st.sampled_from(SMALL_RATIONALS)
+    action = {a: np.array(data.draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
+              for a in G.arrows}
+    assert_probe_matches_reference(G, ReconstructedBundle(G, k, action))
+
+
+def test_decimal_transport_reads_as_its_fraction():
+    G = z2()
+    # as binary fractions 0.3 / 0.1 is 2.9999999999999996
+    bundle = ReconstructedBundle(G, 1, {0: np.array([[0.1]]), 1: np.array([[0.3]])})
+    rep = assert_probe_matches_reference(G, bundle)
+    assert list(rep.witness.data.items()) == [(0, -3 + 0j), (1, 1 + 0j)]
+
+
+@pytest.mark.parametrize(
+    "entry", [np.sqrt(3) / 2, np.pi, 0.5 + 0.5j, np.nan, np.inf], ids=["sqrt3-over-2", "pi", "complex", "nan", "inf"]
+)
+def test_transport_that_is_not_an_exact_rational_is_refused(entry):
+    G = z2()
+    bundle = ReconstructedBundle(G, 1, {0: np.array([[1.0]]), 1: np.array([[entry]])})
+    with pytest.raises(CatalogError, match="transport of arrow 1 "):
+        faithfulness_probe(G, bundle)
 
 
 def test_effective_rotation_circle_zero_kernel():

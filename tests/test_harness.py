@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from orbikit import harness
 from orbikit.cli import main as cli_main
 from orbikit.harness import (
     SCHEMA_VERSION,
@@ -206,6 +207,7 @@ def test_unknown_check_name_rejected():
         pytest.param(cfg("a2-example", params={"K": 1}), [], None, id="unknown-param"),
         pytest.param(cfg("a2-example", tolerance={"fibre-blocks": 0}), [], None, id="unknown-config-key"),
         pytest.param([cfg("a2-example")], ["--modes", "16"], None, id="config-not-object"),
+        pytest.param(b"\xff\xfe{", [], None, id="config-not-utf8"),
         # a second --registry wins over the one every case gets
         pytest.param(cfg("a2-example"), ["--registry", "no-such-registry-dir"], None, id="registry-missing"),
         pytest.param(cfg("p"), [], {"name": "p", "params": {"N": 5}}, id="preset-without-scenario"),
@@ -216,7 +218,10 @@ def test_unknown_check_name_rejected():
 )
 def test_bad_input_exits_2(config, argv, preset, tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(config))
     registry = tmp_path / "registry"
     registry.mkdir()
     if preset is not None:
@@ -224,6 +229,18 @@ def test_bad_input_exits_2(config, argv, preset, tmp_path, capsys):
     code = cli_main(["--config", str(path), "--registry", str(registry)] + argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: "), err
+
+
+def test_out_dir_that_cannot_be_made_exits_2_before_the_checks(tmp_path, capsys, monkeypatch):
+    def no_check(*args):
+        raise AssertionError("a check ran before the report directory was made")
+
+    monkeypatch.setattr(harness, "run_check", no_check)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code = cli_main(["--scenario", "a2-example", "--out", str(blocker / "sub")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: cannot write report to {blocker / 'sub'}: "), err
 
 
 def test_raising_check_becomes_failed_record(tmp_path):

@@ -321,12 +321,16 @@ def test_dense_norms_never_exceed_the_largest_coupling_component(monkeypatch, tm
     assert rows and max(rows) <= 21
 
 
-def test_import_does_not_load_csgraph():
-    # interior_norm imports csgraph on first use; loading it with the package
-    # is a measurable share of the import time
+@pytest.mark.parametrize("module", ["scipy.sparse.csgraph", "sympy"])
+def test_import_does_not_load(module):
+    # interior_norm imports csgraph on first use, and the package needs no sympy;
+    # loading either with the package is a measurable share of the import time
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, orbikit; print('scipy.sparse.csgraph' in sys.modules)"
+    probe = (
+        "import sys, orbikit; "
+        f"print(sorted(m for m in sys.modules if m == {module!r} or m.startswith({module + '.'!r})))"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
