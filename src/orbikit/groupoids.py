@@ -10,24 +10,28 @@ defined exactly when ``src(tau) == tgt(sigma)``.
 
 Endpoint queries go through one hom-set index that ``FiniteGroupoid``
 builds from ``src``/``tgt`` when it is constructed: ``arrows_between``,
-``arrows_from``, ``arrows_into`` and ``composable_pairs`` read it, and
-``composition_table`` builds ``cmp`` tables from a composition rule with
-the same grouping.  Every result keeps the arrow order.
+``arrows_from``, ``arrows_into`` and ``composable_pairs`` read it.  Every
+result keeps the arrow order.
 
-Beside the label ``cmp`` dict, a ``FiniteGroupoid`` has one integer
-composition table, ``table``: ``(P, 3)`` rows ``[later, earlier, result]``
-of arrow indices, sorted by ``(later, earlier)``, which is the ``compose``
-layout of the groupoid file format.  Constructors that compute the table
-first hand it over with ``with_table``; every other groupoid derives it
-from ``cmp`` on first use.  ``compose_ids`` looks pairs up in it, and
-``composites`` lists the composable pairs and their composites as index
-arrays.  A groupoid built from its table can hold a ``TableCmp`` as ``cmp``,
-which builds the label dict only when a key is read.
+Composition lives in one integer table, ``FiniteGroupoid.table``: ``(P, 3)``
+rows ``[later, earlier, result]`` of arrow indices, sorted by ``(later,
+earlier)``, which is the ``compose`` layout of the groupoid file format.
+``finite_action_groupoid``, ``cech_groupoid``, a span's middle
+(``morita.weak_equivalence_pair``) and the file reader
+(``serialize.groupoid_from_dict``) compute that table in integers
+(``composable_index`` lists the composable pairs) and build their groupoid
+with ``table_groupoid``, whose ``cmp`` is a ``TableCmp``: the label dict is
+built only when a key is read, and a write into it keeps the table in step.
+``group_groupoid``, ``unit_groupoid`` and the restriction of a groupoid
+to one of its components (``cocycles``) still build a plain ``cmp`` dict,
+and such a groupoid derives its table from that dict on first use.
+``compose_ids`` looks pairs up in the table, and ``composites`` lists the
+composable pairs and their composites as index arrays.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -96,15 +100,6 @@ def _composable(arrows, src, into):
             yield tau, sigma
 
 
-def composition_table(arrows, src, tgt, rule) -> dict:
-    """The ``cmp`` table ``(tau, sigma) -> rule(tau, sigma)`` on every composable pair.
-
-    Pairs come in the order of ``FiniteGroupoid.composable_pairs``.
-    """
-    into = group_by(arrows, tgt.__getitem__)
-    return {(tau, sigma): rule(tau, sigma) for tau, sigma in _composable(arrows, src, into)}
-
-
 def cmp_from_table(arrows, table) -> dict:
     """The label ``cmp`` dict of ``[later, earlier, result]`` index rows, in row order."""
     # fromiter keeps each label, tuples included, as one entry
@@ -113,11 +108,32 @@ def cmp_from_table(arrows, table) -> dict:
     return dict(zip(zip(later, earlier), result))
 
 
-class TableCmp(Mapping):
-    """A read-only label ``cmp`` over ``[later, earlier, result]`` index rows.
+def table_from_cmp(arrows, cmp, index=None) -> np.ndarray:
+    """The ``[later, earlier, result]`` index rows of a label ``cmp``, sorted by ``(later, earlier)``.
+
+    A result outside ``arrows`` reads -1, and an entry whose pair names a
+    label outside ``arrows`` has no row.  ``index`` maps each arrow to its
+    position, when the caller has it.
+    """
+    if index is None:
+        index = {a: i for i, a in enumerate(arrows)}
+    flat = np.fromiter(
+        (index.get(a, -1) for pair, result in cmp.items() for a in (*pair, result)),
+        np.int64,
+        3 * len(cmp),
+    )
+    rows = flat.reshape(-1, 3)
+    rows = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)]
+    return rows[np.argsort(rows[:, 0] * len(arrows) + rows[:, 1])]
+
+
+class TableCmp(MutableMapping):
+    """A label ``cmp`` over ``[later, earlier, result]`` index rows.
 
     The label dict is ``cmp_from_table(arrows, table)``, built on the first
-    key access; ``len`` reads the table, so it builds nothing.
+    key access; ``len`` reads the table, so it builds nothing.  A write
+    goes into the label dict and drops the table, which ``table`` then
+    derives again from the labels, so the two never disagree.
     """
 
     def __init__(self, arrows, table):
@@ -127,14 +143,29 @@ class TableCmp(Mapping):
     def _dict(self) -> dict:
         return cmp_from_table(self._arrows, self._table)
 
+    @property
+    def table(self) -> np.ndarray:
+        if self._table is None:
+            self._table = table_from_cmp(self._arrows, self._dict)
+        return self._table
+
     def __getitem__(self, key):
         return self._dict[key]
+
+    def __setitem__(self, key, value):
+        self._dict[key] = value
+        self._table = None
+
+    def __delitem__(self, key):
+        del self._dict[key]
+        self._table = None
 
     def __iter__(self):
         return iter(self._dict)
 
     def __len__(self):
-        return len(self._table)
+        labels = self.__dict__.get("_dict")
+        return len(self._table) if labels is None else len(labels)
 
     def items(self):  # the dict's own view: deriving a table walks every item
         return self._dict.items()
@@ -172,14 +203,14 @@ def expand_runs(counts, starts):
     return row, np.repeat(starts - first, counts) + np.arange(len(row))
 
 
-def with_table(G, table):
-    """``G``, holding ``table`` as its composition table.
+def table_groupoid(arrows, table, **tables) -> FiniteGroupoid:
+    """The ``FiniteGroupoid`` over ``arrows`` composing by ``table``.
 
-    For constructors that build ``cmp`` from the table: the table must hold
-    exactly the sorted index rows of ``cmp``, so it need not be derived again.
+    ``table`` holds sorted ``[later, earlier, result]`` rows of indices into
+    ``arrows``; the groupoid's ``cmp`` is a ``TableCmp`` over it, which
+    keeps it as the groupoid's table.  ``tables`` are the other fields.
     """
-    G.__dict__["table"] = table
-    return G
+    return FiniteGroupoid(arrows=arrows, cmp=TableCmp(arrows, table), **tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,23 +259,23 @@ class FiniteGroupoid:
         """arrow -> its position in ``arrows``."""
         return {a: i for i, a in enumerate(self.arrows)}
 
-    @cached_property
+    @property
     def table(self) -> np.ndarray:
         """``cmp`` as ``(P, 3)`` int rows ``[later, earlier, result]`` of arrow indices.
 
         Sorted by ``(later, earlier)``; on a groupoid this is the order of
         ``composable_pairs``.  A result outside ``arrows`` reads -1, and an
-        entry whose pair names a label outside ``arrows`` has no row.
+        entry whose pair names a label outside ``arrows`` has no row.  A
+        ``TableCmp`` holds the table and keeps it in step with writes; a
+        plain ``cmp`` dict is read once, on first use.
         """
-        index = self.arrow_index
-        flat = np.fromiter(
-            (index.get(a, -1) for pair, result in self.cmp.items() for a in (*pair, result)),
-            np.int64,
-            3 * len(self.cmp),
-        )
-        rows = flat.reshape(-1, 3)
-        rows = rows[(rows[:, 0] >= 0) & (rows[:, 1] >= 0)]
-        return rows[np.argsort(rows[:, 0] * len(self.arrows) + rows[:, 1])]
+        if isinstance(self.cmp, TableCmp):
+            return self.cmp.table
+        return self._label_table
+
+    @cached_property
+    def _label_table(self) -> np.ndarray:
+        return table_from_cmp(self.arrows, self.cmp, self.arrow_index)
 
     def compose_ids(self, later, earlier) -> np.ndarray:
         """Index of ``later o earlier`` for two index arrays; -1 where undefined.
@@ -260,15 +291,21 @@ class FiniteGroupoid:
         found = (keys[pos] == wanted) & (later >= 0) & (earlier >= 0)
         return np.where(found, table[pos, 2], -1)
 
-    @cached_property
+    @property
     def composites(self):
         """``(later, earlier, result)`` index arrays over ``composable_pairs()``, in its order.
 
         ``result`` reads -1 where ``cmp`` misses a pair; on a groupoid the
-        three arrays are the columns of ``table``.
+        three arrays are the columns of ``table``.  Kept until the table
+        changes.
         """
-        later, earlier = composable_index(*object_ids(self.arrows, self.src, self.tgt))
-        return later, earlier, self.compose_ids(later, earlier)
+        table = self.table
+        kept = self.__dict__.get("_composites")
+        if kept is None or kept[0] is not table:
+            later, earlier = composable_index(*object_ids(self.arrows, self.src, self.tgt))
+            kept = table, (later, earlier, self.compose_ids(later, earlier))
+            self.__dict__["_composites"] = kept
+        return kept[1]
 
 
 def group_groupoid(group: FiniteGroup, point="*", name=None) -> FiniteGroupoid:
@@ -313,17 +350,23 @@ def finite_action_groupoid(group: FiniteGroup, points, act, name=None) -> Finite
     arrows = tuple((g, x) for g in group.elements for x in points)
     src = {a: a[1] for a in arrows}
     tgt = {a: act(a[0], a[1]) for a in arrows}
-    cmp = composition_table(
-        arrows, src, tgt, lambda tau, sigma: (group.mul(tau[0], sigma[0]), sigma[1])
-    )
-    inv = {(g, x): (group.inv(g), act(g, x)) for (g, x) in arrows}
+    # (g, x) sits at index g * |points| + x, and (g, x) o (h, y) = (g h, y)
+    element = {g: i for i, g in enumerate(group.elements)}
+    mul = np.array(
+        [element[group.mul(g, h)] for g in group.elements for h in group.elements], dtype=np.int64
+    ).reshape(group.order, group.order)
+    n = len(points)
+    later, earlier = composable_index(*object_ids(arrows, src, tgt))
+    table = np.stack([later, earlier, mul[later // n, earlier // n] * n + earlier % n], axis=1)
+    inverse = {g: group.inv(g) for g in group.elements}
+    inv = {(g, x): (inverse[g], tgt[(g, x)]) for (g, x) in arrows}
     unit = {x: (group.identity, x) for x in points}
-    return FiniteGroupoid(
+    return table_groupoid(
+        arrows,
+        table,
         objects=points,
-        arrows=arrows,
         src=src,
         tgt=tgt,
-        cmp=cmp,
         inv=inv,
         unit=unit,
         base=FiniteSet(points),
@@ -731,32 +774,46 @@ def cech_groupoid(G, cover: CechCover):
 
     Finite flavor returns explicit tables with objects (x, a) and arrows
     (sigma, a, b) for sigma with source in sheet b and target in sheet a.
-    Fourier action groupoids return a symbolic Cech groupoid.
+    Fourier action groupoids return a symbolic Cech groupoid.  A composable
+    pair whose parent pair ``G.cmp`` lacks raises ``KeyError``.
     """
     validate_cover(G, cover).raise_if_invalid()
     if isinstance(G, ActionGroupoid):
         return CechActionGroupoid(G, cover)
     objects = tuple((x, a) for a in cover.indices() for x in cover.sheet(a))
+    sheets = {x: cover.sheets_containing(x) for x in {*G.src.values(), *G.tgt.values()}}
     arrows = tuple(
-        (s, a, b)
-        for s in G.arrows
-        for a in cover.indices()
-        for b in cover.indices()
-        if cover.member(a, G.tgt[s]) and cover.member(b, G.src[s])
+        (s, a, b) for s in G.arrows for a in sheets[G.tgt[s]] for b in sheets[G.src[s]]
     )
     src = {(s, a, b): (G.src[s], b) for (s, a, b) in arrows}
     tgt = {(s, a, b): (G.tgt[s], a) for (s, a, b) in arrows}
-    cmp = composition_table(
-        arrows, src, tgt, lambda tau, sigma: (G.compose(tau[0], sigma[0]), tau[1], sigma[2])
-    )
+
+    # (s2, a, c) o (s1, c, b) = (s2 o s1, a, b): compose the parents in G's
+    # table, then find (composite, a, b) among the Cech arrows
+    k, index = len(cover.sheets), G.arrow_index
+    parent, a_of, b_of = np.array(
+        [(index[s], a, b) for s, a, b in arrows], dtype=np.int64
+    ).reshape(-1, 3).T
+    parent_src, parent_tgt = object_ids(G.arrows, G.src, G.tgt)
+    later, earlier = composable_index(parent_src[parent] * k + b_of, parent_tgt[parent] * k + a_of)
+    composite = G.compose_ids(parent[later], parent[earlier])
+    where = np.full((len(G.arrows), k, k), -1, dtype=np.int64)
+    where[parent, a_of, b_of] = np.arange(len(arrows))
+    result = np.where(composite >= 0, where[composite, a_of[later], b_of[earlier]], -1)
+    bad = np.flatnonzero(result < 0)
+    if len(bad):
+        pair = (G.arrows[parent[later[bad[0]]]], G.arrows[parent[earlier[bad[0]]]])
+        raise KeyError(pair) if pair not in G.cmp else CatalogError(
+            f"composite of {pair!r} in {G.name} is not an arrow between the sheets"
+        )
     inv = {(s, a, b): (G.inv[s], b, a) for (s, a, b) in arrows}
     unit = {(x, a): (G.unit[x], a, a) for (x, a) in objects}
-    return FiniteGroupoid(
+    return table_groupoid(
+        arrows,
+        np.stack([later, earlier, result], axis=1),
         objects=objects,
-        arrows=arrows,
         src=src,
         tgt=tgt,
-        cmp=cmp,
         inv=inv,
         unit=unit,
         base=None,

@@ -28,7 +28,6 @@ from .groupoids import (
     ActionGroupoid,
     CechCover,
     FiniteGroupoid,
-    TableCmp,
     cech_groupoid,
     composable_index,
     group_by,
@@ -38,8 +37,8 @@ from .groupoids import (
     isotropy,
     label_ids,
     object_ids,
+    table_groupoid,
     validate_cover,
-    with_table,
 )
 from .reports import ValidationReport
 
@@ -758,18 +757,15 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
         s, q, t = a
         inv[a] = (L.inv[s], tgt[a], R.inv[t])
     unit = {q: (L.unit[b.rho[q]], q, R.unit[b.alpha[q]]) for q in b.carrier}
-    middle = with_table(
-        FiniteGroupoid(
-            objects=b.carrier,
-            arrows=arrows,
-            src=src,
-            tgt=tgt,
-            cmp=TableCmp(arrows, table),
-            inv=inv,
-            unit=unit,
-            name=f"middle({b.name})",
-        ),
+    middle = table_groupoid(
+        arrows,
         table,
+        objects=b.carrier,
+        src=src,
+        tgt=tgt,
+        inv=inv,
+        unit=unit,
+        name=f"middle({b.name})",
     )
     to_left = StrictMorphism(
         source=middle,

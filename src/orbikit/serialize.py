@@ -31,6 +31,7 @@ from .groupoids import (
     CircleArc,
     FiniteGroup,
     FiniteGroupoid,
+    table_groupoid,
 )
 from .morita import Bitorsor
 
@@ -160,6 +161,35 @@ def _groupoid_body(G) -> dict:
     raise TypeError(f"cannot serialize {G!r}")
 
 
+def compose_table(rows, n) -> np.ndarray:
+    """The sorted table of a document's ``compose`` rows over ``n`` arrows.
+
+    The rows read as a label dict built from them in row order would: a
+    negative index counts from the end of the arrows, and a repeated pair
+    keeps its last row.  A row that is not a triple raises ``ValueError``, a
+    flat list or an entry that is not an integer ``TypeError``, and an index
+    outside ``-n <= i < n`` ``IndexError``.
+    """
+    try:
+        table = np.asarray(rows)
+    except ValueError:  # rows of different lengths
+        table = None
+    if table is None or table.dtype.kind != "i" or table.shape[1:] != (3,):
+        # one entry at a time, as indexing the arrows raises
+        arrow = range(n).__getitem__
+        table = np.array([(arrow(t), arrow(s), arrow(r)) for t, s, r in rows], dtype=np.int64)
+    table = table.astype(np.int64, copy=False).reshape(-1, 3)
+    if ((table < -n) | (table >= n)).any():
+        raise IndexError(f"compose row names an arrow index outside the {n} arrows")
+    table = np.where(table < 0, table + n, table)
+    keys = table[:, 0] * n + table[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys, table = keys[order], table[order]
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = keys[1:] != keys[:-1]  # the last row of each pair
+    return table[last]
+
+
 def groupoid_from_dict(doc: dict):
     if doc.get("schema") != SCHEMAS["groupoid"]:
         raise ValueError(f"not a groupoid document: schema {doc.get('schema')!r}")
@@ -168,15 +198,14 @@ def groupoid_from_dict(doc: dict):
         arrows = tuple(_freeze(a) for a in doc["arrows"])
         src = {a: _freeze(x) for a, x in zip(arrows, doc["src"])}
         tgt = {a: _freeze(x) for a, x in zip(arrows, doc["tgt"])}
-        cmp = {(arrows[t], arrows[s]): arrows[r] for t, s, r in doc["compose"]}
         inv = {a: arrows[i] for a, i in zip(arrows, doc["inverse"])}
         unit = {x: arrows[i] for x, i in zip(objects, doc["unit"])}
-        return FiniteGroupoid(
+        return table_groupoid(
+            arrows,
+            compose_table(doc["compose"], len(arrows)),
             objects=objects,
-            arrows=arrows,
             src=src,
             tgt=tgt,
-            cmp=cmp,
             inv=inv,
             unit=unit,
             base=FiniteSet(objects),

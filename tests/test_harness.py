@@ -199,6 +199,9 @@ def test_unknown_check_name_rejected():
         pytest.param(cfg("a2-example", params={"N": "x"}), [], None, id="N-string"),
         pytest.param(cfg("a2-example", params={"N": 2.7}), [], None, id="N-float"),
         pytest.param(cfg("free-rotation-circle"), ["--modes", "4"], None, id="modes-below-floor"),
+        pytest.param(cfg("free-rotation-circle"), ["--modes", "100000000"], None, id="modes-above-cap"),
+        pytest.param(cfg("pillowcase-torus"), ["--modes", "129"], None, id="torus-modes-above-cap"),
+        pytest.param(cfg("noneffective-circle"), ["--modes", "257"], None, id="noneffective-modes-above-cap"),
         pytest.param(cfg("a2-example", tolerances={"fibre-blocks": "0"}), [], None, id="string-tolerance"),
         pytest.param(cfg("a2-example", tolerances={"fibre-blocks": -1.0}), [], None, id="negative-tolerance"),
         pytest.param(cfg("a2-example", tolerances={"spectra-match": 1e-9}), [], None, id="tolerance-of-no-check"),
@@ -229,6 +232,15 @@ def test_bad_input_exits_2(config, argv, preset, tmp_path, capsys):
     code = cli_main(["--config", str(path), "--registry", str(registry)] + argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv", [["--list"], ["--scenario", "a2-example"]], ids=["list", "scenario"])
+def test_registry_that_is_a_file_exits_2_naming_the_fault(argv, tmp_path, capsys):
+    path = tmp_path / "registry.json"
+    path.write_text("{}")
+    code = cli_main(argv + ["--registry", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: registry {path} is not a directory\n", err
 
 
 def test_out_dir_that_cannot_be_made_exits_2_before_the_checks(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from orbikit.groupoids import (
     CechCover,
     cech_groupoid,
-    composition_table,
     cyclic_translation_groupoid,
     validate_groupoid,
 )
@@ -82,7 +81,6 @@ def test_index_and_cmp_match_reference_scans(name):
     G, rule = cases()[name]
     assert_index_matches(G)
     assert list(G.cmp.items()) == ref_cmp(G, rule)
-    assert list(composition_table(G.arrows, G.src, G.tgt, rule).items()) == ref_cmp(G, rule)
 
 
 def test_index_of_serialized_read_back():

@@ -147,8 +147,8 @@ def test_writer_refuses_labels_outside_the_arrows(groupoids):
 @pytest.mark.parametrize("name", ["middle(a2 N=3)", "middle(Cech)"])
 def test_span_table_equals_the_derived_one(groupoids, name):
     G = groupoids[name]
-    derived = replace(G)  # a new groupoid derives its table from cmp
-    assert "table" not in vars(derived)
+    derived = replace(G, cmp=dict(G.cmp))  # a plain dict: the table is derived from it
+    assert "_label_table" not in vars(derived)
     assert np.array_equal(G.table, derived.table)
 
 
@@ -182,6 +182,92 @@ def test_shuffled_document_rows_read_back_as_the_dict_reads_them():
     back = groupoid_from_dict({**doc, "compose": rows})
     assert back.cmp == G.cmp
     assert back.table.tolist() == ref_table(back) == doc["compose"]
+
+
+def ref_read_cmp(arrows, rows):
+    """The label dict reader the table reader replaces."""
+    return {(arrows[t], arrows[s]): arrows[r] for t, s, r in rows}
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        pytest.param([[0, 1]], ValueError, id="pair"),
+        pytest.param([[3, 0, 3], [0, 1, 2, 3]], ValueError, id="quadruple"),
+        pytest.param([[3, 0, 3], [0, 1]], ValueError, id="ragged"),
+        pytest.param([3, 0, 3], TypeError, id="flat"),
+        pytest.param([[3, 0, 18]], IndexError, id="past-the-end"),
+        pytest.param([[3, -19, 3]], IndexError, id="before-the-start"),
+        pytest.param([[3, 0, 2**63]], IndexError, id="past-int64"),
+        pytest.param([[3, 1.5, 3]], TypeError, id="float"),
+        pytest.param([[3, 0, 3.0]], TypeError, id="integral-float"),
+        pytest.param([[3, "2", 3]], TypeError, id="string"),
+        pytest.param([[3, [0], 3]], TypeError, id="nested"),
+    ],
+)
+def test_malformed_document_rows_fail_as_the_dict_reader_did(rows, error):
+    doc = groupoid_to_dict(cyclic_translation_groupoid(6, 3))  # 18 arrows
+    arrows = tuple(map(tuple, doc["arrows"]))
+    with pytest.raises(error):
+        ref_read_cmp(arrows, rows)
+    with pytest.raises(error):
+        groupoid_from_dict({**doc, "compose": rows})
+
+
+def translation_rule(t, s):
+    return ((t[0] + s[0]) % 6, s[1])
+
+
+def rule_table(G, rule):
+    """Sorted index rows of ``rule`` over every composable pair, from the labels alone."""
+    index = {a: i for i, a in enumerate(G.arrows)}
+    return sorted(
+        [index[t], index[s], index[rule(t, s)]]
+        for t in G.arrows for s in G.arrows if G.src[t] == G.tgt[s]
+    )
+
+
+def test_construction_and_writing_build_no_label_dict():
+    G = cyclic_translation_groupoid(6, 3)
+    C = cech_groupoid(G, COVER)
+    back = groupoid_from_dict(json.loads(json.dumps(groupoid_to_dict(C))))
+    for X in (G, C, back):
+        groupoid_to_dict(X)
+    assert all("_dict" not in vars(X.cmp) for X in (G, C, back))
+    cech_rule = lambda t, s: (translation_rule(t[0], s[0]), t[1], s[2])
+    assert G.table.tolist() == rule_table(G, translation_rule)
+    assert C.table.tolist() == back.table.tolist() == rule_table(C, cech_rule)
+
+
+def test_writes_into_a_table_cmp_reach_the_table():
+    G = cyclic_translation_groupoid(6, 3)
+    back = groupoid_from_dict(json.loads(json.dumps(groupoid_to_dict(cech_groupoid(G, COVER)))))
+    for X in (G, back):
+        before = X.composites  # read, and kept, before the writes
+        ref, dropped, extra = malformed(X)  # the same edits on a plain dict
+        rows = len(X.table)
+        del X.cmp[dropped]
+        assert len(X.table) == rows - 1
+        X.cmp[extra] = X.arrows[0]
+        assert X.cmp == ref.cmp and len(X.cmp) == len(ref.cmp)
+        assert X.table.tolist() == ref_table(ref) == ref.table.tolist()
+        for mine, theirs in zip(X.composites, ref.composites):
+            assert np.array_equal(mine, theirs)
+        assert not np.array_equal(before[2], X.composites[2])
+        assert groupoid_to_dict(X) == groupoid_to_dict(ref)
+        X.cmp[("stray", X.arrows[0])] = X.arrows[0]
+        with pytest.raises(ValueError, match="outside its arrows"):
+            groupoid_to_dict(X)
+
+
+def test_cech_groupoid_of_a_broken_parent_raises():
+    G = cyclic_translation_groupoid(6, 3)
+    bad, dropped, _ = malformed(G)
+    with pytest.raises(KeyError) as err:
+        cech_groupoid(bad, COVER)
+    assert err.value.args == (dropped,)
+    with pytest.raises(CatalogError, match="is not an arrow between the sheets"):
+        cech_groupoid(stray(G), COVER)
 
 
 def functor_cases():
