@@ -77,7 +77,7 @@ class FourierCircle:
 
     @property
     def grid_size(self):
-        # uniform grid dense enough to be exact for band-limited data
+        # sample points per turn for the point checks of groupoids.grid_turns
         return 4 * self.mode_cutoff
 
     def grid(self, n=None):
@@ -318,9 +318,6 @@ class CircleModes:
         basis = np.exp(1j * np.outer(xs, self.frequencies()))
         return np.tensordot(basis, self.coeffs, axes=(1, 0))
 
-    def grid_values(self, n=None):
-        return self.evaluate(self.circle.grid(n))
-
     # -- algebra
 
     def _binary(self, other, op):
@@ -453,10 +450,6 @@ class TorusModes:
         b1 = np.exp(1j * np.outer(np.asarray(xs, float), f1))
         b2 = np.exp(1j * np.outer(np.asarray(ys, float), f2))
         return np.einsum("xa,yb,ab...->xy...", b1, b2, self.coeffs)
-
-    def grid_values(self, n=None):
-        xs, ys = self.torus.grid(n)
-        return self.evaluate(xs, ys)
 
     def mul(self, other: "TorusModes") -> "TorusModes":
         a, b = self, other

@@ -5,8 +5,12 @@ g(tau) g(sigma) = g(tau sigma) on composable pairs.  Unit arrows within a
 single sheet are therefore forced to the identity (our normalization);
 unit arrows across sheet overlaps are genuine transition functions.
 
-Matrix entries stay exact (integer dtype) whenever the inputs are exact;
-floating point is compared at 1e-12.
+Matrix entries stay exact (integer dtype) whenever the inputs are exact.
+A float product is compared with the entry it should equal at 1e-12
+relative to the product of its factors' Frobenius norms (at least 1): the
+rounding of a product entry is bounded by that product of norms, so a
+unit-scale cocycle is held to 1e-12 absolute and a large one is not failed
+by its rounding alone.
 """
 
 from __future__ import annotations
@@ -24,11 +28,20 @@ from .reports import ValidationReport
 ENTRY_TOL = 1e-12
 
 
-def _close(a, b):
-    """Per matrix of two ``(n, k, k)`` stacks: equal if both are integer, else within ``ENTRY_TOL``."""
+def _close(a, b, scale=1.0):
+    """Per matrix of two ``(n, k, k)`` stacks: equal if both are integer, else
+    the largest entry of ``a - b`` is at most ``ENTRY_TOL * max(1, scale)``.
+
+    ``scale`` holds, per matrix, the product of the Frobenius norms of the
+    factors multiplied to form the compared product.
+    """
     if a.dtype.kind in "iu" and b.dtype.kind in "iu":
         return (a == b).all(axis=(1, 2))
-    return np.isclose(a, b, rtol=0.0, atol=ENTRY_TOL).all(axis=(1, 2))
+    return np.abs(a - b).max(axis=(1, 2)) <= ENTRY_TOL * np.maximum(1.0, scale)
+
+
+def _norms(stack):
+    return np.linalg.norm(stack, axis=(1, 2))
 
 
 @dataclass(eq=False)
@@ -59,7 +72,8 @@ def validate_cocycle(g: Cocycle) -> ValidationReport:
     The entries are checked as one ``(arrows, k, k)`` stack: one batched
     determinant, and the cocycle law as ``E[later] @ E[earlier]`` against
     ``E[result]`` over ``composites``.  An all-integer stack compares
-    exactly, any other within ``ENTRY_TOL``.  A composite or unit that is
+    exactly, any other by ``_close``: within ``ENTRY_TOL`` times
+    ``max(1, |E[later]| |E[earlier]|)``.  A composite or unit that is
     not one of the arrows fails its pair or object.
     """
     G = g.groupoid
@@ -88,7 +102,8 @@ def validate_cocycle(g: Cocycle) -> ValidationReport:
         return rep
     # a -1 (no composite, or no unit among the arrows) gathers the last entry and fails
     later, earlier, result = G.composites
-    law = (result >= 0) & _close(E[later] @ E[earlier], E[result])
+    norms = _norms(E)
+    law = (result >= 0) & _close(E[later] @ E[earlier], E[result], norms[later] * norms[earlier])
     for i in np.flatnonzero(~law):
         rep.add(f"cocycle law: ({G.arrows[later[i]]!r},{G.arrows[earlier[i]]!r})")
     units = np.array([G.arrow_index.get(G.unit.get(x), -1) for x in G.objects], np.int64)
@@ -226,9 +241,10 @@ def induce_cocycle(loc: Bitorsor, g: Cocycle, beta: SectionFamily) -> Cocycle:
 
 
 def verify_coboundary(g1: Cocycle, g2: Cocycle, lam: dict) -> bool:
-    """Whether ``g2(a) = lam(tgt a) g1(a) lam(src a)^-1`` within ``ENTRY_TOL`` on every arrow.
+    """Whether ``g2(a) = lam(tgt a) g1(a) lam(src a)^-1`` on every arrow.
 
-    One stack per side, and one batched inverse of the ``lam`` values.
+    Compared by ``_close``, scaled by the norms of the three factors.  One
+    stack per side, and one batched inverse of the ``lam`` values.
     """
     G = g1.groupoid
     ids = {}
@@ -236,8 +252,10 @@ def verify_coboundary(g1: Cocycle, g2: Cocycle, lam: dict) -> bool:
     lams = np.stack([np.asarray(lam[x]) for x in ids])
     inverses = np.linalg.inv(lams.astype(complex))
     lhs = np.stack([np.asarray(g2.entries[a]) for a in G.arrows])
-    rhs = lams[tgt] @ np.stack([np.asarray(g1.entries[a]) for a in G.arrows]) @ inverses[src]
-    return bool(np.allclose(lhs, rhs, atol=ENTRY_TOL))
+    middle = np.stack([np.asarray(g1.entries[a]) for a in G.arrows])
+    rhs = lams[tgt] @ middle @ inverses[src]
+    scale = _norms(lams)[tgt] * _norms(middle) * _norms(inverses)[src]
+    return bool(_close(lhs, rhs, scale).all())
 
 
 def _components_and_tree(G: FiniteGroupoid):

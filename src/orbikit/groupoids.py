@@ -718,6 +718,11 @@ class CircleArc:
             d -= 1
         return abs(d) < self.half_width
 
+    def meets(self, other: "CircleArc") -> bool:
+        """Whether the two open arcs share a point, decided on the exact turns."""
+        d = (other.center - self.center) % 1
+        return min(d, 1 - d) < self.half_width + other.half_width
+
 
 @dataclass(frozen=True)
 class CechCover:

@@ -271,9 +271,11 @@ def build_free_rotation_circle(m, modes, buffer) -> Scenario:
     def spectra_match(tol):
         up, down = matched_interior_spectra(ind, buffer)
         worst = float(np.max(np.abs(up - down))) if len(up) else float("inf")
-        return (worst <= tol and len(up) > 4, worst,
+        enough = len(up) > 4
+        return (worst <= tol and enough, worst,
                 f"invariant spectrum equals the quotient circle spectrum on the "
-                f"interior band ({len(up)} eigenvalues)")
+                f"interior band ({len(up)} eigenvalues)"
+                + ("" if enough else "; needs more than 4 eigenvalues"))
 
     def unitary_check(tol):
         rng = np.random.default_rng(0)

@@ -339,24 +339,30 @@ class OrbifoldMeasure:
     charts: list
 
     def validate(self, groupoid: ActionGroupoid | None = None, tol=1e-10):
+        """Partition of unity and partition invariance within ``tol``; on the
+        Fourier bases as l1 norms of coefficient differences (sup-norm bounds)."""
         if isinstance(self.base, FiniteSet):
             for x in self.base.points:
                 total = sum(ch.partition[x] for ch in self.charts)
                 if abs(total - 1.0) > tol:
                     raise CatalogError(f"partition of unity fails at {x!r}")
             return self
-        total = None
+        cut = max(ch.partition.cutoff for ch in self.charts)
+        total = 0.0
         for ch in self.charts:
-            vals = ch.partition.grid_values()
-            total = vals if total is None else total + vals
+            p = ch.partition
+            pad = cut - p.cutoff
+            total = total + np.pad(p.coeffs, [(pad, pad)] * p.coeffs.ndim)
             if groupoid is not None:
                 for g in groupoid.group.elements:
-                    moved = _partition_pullback(ch.partition, groupoid.iso[g])
-                    if np.max(np.abs(moved.grid_values() - vals)) > tol:
+                    iso = groupoid.iso[g]
+                    moved = p.rotate_pullback(iso.turns) if isinstance(p, CircleModes) else p.pullback(iso)
+                    if np.abs(moved.coeffs - p.coeffs).sum() > tol:
                         raise CatalogError(
                             f"chart {ch.name!r} partition is not invariant under {g!r}"
                         )
-        if np.max(np.abs(total - 1.0)) > tol:
+        total[(cut,) * total.ndim] -= 1.0
+        if np.abs(total).sum() > tol:
             raise CatalogError("partition of unity does not sum to one")
         return self
 
@@ -366,12 +372,6 @@ class OrbifoldMeasure:
         if isinstance(self.base, FourierTorus):
             return self.base.circumferences[0] * self.base.circumferences[1]
         return 1.0  # counting measure
-
-
-def _partition_pullback(p, iso):
-    if isinstance(p, CircleModes):
-        return p.rotate_pullback(iso.turns)
-    return p.pullback(iso)
 
 
 def uniform_measure(base, group_order, principal_rank, cutoff=None, name="whole") -> OrbifoldMeasure:
@@ -388,32 +388,47 @@ def uniform_measure(base, group_order, principal_rank, cutoff=None, name="whole"
 def orbifold_integral(measure: OrbifoldMeasure, f) -> complex:
     """Chart-weighted integral sum_a (k_a/|G_a|) int rho_a f dvol.
 
-    Chart integrals are grid means times the flat volume, exact for
-    band-limited data; finite bases use counting measure.
+    On the Fourier bases a chart integral is a sum over coefficient pairs
+    (see ``_weighted_pairing``); a twisted or fibre-valued integrand is not
+    a function on the base and is refused.  Finite bases use counting measure.
     """
     if isinstance(measure.base, FiniteSet):
         total = 0.0
         for ch in measure.charts:
             total += ch.weight * sum(ch.partition[x] * f[x] for x in measure.base.points)
         return total
-    vol = measure.volume_element()
-    total = 0.0
-    fv = f.grid_values() if not isinstance(f, np.ndarray) else f
-    for ch in measure.charts:
-        pv = ch.partition.grid_values()
-        total = total + ch.weight * vol * np.mean(pv * fv)
-    return complex(total)
+    if f.fibre_shape or not _is_untwisted(f):
+        raise CatalogError("integrand is not a scalar function on the base")
+    one = np.ones((1,) * f.coeffs.ndim)  # the constant function, at cutoff 0
+    return _weighted_pairing(measure, one, 0, f.coeffs, f.cutoff)
 
 
 def orbifold_inner(measure: OrbifoldMeasure, psi1, psi2) -> complex:
-    """<psi1, psi2> as the orbifold integral of the pointwise pairing."""
-    v1 = psi1.grid_values()
-    v2 = psi2.grid_values()
-    if v1.ndim == 1:
-        pair = np.conj(v1) * v2
-    else:
-        pair = np.einsum("...i,...i->...", np.conj(v1), v2)
-    return orbifold_integral(measure, pair)
+    """<psi1, psi2>: the orbifold integral of the pointwise pairing."""
+    if psi1.twist != psi2.twist:
+        raise CatalogError("paired sections have different twists")
+    return _weighted_pairing(measure, np.conj(psi1.coeffs), psi1.cutoff, psi2.coeffs, psi2.cutoff)
+
+
+def _weighted_pairing(measure: OrbifoldMeasure, a, ca, b, cb) -> complex:
+    """sum over charts of weight * vol * sum_p rho_p sum_k a_k b_(k-p).
+
+    ``a``, ``b`` hold the modes |k_i| <= ca, cb on their leading axes, then
+    fibre axes, which are summed.  For a = conj(coefficients of psi1) and
+    b = psi2's this is int rho conj(psi1) psi2 dvol (Parseval for rho = 1).
+    """
+    axes = tuple(range(measure.base.dim))
+    # one window wide enough that no partition shift wraps a nonzero mode round
+    C = max(ca, cb) + max(ch.partition.degree() for ch in measure.charts)
+    a, b = (np.pad(x, [(C - c, C - c)] * len(axes) + [(0, 0)] * (x.ndim - len(axes)))
+            for x, c in ((a, ca), (b, cb)))
+    total = 0.0
+    for ch in measure.charts:
+        rho = ch.partition
+        for p in np.argwhere(rho.coeffs != 0):
+            shifted = np.roll(b, tuple(p - rho.cutoff), axis=axes)  # shifted_k = b_(k-p)
+            total += ch.weight * rho.coeffs[tuple(p)] * np.sum(a * shifted)
+    return complex(measure.volume_element() * total)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +461,9 @@ def induced_dirac(cov: QuotientCovering, spec: DiracSpec) -> InducedDirac:
     signs = {g: float(spec.lift.signs[g]) for g in spec.groupoid.group.elements}
     ks = invariant_mode_indices(cov, spec.twist[0], signs)
     tw = solve_downstairs_twist(cov, spec.twist[0], signs)
-    m = cov.degree
-    down_cut = max(MIN_CUTOFF, max(abs(int((Fraction(k) + spec.twist[0]) / m - tw)) for k in ks))
+    # the relabeling (k + t) = m (j + t') of the invariant modes
+    js = np.array([int((Fraction(k) + spec.twist[0]) / cov.degree - tw) for k in ks])
+    down_cut = max(MIN_CUTOFF, int(np.abs(js).max()))
     down_circle = FourierCircle(cov.downstairs.circumference, down_cut)
     down_group = trivial_groupoid(down_circle)
     down_lift = SpinLift(down_group, spec.lift.rep, {0: 1}, strict=True)
@@ -455,18 +471,12 @@ def induced_dirac(cov: QuotientCovering, spec: DiracSpec) -> InducedDirac:
     down = assemble_dirac(down_spec)
 
     U = np.zeros((2 * down_cut + 1, 2 * spec.cutoff + 1), dtype=complex)
-    for k in ks:
-        j = (Fraction(k) + spec.twist[0]) / m - tw
-        j = int(j)
-        if abs(j) <= down_cut:
-            U[j + down_cut, k + spec.cutoff] = 1.0
-    D_up = up.matrix.toarray()
-    D_dn = down.matrix.toarray()
-    conj = U @ D_up @ np.conj(U.T)
-    mask = (np.abs(U) > 0).any(axis=1)
-    residual = float(np.max(np.abs((conj - D_dn)[np.ix_(mask, mask)]))) if mask.any() else 0.0
+    U[js + down_cut, np.array(ks) + spec.cutoff] = 1.0
+    conj = U @ up.matrix @ np.conj(U.T)
+    hit = np.ix_(js + down_cut, js + down_cut)
+    residual = float(np.max(np.abs((conj - down.matrix.toarray())[hit])))
 
-    branch = _branch_agreement_residual(cov, spec, down_spec)
+    branch = _branch_agreement_residual(cov, up, down_spec)
     return InducedDirac(
         upstairs=up,
         downstairs=down,
@@ -516,28 +526,29 @@ def matched_interior_spectra(ind: InducedDirac, buffer=DEFAULT_BUFFER):
     return up_vals, dn_vals
 
 
-def _branch_agreement_residual(cov: QuotientCovering, spec: DiracSpec, down_spec: DiracSpec) -> float:
-    """Compare local Dirac representatives through two covering branches."""
-    signs = {g: float(spec.lift.signs[g]) for g in spec.groupoid.group.elements}
-    rng = np.random.default_rng(3)
+def _branch_agreement_residual(cov: QuotientCovering, up: TruncatedDirac, down_spec: DiracSpec) -> float:
+    """Compare local Dirac representatives through two covering branches.
+
+    Branch b reads D psi at x + b L/m: on coefficients, the exact phases of
+    ``_phase_vector`` times the lift sign.  The l1 norm of its difference
+    from branch 0 bounds the pointwise disagreement.
+    """
+    spec = up.spec
+    m, t_up, t_dn = cov.degree, spec.twist[0], down_spec.twist[0]
+    # the largest downstairs degree whose modes j all pull back into |k| <= M
+    fits = int((spec.cutoff - abs(m * t_dn - t_up)) // m)
     zeta = CircleModes.random(
-        down_spec.groupoid.base, down_spec.cutoff, rng, twist=down_spec.twist[0], degree=max(2, down_spec.cutoff // 2)
+        down_spec.groupoid.base, down_spec.cutoff, np.random.default_rng(3), twist=t_dn,
+        degree=min(max(2, down_spec.cutoff // 2), fits),
     )
-    psi = pullback_modes_section(cov, zeta, up_twist=spec.twist[0])
+    psi = pullback_modes_section(cov, zeta, up_twist=t_up)
     # the invariant extension matching branch 0; D psi is invariant again
-    freqs = psi.frequencies().reshape(-1)
-    dpsi = CircleModes(psi.circle, psi.cutoff, freqs * psi.coeffs, psi.twist)
-    ys = down_spec.groupoid.base.grid()
+    dpsi = up.matrix @ psi.coeffs
     worst = 0.0
-    L = spec.groupoid.base.circumference
-    base = dpsi.evaluate(ys)
-    for branch in range(cov.degree):
-        g = cov.deck_element(0, branch)
-        h = signs[g]
-        # branch representative: the h(g)-rescaled invariant extension read
-        # along the branch; scalar conjugation makes all branches agree
-        vals = h * dpsi.evaluate(ys + branch * L / cov.degree)
-        worst = max(worst, float(np.max(np.abs(vals - base))))
+    for branch in range(m):
+        h = float(spec.lift.signs[cov.deck_element(0, branch)])
+        moved = h * _phase_vector(spec.cutoff, t_up, Fraction(branch, m)) * dpsi
+        worst = max(worst, float(np.abs(moved - dpsi).sum()))
     return worst
 
 
@@ -791,8 +802,7 @@ def check_spectral_triple(
     if measure is not None and invariant_pairs:
         worst = 0.0
         for psi1, psi2 in invariant_pairs:
-            d1 = _apply_dirac_modes(space, psi1)
-            d2 = _apply_dirac_modes(space, psi2)
+            d1, d2 = (_apply_dirac(dirac, psi) for psi in (psi1, psi2))
             lhs = orbifold_inner(measure, d1, psi2)
             rhs = orbifold_inner(measure, psi1, d2)
             worst = max(worst, abs(lhs - rhs))
@@ -828,12 +838,14 @@ def _regrade(f, spec2: DiracSpec):
     raise CatalogError(f"cannot regrade generator {f!r}")
 
 
-def _apply_dirac_modes(space: SpinorModeSpace, psi):
-    """Apply the analytic Dirac to band-limited spinor data (circle)."""
-    if space.n != 1:
-        raise CatalogError("mode-level Dirac application is one-dimensional here")
-    freqs = psi.frequencies().reshape((-1,) + (1,) * len(psi.fibre_shape))
-    return CircleModes(psi.circle, psi.cutoff, freqs * psi.coeffs, psi.twist)
+def _apply_dirac(dirac: TruncatedDirac, psi):
+    """The assembled Dirac applied to the coefficients of a spinor section."""
+    space = dirac.space
+    twist = psi.twist if isinstance(psi.twist, tuple) else (psi.twist,)
+    if psi.cutoff != space.cutoff or twist != space.twist or psi.coeffs.size != space.dim:
+        raise CatalogError("spinor section does not live on the Dirac's mode space")
+    coeffs = (dirac.matrix @ psi.coeffs.reshape(-1)).reshape(psi.coeffs.shape)
+    return type(psi)(space.base, space.cutoff, coeffs, psi.twist)
 
 
 # ---------------------------------------------------------------------------
@@ -851,39 +863,25 @@ def tangent_cocycle(cech: CechActionGroupoid) -> dict:
 def induced_tangent_cocycle(cov: QuotientCovering, cover_down, branch_of_sheet) -> dict:
     """Tangent cocycle transported to the quotient circle's Cech cover.
 
-    Downstairs arrows are overlap germs (i, j); the associated upstairs
-    deck elements are computed per overlap sample point and must give a
-    single differential per arrow (rotations: always [[1]]).
+    Downstairs arrows are overlap germs (i, j), one per pair of meeting
+    arcs; each carries the differential of the deck element between the
+    two sheets' branches (rotations: always [[1]]).
     """
-    n = cov.downstairs.grid_size
-    pts = [Fraction(t, n) for t in range(n)]
-    entries = {}
-    for i in cover_down.indices():
-        for j in cover_down.indices():
-            overlap = [t for t in pts if cover_down.member(i, t) and cover_down.member(j, t)]
-            if not overlap:
-                continue
-            vals = []
-            for t in overlap:
-                g = cov.deck_element(branch_of_sheet[j], branch_of_sheet[i])
-                vals.append(cov.upstairs.iso[g].differential())
-            first = vals[0]
-            if not all(np.array_equal(v, first) for v in vals):
-                raise CatalogError(f"induced tangent entry not constant on overlap ({i},{j})")
-            entries[(i, j)] = first
-    return entries
+    return {
+        (i, j): cov.upstairs.iso[cov.deck_element(branch_of_sheet[j], branch_of_sheet[i])].differential()
+        for i, j in _arc_overlaps(cover_down)
+    }
 
 
 def downstairs_tangent_cocycle(cov: QuotientCovering, cover_down) -> dict:
     """Unit-groupoid tangent data: identity germs on every overlap."""
-    n = cov.downstairs.grid_size
-    pts = [Fraction(t, n) for t in range(n)]
-    entries = {}
-    for i in cover_down.indices():
-        for j in cover_down.indices():
-            if any(cover_down.member(i, t) and cover_down.member(j, t) for t in pts):
-                entries[(i, j)] = np.array([[1.0]])
-    return entries
+    return {pair: np.array([[1.0]]) for pair in _arc_overlaps(cover_down)}
+
+
+def _arc_overlaps(cover) -> list:
+    """The ordered pairs (i, j) of sheets whose arcs meet, decided exactly."""
+    arcs = cover.sheets
+    return [(i, j) for i in cover.indices() for j in cover.indices() if arcs[i].meets(arcs[j])]
 
 
 def spin_structure_transport(cov: QuotientCovering, lifts, twist=Fraction(0)) -> dict:

@@ -313,12 +313,6 @@ def pushforward_form_inverse(cov: QuotientCovering, omega: CircleForm) -> Circle
     return CircleForm(omega.degree, _covering_pull_function(cov, omega.comp))
 
 
-def branch_values(cov: QuotientCovering, f: CircleModes, branch: int, ys):
-    """(rho o beta_branch)^* f evaluated at downstairs points ys."""
-    offset = float(branch) * cov.upstairs.base.circumference / cov.degree
-    return f.evaluate(np.asarray(ys, dtype=float) + offset)
-
-
 @dataclass
 class TorusForm:
     """Differential form on a flat 2-torus; one mode component per axis set.

@@ -173,6 +173,22 @@ def test_cli_config_file(tmp_path):
     assert cli_main(["--config", str(path)]) == 0
 
 
+@pytest.mark.parametrize("modes", [8, 10, 12])
+def test_free_rotation_z4_writes_a_report_at_small_cutoffs(modes, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg("free-rotation-circle", params={"m": 4, "modes": modes})))
+    assert cli_main(["--config", str(path), "--out", str(tmp_path / "o")]) in (0, 1)
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["params"] == {"buffer": 2, "m": 4, "modes": modes}
+
+
+def test_spectra_match_names_its_eigenvalue_floor():
+    _, report = run_scenario(cfg("free-rotation-circle", modes=32, buffer=16, checks=["spectra-match"]))
+    (check,) = report["checks"]
+    assert not check["passed"] and check["value"] == 0.0
+    assert "needs more than 4 eigenvalues" in check["detail"]
+
+
 def test_empty_check_list_gives_empty_report():
     config = cfg("a2-example", checks=[])
     code, report = run_scenario(config)

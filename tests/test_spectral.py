@@ -187,11 +187,56 @@ def test_chart_decomposition_independence():
     assert lhs == pytest.approx(np.pi, abs=1e-10)
 
 
+def test_coefficient_integrals_match_a_resolving_grid():
+    """Against grid quadrature fine enough to resolve the whole product."""
+    rng = np.random.default_rng(6)
+    circle = FourierCircle(3.0, 8)
+    rho = CircleModes.zero(circle, 8)
+    rho.coeffs[8 + np.array([-1, 0, 2])] = [0.3 - 0.1j, 0.5, 0.2j]  # not symmetric in k
+    psi1 = CircleModes.random(circle, 6, rng, (2,), twist=Fraction(1, 2))
+    psi2 = CircleModes.random(circle, 9, rng, (2,), twist=Fraction(1, 2))
+    xs = circle.grid(64)
+    measure = OrbifoldMeasure(circle, [Chart("a", 2, 1, rho)])
+    pairing = np.einsum("xi,xi->x", np.conj(psi1.evaluate(xs)), psi2.evaluate(xs))
+    ref = 0.5 * 3.0 * np.mean(rho.evaluate(xs) * pairing)
+    assert abs(orbifold_inner(measure, psi1, psi2) - ref) <= 1e-12
+    f = CircleModes.random(circle, 5, rng)
+    assert abs(orbifold_integral(measure, f) - 1.5 * np.mean(rho.evaluate(xs) * f.evaluate(xs))) <= 1e-12
+
+    torus = FourierTorus((2.0, 5.0), 4)
+    trho = TorusModes.zero(torus, 4)
+    trho.coeffs[4 + 1, 4 - 2] = 0.25
+    trho.coeffs[4, 4] = 1.0
+    g = TorusModes(torus, 3, rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7)))
+    txs, tys = torus.grid(32)
+    ref = 10.0 * np.mean(trho.evaluate(txs, tys) * g.evaluate(txs, tys))
+    got = orbifold_integral(OrbifoldMeasure(torus, [Chart("t", 1, 1, trho)]), g)
+    assert abs(got - ref) <= 1e-12
+
+
 def test_partition_must_sum_to_one():
     base = FourierCircle(mode_cutoff=8)
     bad = OrbifoldMeasure(base, [Chart("half", 2, 1, CircleModes.mode(base, 8, 0) * 0.5)])
     with pytest.raises(CatalogError):
         bad.validate()
+
+
+def test_partition_must_be_invariant():
+    base = FourierCircle(mode_cutoff=8)
+    G = rotation_groupoid(2, base)
+    rho1 = CircleModes.mode(base, 8, 0) * 0.5 + CircleModes.mode(base, 8, 1, amplitude=0.25)
+    rho2 = CircleModes.mode(base, 8, 0) - rho1  # sums to one, but the half turn flips mode 1
+    split = OrbifoldMeasure(base, [Chart("a", 2, 1, rho1), Chart("b", 2, 1, rho2)])
+    split.validate()
+    with pytest.raises(CatalogError, match="not invariant"):
+        split.validate(G)
+
+
+def test_twisted_integrand_is_refused():
+    base = FourierCircle(mode_cutoff=8)
+    spinor = CircleModes.mode(base, 8, 0, twist=Fraction(1, 2))
+    with pytest.raises(CatalogError, match="not a scalar function"):
+        orbifold_integral(uniform_measure(base, 2, 1), spinor)
 
 
 # -- induced Dirac (covering scenarios)
@@ -209,6 +254,28 @@ def test_induced_dirac_z2_matches_quotient_spectrum():
     assert ind.branch_residual <= 1e-12
 
 
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("M", [8, 12, 48, 96, 192, 256])
+def test_covering_residuals_hold_at_every_cutoff(m, M):
+    """local-representatives and divergence-symmetry at their default tolerances."""
+    spec = circle_spec(m, M)
+    ind = induced_dirac(QuotientCovering.of(spec.groupoid), spec)
+    assert max(ind.conjugation_residual, ind.branch_residual) <= 1e-12
+    rng = np.random.default_rng(1)
+    reach = M - 2  # the default buffer
+    pairs = []
+    for _ in range(4):
+        coeffs = np.zeros((2, 2 * M + 1), dtype=complex)
+        for k in ind.invariant_modes:
+            if abs(k) <= reach:
+                coeffs[:, k + M] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        pairs.append(tuple(CircleModes(spec.groupoid.base, M, c) for c in coeffs))
+    report = check_spectral_triple(
+        spec, [], measure=uniform_measure(spec.groupoid.base, m, 1), invariant_pairs=pairs
+    )
+    assert report.symmetry_residual <= 1e-10
+
+
 def test_induced_dirac_z4():
     spec = circle_spec(4, 32)
     cov = QuotientCovering.of(spec.groupoid)
@@ -224,6 +291,7 @@ def test_induced_dirac_sign_character_gives_half_twist():
     cov = QuotientCovering.of(spec.groupoid)
     ind = induced_dirac(cov, spec)
     assert ind.down_twist == Fraction(1, 2)
+    assert max(ind.conjugation_residual, ind.branch_residual) <= 1e-12
     up_vals, dn_vals = matched_interior_spectra(ind)
     assert np.max(np.abs(up_vals - dn_vals)) <= 1e-9
 
@@ -320,6 +388,19 @@ def test_divergence_symmetry_residual():
     assert report.symmetry_residual <= 1e-10
 
 
+def test_divergence_symmetry_on_the_torus():
+    spec = pillowcase_spec(M=8)
+    torus = spec.groupoid.base
+    rng = np.random.default_rng(4)
+    shape = (17, 17, spec.lift.rep.spinor_dim)
+    pairs = [tuple(TorusModes(torus, 8, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                   for _ in range(2)) for _ in range(3)]
+    report = check_spectral_triple(
+        spec, [], measure=uniform_measure(torus, 2, 1), invariant_pairs=pairs
+    )
+    assert report.symmetry_residual <= 1e-10
+
+
 def test_growth_exponent_needs_levels():
     with pytest.raises(CatalogError):
         growth_exponent(np.array([0.0, 0.1]), 1.0)
@@ -352,6 +433,24 @@ def test_induced_tangent_cocycle_matches_downstairs():
     induced = induced_tangent_cocycle(cov, cover, branches)
     downstairs = downstairs_tangent_cocycle(cov, cover)
     assert set(induced) == set(downstairs)
+    for key in induced:
+        assert np.array_equal(induced[key], downstairs[key])
+
+
+def test_tangent_cocycles_see_an_overlap_between_grid_points():
+    spec = circle_spec(2, 8)
+    cov = QuotientCovering.of(spec.groupoid)
+    spacing = Fraction(1, cov.downstairs.grid_size)
+    # (-1/4, 1/4) and (15/64, 47/64) meet on (15/64, 1/4), which holds no point k/32;
+    # the open arc (1/4, 3/4) only touches the first one, at both ends
+    quarter = Fraction(1, 4)
+    cover = CechCover((CircleArc(0, quarter), CircleArc(Fraction(31, 64), quarter),
+                       CircleArc(Fraction(1, 2), quarter)))
+    assert quarter - Fraction(15, 64) < spacing
+    induced = induced_tangent_cocycle(cov, cover, {0: 0, 1: 1, 2: 0})
+    downstairs = downstairs_tangent_cocycle(cov, cover)
+    meeting = {(i, j) for i in range(3) for j in range(3)} - {(0, 2), (2, 0)}
+    assert set(induced) == set(downstairs) == meeting
     for key in induced:
         assert np.array_equal(induced[key], downstairs[key])
 

@@ -13,7 +13,6 @@ from orbikit.transport import (
     InvarianceError,
     InvariantConnection,
     InvariantInnerProduct,
-    branch_values,
     contraction_residual,
     induce_connection,
     induce_inner_product,
@@ -232,8 +231,8 @@ def test_overlap_agreement_of_branch_pullbacks():
     comp = invariant_modes(cov, 5)
     omega = CircleForm(1, comp)
     ys = np.linspace(0.2, 1.1, 13)  # sits inside an overlap of adjacent branch charts
-    v0 = branch_values(cov, omega.comp, 0, ys)
-    v1 = branch_values(cov, omega.comp, 1, ys)
+    # branch b reads the form at ys + b L/m, L/m the quotient circumference
+    v0, v1 = (omega.comp.evaluate(ys + b * cov.downstairs.circumference) for b in (0, 1))
     assert np.max(np.abs(v0 - v1)) <= 1e-10
 
 
