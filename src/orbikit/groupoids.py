@@ -15,7 +15,9 @@ result keeps the arrow order.
 
 Composition lives in one integer table, ``FiniteGroupoid.table``: ``(P, 3)``
 rows ``[later, earlier, result]`` of arrow indices, sorted by ``(later,
-earlier)``, which is the ``compose`` layout of the groupoid file format.
+earlier)``.  On a groupoid its first two columns are the pairs
+``composable_index`` lists, in that order, so the groupoid file format
+stores only the ``result`` column.
 ``finite_action_groupoid``, ``cech_groupoid``, a span's middle
 (``morita.weak_equivalence_pair``) and the file reader
 (``serialize.groupoid_from_dict``) compute that table in integers
@@ -277,15 +279,24 @@ class FiniteGroupoid:
     def _label_table(self) -> np.ndarray:
         return table_from_cmp(self.arrows, self.cmp, self.arrow_index)
 
+    def _per_table(self, name, build):
+        """``build(table)``, kept under ``name`` until the table changes."""
+        table = self.table
+        kept = self.__dict__.get(name)
+        if kept is None or kept[0] is not table:
+            kept = self.__dict__[name] = table, build(table)
+        return kept[1]
+
     def compose_ids(self, later, earlier) -> np.ndarray:
         """Index of ``later o earlier`` for two index arrays; -1 where undefined.
 
         A negative index, standing for an arrow that is not there, reads -1.
+        The sorted pair keys of the table are kept until the table changes.
         """
         table, n = self.table, len(self.arrows)
         if not len(table):
             return np.full(later.shape, -1, dtype=np.int64)
-        keys = table[:, 0] * n + table[:, 1]
+        keys = self._per_table("_keys", lambda t: t[:, 0] * n + t[:, 1])
         wanted = later * n + earlier
         pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
         found = (keys[pos] == wanted) & (later >= 0) & (earlier >= 0)
@@ -299,13 +310,12 @@ class FiniteGroupoid:
         three arrays are the columns of ``table``.  Kept until the table
         changes.
         """
-        table = self.table
-        kept = self.__dict__.get("_composites")
-        if kept is None or kept[0] is not table:
+
+        def build(table):
             later, earlier = composable_index(*object_ids(self.arrows, self.src, self.tgt))
-            kept = table, (later, earlier, self.compose_ids(later, earlier))
-            self.__dict__["_composites"] = kept
-        return kept[1]
+            return later, earlier, self.compose_ids(later, earlier)
+
+        return self._per_table("_composites", build)
 
 
 def group_groupoid(group: FiniteGroup, point="*", name=None) -> FiniteGroupoid:
@@ -758,6 +768,11 @@ def trivial_cover(G) -> CechCover:
 
 
 def validate_cover(G, cover: CechCover) -> ValidationReport:
+    """An empty sheet, or an object or a point of the circle in no sheet, is a violation.
+
+    On a circle only the open ``CircleArc`` sheets cover, and their union is
+    decided exactly (``uncovered_turns``), not on the sample grid.
+    """
     rep = ValidationReport(subject="cover")
     for a in cover.indices():
         s = cover.sheet(a)
@@ -768,10 +783,27 @@ def validate_cover(G, cover: CechCover) -> ValidationReport:
             if not cover.sheets_containing(x):
                 rep.add(f"object {x!r} not covered")
     elif isinstance(G, ActionGroupoid):
-        for t in G.grid_turns():
-            if not cover.sheets_containing(t):
-                rep.add(f"sample point {t} not covered")
+        for t in uncovered_turns([s for s in cover.sheets if isinstance(s, CircleArc)]):
+            rep.add(f"point {t} not covered")
     return rep
+
+
+def uncovered_turns(arcs) -> list:
+    """One point, in turns, of each gap that the open ``arcs`` leave on the circle, ascending.
+
+    A gap is a closed arc, possibly a single point, that starts where some
+    arc ends and runs to the nearest arc start; the point named is its
+    midpoint.  Exact on the rational turns.
+    """
+    if not arcs:
+        return [Fraction(0)]
+    starts = [(a.center - a.half_width) % 1 for a in arcs]
+    points = set()
+    for a in arcs:
+        end = (a.center + a.half_width) % 1
+        if not any(b.contains(end) for b in arcs):
+            points.add((end + min((s - end) % 1 for s in starts) / 2) % 1)
+    return sorted(points)
 
 
 def cech_groupoid(G, cover: CechCover):

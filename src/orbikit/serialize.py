@@ -31,18 +31,22 @@ from .groupoids import (
     CircleArc,
     FiniteGroup,
     FiniteGroupoid,
+    composable_index,
+    label_ids,
     table_groupoid,
 )
 from .morita import Bitorsor
 
 SCHEMAS = {
-    "groupoid": "orbikit/groupoid/1",
+    "groupoid": "orbikit/groupoid/2",
     "bitorsor": "orbikit/bitorsor/1",
     "cocycle": "orbikit/cocycle/1",
     "modes": "orbikit/modes/1",
     "convolution": "orbikit/convolution/1",
     "cover": "orbikit/cover/1",
 }
+# read, never written: finite documents that list every composition as a row
+GROUPOID_SCHEMA_1 = "orbikit/groupoid/1"
 
 
 def _freeze(value):
@@ -95,15 +99,17 @@ def _groupoid_body(G) -> dict:
         index, table = G.arrow_index, G.table
         if len(table) != len(G.cmp) or (table[:, 2] < 0).any():
             raise ValueError(f"cannot serialize {G.name!r}: cmp names a label outside its arrows")
+        src, tgt = _endpoint_ids(G)
+        _check_composable_rows(G, table, *composable_index(src, tgt))
         return {
             "schema": SCHEMAS["groupoid"],
             "flavor": "finite",
             "name": G.name,
             "objects": [_thaw(x) for x in G.objects],
             "arrows": [_thaw(a) for a in G.arrows],
-            "src": [_thaw(G.src[a]) for a in G.arrows],
-            "tgt": [_thaw(G.tgt[a]) for a in G.arrows],
-            "compose": table.tolist(),
+            "src": src.tolist(),
+            "tgt": tgt.tolist(),
+            "result": table[:, 2].tolist(),
             "inverse": [index[G.inv[a]] for a in G.arrows],
             "unit": [index[G.unit[x]] for x in G.objects],
         }
@@ -161,8 +167,72 @@ def _groupoid_body(G) -> dict:
     raise TypeError(f"cannot serialize {G!r}")
 
 
+def _endpoint_ids(G):
+    """Each arrow's source and target as positions in ``G.objects``.
+
+    An endpoint outside the objects raises ``ValueError`` naming its arrow.
+    """
+    place = {x: i for i, x in enumerate(G.objects)}
+    known = len(place)
+    src, tgt = label_ids(place, G.arrows, G.src), label_ids(place, G.arrows, G.tgt)
+    outside = np.flatnonzero((src >= known) | (tgt >= known))
+    if len(outside):
+        a = G.arrows[outside[0]]
+        raise ValueError(f"cannot serialize {G.name!r}: an endpoint of {a!r} is not one of its objects")
+    return src, tgt
+
+
+def _check_composable_rows(G, table, later, earlier):
+    """Raise ``ValueError`` unless the table's pairs are exactly ``(later, earlier)``.
+
+    A schema-2 document stores only the results, in the order of the
+    composable pairs, so a missing or an extra pair cannot be written; the
+    error names the first one.
+    """
+    n = min(len(table), len(later))
+    off = np.flatnonzero((table[:n, 0] != later[:n]) | (table[:n, 1] != earlier[:n]))
+    if not len(off) and len(table) == len(later):
+        return
+    i = off[0] if len(off) else n  # the first place where they differ
+    row = tuple(table[i, :2].tolist()) if i < len(table) else None
+    pair = (int(later[i]), int(earlier[i])) if i < len(later) else None
+    # the smaller of the two is the pair the other side lacks
+    if row is not None and (pair is None or row < pair):
+        tau, sigma = (G.arrows[j] for j in row)
+        raise ValueError(f"cannot serialize {G.name!r}: cmp composes {tau!r} after {sigma!r}, which are not composable")
+    tau, sigma = (G.arrows[j] for j in pair)
+    raise ValueError(f"cannot serialize {G.name!r}: cmp has no composite of {tau!r} after {sigma!r}")
+
+
+def index_array(values, n, length, field) -> np.ndarray:
+    """A schema-2 index list as ints: ``length`` entries, each in ``0 <= i < n``.
+
+    A value that is not a list, or an entry that is not an integer, raises
+    ``TypeError``; a list of another length ``ValueError``; an index outside
+    the range, negative ones included, ``IndexError``.
+    """
+    if not isinstance(values, list):
+        raise TypeError(f"{field} must be a list of indices, not {type(values).__name__}")
+    if len(values) != length:
+        raise ValueError(f"{field} holds {len(values)} indices where {length} are needed")
+    try:
+        ids = np.asarray(values, dtype=None if values else np.int64)
+    except ValueError:  # nested lists of different lengths
+        ids = None
+    if ids is None or ids.dtype.kind != "i" or ids.ndim != 1:
+        bad = next((v for v in values if not isinstance(v, int)), None)
+        if bad is not None:
+            raise TypeError(f"{field} holds {bad!r}, which is not an index")
+        # all integers, some past int64: those read -1 and fail below
+        ids = np.array([v if 0 <= v < n else -1 for v in values], dtype=np.int64)
+    outside = np.flatnonzero((ids < 0) | (ids >= n))
+    if len(outside):
+        raise IndexError(f"{field} holds {values[outside[0]]}, outside 0 <= i < {n}")
+    return ids
+
+
 def compose_table(rows, n) -> np.ndarray:
-    """The sorted table of a document's ``compose`` rows over ``n`` arrows.
+    """The sorted table of a schema-1 document's ``compose`` rows over ``n`` arrows.
 
     The rows read as a label dict built from them in row order would: a
     negative index counts from the end of the arrows, and a repeated pair
@@ -190,26 +260,51 @@ def compose_table(rows, n) -> np.ndarray:
     return table[last]
 
 
+def _finite_tables_1(doc, objects, arrows):
+    """The table and the label dicts of a schema-1 finite document."""
+    return compose_table(doc["compose"], len(arrows)), dict(
+        src={a: _freeze(x) for a, x in zip(arrows, doc["src"])},
+        tgt={a: _freeze(x) for a, x in zip(arrows, doc["tgt"])},
+        inv={a: arrows[i] for a, i in zip(arrows, doc["inverse"])},
+        unit={x: arrows[i] for x, i in zip(objects, doc["unit"])},
+    )
+
+
+def _finite_tables_2(doc, objects, arrows):
+    """The table and the label dicts of a schema-2 finite document."""
+
+    def lookup(field, labels, keys):
+        ids = index_array(doc[field], len(labels), len(keys), field)
+        return ids, dict(zip(keys, map(labels.__getitem__, ids.tolist())))
+
+    src, src_of = lookup("src", objects, arrows)
+    tgt, tgt_of = lookup("tgt", objects, arrows)
+    later, earlier = composable_index(src, tgt)  # the pairs in table order
+    result = index_array(doc["result"], len(arrows), len(later), "result")
+    return np.column_stack((later, earlier, result)), dict(
+        src=src_of,
+        tgt=tgt_of,
+        inv=lookup("inverse", arrows, arrows)[1],
+        unit=lookup("unit", arrows, objects)[1],
+    )
+
+
 def groupoid_from_dict(doc: dict):
-    if doc.get("schema") != SCHEMAS["groupoid"]:
-        raise ValueError(f"not a groupoid document: schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if schema not in (SCHEMAS["groupoid"], GROUPOID_SCHEMA_1):
+        raise ValueError(f"not a groupoid document: schema {schema!r}")
     if doc["flavor"] == "finite":
         objects = tuple(_freeze(x) for x in doc["objects"])
         arrows = tuple(_freeze(a) for a in doc["arrows"])
-        src = {a: _freeze(x) for a, x in zip(arrows, doc["src"])}
-        tgt = {a: _freeze(x) for a, x in zip(arrows, doc["tgt"])}
-        inv = {a: arrows[i] for a, i in zip(arrows, doc["inverse"])}
-        unit = {x: arrows[i] for x, i in zip(objects, doc["unit"])}
+        read = _finite_tables_1 if schema == GROUPOID_SCHEMA_1 else _finite_tables_2
+        table, tables = read(doc, objects, arrows)
         return table_groupoid(
             arrows,
-            compose_table(doc["compose"], len(arrows)),
+            table,
             objects=objects,
-            src=src,
-            tgt=tgt,
-            inv=inv,
-            unit=unit,
             base=FiniteSet(objects),
             name=doc.get("name", "groupoid"),
+            **tables,
         )
     if doc["flavor"] == "fourier_action":
         b = doc["base"]

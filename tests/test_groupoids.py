@@ -19,6 +19,7 @@ from orbikit.groupoids import (
     rotation_groupoid,
     trivial_cover,
     unit_groupoid,
+    validate_cover,
     validate_groupoid,
 )
 
@@ -202,3 +203,22 @@ def test_action_groupoid_homomorphism_violation():
     H = ActionGroupoid(G.group, G.base, bad, name="broken")
     rep = validate_groupoid(H)
     assert not rep.ok
+
+
+def test_circle_cover_is_decided_on_exact_arcs():
+    G = rotation_groupoid(2, FourierCircle(mode_cutoff=8))  # 32 sample points
+    # (-65/256, 65/256) and (67/256, 193/256) leave [65/256, 67/256], which holds no k/32
+    gap = CechCover((CircleArc(0, Fraction(65, 256)), CircleArc(Fraction(130, 256), Fraction(63, 256))))
+    rep = validate_cover(G, gap)
+    assert rep.violations == [f"point {Fraction(66, 256)} not covered"]
+    assert not any(gap.sheets_containing(Fraction(66, 256)))
+    # open arcs that only touch leave their common endpoints uncovered
+    touching = CechCover((CircleArc(Fraction(1, 4), Fraction(1, 4)), CircleArc(Fraction(3, 4), Fraction(1, 4))))
+    assert validate_cover(G, touching).violations == ["point 0 not covered", "point 1/2 not covered"]
+    overlapping = CechCover((CircleArc(Fraction(1, 4), Fraction(1, 4)), CircleArc(Fraction(3, 4), Fraction(65, 256))))
+    assert validate_cover(G, overlapping).ok
+    whole_but_one = CechCover((CircleArc(0, Fraction(1, 2)),))
+    assert validate_cover(G, whole_but_one).violations == ["point 1/2 not covered"]
+    assert validate_cover(G, CechCover(())).violations == ["point 0 not covered"]
+    with pytest.raises(ValueError, match="not covered"):
+        cech_groupoid(G, gap)

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from orbikit.groupoids import (
     rotation_groupoid,
     validate_groupoid,
 )
-from orbikit.morita import double_cover_bitorsor, validate_generalized_hom
+from orbikit.morita import (
+    cech_bitorsor,
+    double_cover_bitorsor,
+    validate_generalized_hom,
+    weak_equivalence_pair,
+)
 from orbikit.serialize import (
     bitorsor_from_dict,
     bitorsor_to_dict,
@@ -34,8 +40,18 @@ from orbikit.serialize import (
 )
 
 
+SCHEMA_1_FILE = Path(__file__).parent / "data" / "groupoid-1-Z6xZ3.json"
+FINITE_FIELDS = ("objects", "arrows", "src", "tgt", "cmp", "inv", "unit", "name")
+
+
 def roundtrip(doc):
     return json.loads(json.dumps(doc, sort_keys=True))
+
+
+def assert_same_finite_groupoid(H, G):
+    for name in FINITE_FIELDS:
+        assert getattr(H, name) == getattr(G, name), name
+    assert np.array_equal(H.table, G.table)
 
 
 def test_finite_groupoid_roundtrip():
@@ -46,6 +62,26 @@ def test_finite_groupoid_roundtrip():
     assert set(H.arrows) == set(G.arrows)
     assert H.cmp == G.cmp and H.inv == G.inv and H.unit == G.unit
     assert validate_groupoid(H).ok
+
+
+def test_schema_1_file_reads_to_the_same_groupoid():
+    G = cyclic_translation_groupoid(6, 3)
+    doc = load_json(SCHEMA_1_FILE)
+    assert doc["schema"] == "orbikit/groupoid/1" and "compose" in doc
+    H = groupoid_from_dict(doc)
+    assert_same_finite_groupoid(H, G)
+    rewritten = groupoid_to_dict(H)
+    assert rewritten["schema"] == "orbikit/groupoid/2" and "compose" not in rewritten
+    assert rewritten["result"] == [r for _, _, r in doc["compose"]]
+
+
+def test_cech_span_middle_file_is_small_and_reads_back_equal(tmp_path):
+    G = cyclic_translation_groupoid(6, 3)
+    M = weak_equivalence_pair(cech_bitorsor(G, CechCover(((0, 1), (1, 2), (2, 0))))).middle
+    path = tmp_path / "middle.json"
+    save_json(path, groupoid_to_dict(M))
+    assert path.stat().st_size < 1_200_000
+    assert_same_finite_groupoid(groupoid_from_dict(load_json(path)), M)
 
 
 def test_action_groupoid_roundtrip():

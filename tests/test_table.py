@@ -10,8 +10,10 @@ writer.
 
 import itertools
 import json
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ from orbikit.morita import (
 from orbikit.serialize import groupoid_from_dict, groupoid_to_dict, load_json, save_json
 
 COVER = CechCover(((0, 1), (1, 2), (2, 0)))
+# cyclic_translation_groupoid(6, 3) as the orbikit/groupoid/1 writer wrote it
+SCHEMA_1_FILE = Path(__file__).parent / "data" / "groupoid-1-Z6xZ3.json"
 
 
 def ref_table(G):
@@ -144,6 +148,21 @@ def test_writer_refuses_labels_outside_the_arrows(groupoids):
         groupoid_to_dict(groupoids["stray labels"])
 
 
+def test_writer_refuses_a_table_that_is_not_the_composable_pairs():
+    G = cyclic_translation_groupoid(6, 3)
+    _, dropped, extra = malformed(G)
+    missing = replace(G, cmp={k: v for k, v in G.cmp.items() if k != dropped})
+    with pytest.raises(ValueError, match=re.escape(f"no composite of {dropped[0]!r} after {dropped[1]!r}")):
+        groupoid_to_dict(missing)
+    surplus = replace(G, cmp={**G.cmp, extra: G.arrows[0]})
+    with pytest.raises(ValueError, match=re.escape(f"composes {extra[0]!r} after {extra[1]!r}, which are not")):
+        groupoid_to_dict(surplus)
+    a = G.arrows[4]
+    astray = replace(G, src={**G.src, a: "nowhere"})
+    with pytest.raises(ValueError, match=re.escape(f"endpoint of {a!r} is not one of its objects")):
+        groupoid_to_dict(astray)
+
+
 @pytest.mark.parametrize("name", ["middle(a2 N=3)", "middle(Cech)"])
 def test_span_table_equals_the_derived_one(groupoids, name):
     G = groupoids[name]
@@ -174,7 +193,7 @@ def test_lookups_on_a_malformed_table():
 
 def test_shuffled_document_rows_read_back_as_the_dict_reads_them():
     G = cyclic_translation_groupoid(6, 3)
-    doc = groupoid_to_dict(G)
+    doc = load_json(SCHEMA_1_FILE)
     rows = doc["compose"][::-1]
     rows.append(list(rows[0]))
     rows[0] = [rows[0][0], rows[0][1], rows[1][2]]  # repeated pair: the later row wins
@@ -206,12 +225,50 @@ def ref_read_cmp(arrows, rows):
     ],
 )
 def test_malformed_document_rows_fail_as_the_dict_reader_did(rows, error):
-    doc = groupoid_to_dict(cyclic_translation_groupoid(6, 3))  # 18 arrows
+    doc = load_json(SCHEMA_1_FILE)  # 18 arrows
     arrows = tuple(map(tuple, doc["arrows"]))
     with pytest.raises(error):
         ref_read_cmp(arrows, rows)
     with pytest.raises(error):
         groupoid_from_dict({**doc, "compose": rows})
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        pytest.param("result", 3, TypeError, id="not-a-list"),
+        pytest.param("result", {"0": 3}, TypeError, id="object"),
+        pytest.param("result", [1.5], TypeError, id="float"),
+        pytest.param("result", [3.0], TypeError, id="integral-float"),
+        pytest.param("result", ["2"], TypeError, id="string"),
+        pytest.param("result", [[0]], TypeError, id="nested"),
+        pytest.param("src", [0.0], TypeError, id="float-src"),
+        pytest.param("result", "short", ValueError, id="short-result"),
+        pytest.param("result", "long", ValueError, id="long-result"),
+        pytest.param("src", "short", ValueError, id="short-src"),
+        pytest.param("tgt", "long", ValueError, id="long-tgt"),
+        pytest.param("inverse", "short", ValueError, id="short-inverse"),
+        pytest.param("result", [18], IndexError, id="past-the-end"),
+        pytest.param("result", [-1], IndexError, id="negative"),
+        pytest.param("result", [2**63], IndexError, id="past-int64"),
+        pytest.param("src", [3], IndexError, id="src-past-the-objects"),
+        pytest.param("tgt", [-3], IndexError, id="negative-tgt"),
+        pytest.param("unit", [-1], IndexError, id="negative-unit"),
+    ],
+)
+def test_malformed_schema_2_documents_are_refused(field, value, error):
+    doc = groupoid_to_dict(cyclic_translation_groupoid(6, 3))  # 3 objects, 18 arrows
+    assert doc["schema"] == "orbikit/groupoid/2"
+    good = doc[field]
+    if value == "short":
+        value = good[:-1]
+    elif value == "long":
+        value = good + good[:1]
+    elif isinstance(value, list):
+        value = value + good[1:]  # the first entry replaced
+    with pytest.raises(error):
+        groupoid_from_dict({**doc, field: value})
+    assert groupoid_from_dict(doc).table.tolist() == ref_table(cyclic_translation_groupoid(6, 3))
 
 
 def translation_rule(t, s):
@@ -254,7 +311,13 @@ def test_writes_into_a_table_cmp_reach_the_table():
         for mine, theirs in zip(X.composites, ref.composites):
             assert np.array_equal(mine, theirs)
         assert not np.array_equal(before[2], X.composites[2])
-        assert groupoid_to_dict(X) == groupoid_to_dict(ref)
+        # neither is a groupoid table now, so schema 2 cannot hold either
+        errors = []
+        for Y in (X, ref):
+            with pytest.raises(ValueError, match="cannot serialize") as err:
+                groupoid_to_dict(Y)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
         X.cmp[("stray", X.arrows[0])] = X.arrows[0]
         with pytest.raises(ValueError, match="outside its arrows"):
             groupoid_to_dict(X)
@@ -652,7 +715,7 @@ def test_span_check_leaves_the_middle_cmp_unbuilt():
     assert pair.check().ok
     M = pair.middle
     doc = groupoid_to_dict(M)
-    assert len(M.cmp) == len(M.table) == len(doc["compose"])
+    assert len(M.cmp) == len(M.table) == len(doc["result"])
     assert "_dict" not in vars(M.cmp)
     ref = cmp_from_table(M.arrows, M.table)
     assert list(M.cmp.items()) == list(ref.items())
