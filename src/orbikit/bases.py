@@ -41,6 +41,21 @@ def unit_phase(turns) -> complex:
     return cmath.exp(2j * cmath.pi * float(fr))
 
 
+def phase_vector(M, twist, turns) -> np.ndarray:
+    """unit_phase((k + twist) * turns) for k = -M..M, bit for bit.
+
+    The fractional parts are integer residues over one common denominator;
+    each distinct residue takes its phase from ``unit_phase`` once, so full
+    turns give exactly 1.0 and half turns exactly -1.0.
+    """
+    t, tw = _frac(turns), _frac(twist)
+    den = t.denominator * tw.denominator
+    ks = np.arange(-M, M + 1, dtype=np.int64)
+    residues = np.mod((ks * tw.denominator + tw.numerator) * t.numerator, den)
+    levels, where = np.unique(residues, return_inverse=True)
+    return np.array([unit_phase(Fraction(int(r), den)) for r in levels], dtype=complex)[where]
+
+
 # ---------------------------------------------------------------------------
 # base spaces
 
@@ -372,10 +387,8 @@ class CircleModes:
 
     def rotate_pullback(self, turns) -> "CircleModes":
         """Pullback under rotation: result(x) = self(x + turns*L)."""
-        t = _frac(turns)
-        phases = np.array(
-            [unit_phase((Fraction(int(k)) + self.twist) * t) for k in self.modes]
-        ).reshape((-1,) + (1,) * len(self.fibre_shape))
+        phases = phase_vector(self.cutoff, self.twist, turns)
+        phases = phases.reshape((-1,) + (1,) * len(self.fibre_shape))
         return CircleModes(self.circle, self.cutoff, phases * self.coeffs, self.twist)
 
     def conj(self) -> "CircleModes":
@@ -492,24 +505,26 @@ class TorusModes:
         )
 
     def pullback(self, iso: TorusIsometry) -> "TorusModes":
-        """result(v) = self(iso(v)); exact coefficient permutation + phase."""
+        """result(v) = self(iso(v)); exact coefficient permutation + phase.
+
+        Mode w of self(e*v + s*L) picks up unit_phase((k+t)*s) per axis and
+        lands at frequency e*w, i.e. at the index k' with k'+t = e*(k+t).
+        """
         out = TorusModes.zero(self.torus, self.cutoff, self.fibre_shape, self.twist)
+        M = self.cutoff
+        rows, cols = np.nonzero(np.abs(self.coeffs).reshape(2 * M + 1, 2 * M + 1, -1).max(axis=2) > 0)
+        if rows.size == 0:
+            return out
         e = -1 if iso.negate else 1
-        for k1, k2 in self.nonzero_modes():
-            # phase from the shift, then frequency sign flip from negation:
-            # self(e*v + s*L): mode w picks up unit_phase((k+t)*s) and lands
-            # at frequency e*w, i.e. out-index with k'+t = e*(k+t).
-            ph = unit_phase((Fraction(k1) + self.twist[0]) * iso.shift[0]) * unit_phase(
-                (Fraction(k2) + self.twist[1]) * iso.shift[1]
-            )
-            o1 = e * k1 + (e - 1) * self.twist[0]
-            o2 = e * k2 + (e - 1) * self.twist[1]
-            if o1 % 1 != 0 or o2 % 1 != 0:
-                raise BandLimitError("negation does not preserve this twist lattice")
-            o1, o2 = int(o1), int(o2)
-            if abs(o1) > self.cutoff or abs(o2) > self.cutoff:
-                raise BandLimitError("pullback leaves the truncation window")
-            out.coeffs[o1 + self.cutoff, o2 + self.cutoff] += (
-                ph * self.coeffs[k1 + self.cutoff, k2 + self.cutoff]
-            )
+        offsets = [(e - 1) * t for t in self.twist]
+        if any(o % 1 != 0 for o in offsets):
+            raise BandLimitError("negation does not preserve this twist lattice")
+        o1 = e * (rows - M) + int(offsets[0])
+        o2 = e * (cols - M) + int(offsets[1])
+        if max(np.abs(o1).max(), np.abs(o2).max()) > M:
+            raise BandLimitError("pullback leaves the truncation window")
+        p1 = phase_vector(M, self.twist[0], iso.shift[0])
+        p2 = phase_vector(M, self.twist[1], iso.shift[1])
+        ph = (p1[rows] * p2[cols]).reshape((-1,) + (1,) * len(self.fibre_shape))
+        out.coeffs[o1 + M, o2 + M] = ph * self.coeffs[rows, cols]
         return out

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .bases import BandLimitError, CatalogError, CircleModes, TorusModes
 from .cocycles import ReconstructedBundle, trivial_bundle
 from .groupoids import ActionGroupoid, FiniteGroupoid, is_effective
-from .spectral import DiracSpec, action_matrix, check_spectral_triple, interior_norm, mult_operator
+from .spectral import DiracSpec, action_mult_operator, check_spectral_triple, interior_norm
 from .transport import BundleSection
 
 
@@ -186,15 +186,14 @@ def representation_matrix(spec: DiracSpec, f: ConvolutionElement) -> sp.csr_matr
     """pi(f) = sum_g U(g) mult(f_g) on the truncated spinor space."""
     if f.groupoid is not spec.groupoid:
         raise CatalogError("element lives on a different groupoid")
-    space = spec.space
     total = None
     for g, part in f.data.items():
-        term = action_matrix(spec, g) @ mult_operator(space, part)
+        term = action_mult_operator(spec, g, part)
         total = term if total is None else total + term
     if total is None:
-        dim = space.dim
+        dim = spec.space.dim
         total = sp.csr_matrix((dim, dim), dtype=complex)
-    return sp.csr_matrix(total)
+    return total
 
 
 # ---------------------------------------------------------------------------

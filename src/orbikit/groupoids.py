@@ -730,8 +730,19 @@ class CircleArc:
 
     def meets(self, other: "CircleArc") -> bool:
         """Whether the two open arcs share a point, decided on the exact turns."""
-        d = (other.center - self.center) % 1
-        return min(d, 1 - d) < self.half_width + other.half_width
+        return bool(self.overlap(other))
+
+    def overlap(self, other: "CircleArc") -> list:
+        """The open arcs that make up the common points of the two arcs: none,
+        one, or two when they wrap round the circle; exact on the turns."""
+        lo, hi = self.center - self.half_width, self.center + self.half_width
+        out = []
+        for lift in (-1, 0, 1):  # other's copies near self's interval
+            c = other.center + lift
+            a, b = max(lo, c - other.half_width), min(hi, c + other.half_width)
+            if a < b:
+                out.append(CircleArc((a + b) / 2, (b - a) / 2))
+        return out
 
 
 @dataclass(frozen=True)
@@ -762,9 +773,11 @@ class CechCover:
 
 
 def trivial_cover(G) -> CechCover:
+    """One sheet holding every object; on a circle, where an open arc misses
+    at least one point, the two half-width-1/2 arcs missing 1/2 and 0."""
     if isinstance(G, FiniteGroupoid):
         return CechCover((tuple(G.objects),))
-    return CechCover((CircleArc(Fraction(0), Fraction(1, 2)),))
+    return CechCover((CircleArc(Fraction(0), Fraction(1, 2)), CircleArc(Fraction(1, 2), Fraction(1, 2))))
 
 
 def validate_cover(G, cover: CechCover) -> ValidationReport:
@@ -860,10 +873,10 @@ def cech_groupoid(G, cover: CechCover):
 
 @dataclass(frozen=True, eq=False)
 class CechActionGroupoid:
-    """Symbolic Cech localization of a Fourier action groupoid.
+    """Symbolic Cech localization of a circle rotation groupoid.
 
     Arrows are (g, a, b): the action of g restricted to sheet b with image
-    meeting sheet a.  Domains are tracked on the sample grid.
+    meeting sheet a.  Domains are open arcs, decided exactly on the turns.
     """
 
     parent: ActionGroupoid
@@ -871,28 +884,24 @@ class CechActionGroupoid:
     arrows: tuple = field(init=False)
 
     def __post_init__(self):
-        arrs = []
-        pts = self.parent.grid_turns()
-        for g in self.parent.group.elements:
-            for a in self.cover.indices():
-                for b in self.cover.indices():
-                    dom = [
-                        t
-                        for t in pts
-                        if self.cover.member(b, t)
-                        and self.cover.member(a, self.parent.apply(g, t))
-                    ]
-                    if dom:
-                        arrs.append((g, a, b))
-        object.__setattr__(self, "arrows", tuple(arrs))
+        if not isinstance(self.parent.base, FourierCircle):
+            raise CatalogError("Cech localization of an action groupoid needs a circle base")
+        idx = self.cover.indices()
+        arrs = tuple(
+            (g, a, b) for g in self.parent.group.elements for a in idx for b in idx
+            if self.domain((g, a, b))
+        )
+        object.__setattr__(self, "arrows", arrs)
 
-    def domain(self, arrow):
+    def _into(self, g, a) -> CircleArc:
+        """The points that g, a rotation, moves into sheet a."""
+        sheet = self.cover.sheet(a)
+        return CircleArc(sheet.center - self.parent.iso[g].turns, sheet.half_width)
+
+    def domain(self, arrow) -> list:
+        """The points of sheet b that g moves into sheet a, as open arcs."""
         g, a, b = arrow
-        return [
-            t
-            for t in self.parent.grid_turns()
-            if self.cover.member(b, t) and self.cover.member(a, self.parent.apply(g, t))
-        ]
+        return self.cover.sheet(b).overlap(self._into(g, a))
 
     def composable_pairs(self):
         group = self.parent.group
@@ -900,12 +909,7 @@ class CechActionGroupoid:
             for (g2, a2, b2) in self.arrows:
                 if b1 != a2:
                     continue
-                # need a sample point moved by g2 from sheet b2 into the
-                # domain of (g1, a1, b1)
-                dom = [
-                    t
-                    for t in self.domain((g2, a2, b2))
-                    if self.cover.member(a1, self.parent.apply(group.mul(g1, g2), t))
-                ]
-                if dom:
-                    yield (g1, a1, b1), (g2, a2, b2), (group.mul(g1, g2), a1, b2)
+                # a point of (g2, a2, b2)'s domain that g1 g2 moves into sheet a1
+                g = group.mul(g1, g2)
+                if any(arc.meets(self._into(g, a1)) for arc in self.domain((g2, a2, b2))):
+                    yield (g1, a1, b1), (g2, a2, b2), (g, a1, b2)

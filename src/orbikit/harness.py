@@ -247,7 +247,7 @@ def build_free_rotation_circle(m, modes, buffer) -> Scenario:
     ind = induced_dirac(cov, spec)
     base = G.base
     measure = uniform_measure(base, m, 1)
-    spectra = [(f"up:{k}", float(w)) for (k,), (w,) in zip(spec.space.modes, spec.space.freqs)]
+    spectra = [(f"up:{k}", w) for (k,), (w,) in zip(spec.space.modes.tolist(), spec.space.freqs.tolist())]
     spectra += [
         (f"down:{j}", float(v))
         for j, v in zip(range(-ind.downstairs.spec.cutoff, ind.downstairs.spec.cutoff + 1),
@@ -396,8 +396,8 @@ def build_pillowcase_torus(modes, buffer) -> Scenario:
     G, lift = spec.groupoid, spec.lift
     torus = G.base
     spectra = [
-        (f"{k1},{k2}:{label}", sign * float(r))
-        for (k1, k2), r in zip(spec.space.modes, np.hypot(*spec.space.freqs.T))
+        (f"{k1},{k2}:{label}", sign * r)
+        for (k1, k2), r in zip(spec.space.modes.tolist(), np.hypot(*spec.space.freqs.T).tolist())
         for label, sign in (("+", 1), ("-", -1))
     ]
 

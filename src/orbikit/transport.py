@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bases import CatalogError, CircleModes, FourierCircle, unit_phase
+from .bases import CatalogError, CircleModes, FourierCircle, phase_vector, unit_phase
 from .cocycles import ReconstructedBundle
 from .groupoids import ActionGroupoid, FiniteGroupoid
 from .morita import Bitorsor, QuotientCovering, left_witness
@@ -184,34 +184,30 @@ def invariant_mode_indices(cov: QuotientCovering, twist=Fraction(0), lift_signs=
     """Upstairs modes fixed by every lifted group element."""
     G = cov.upstairs
     M = G.base.mode_cutoff
-    out = []
-    for k in range(-M, M + 1):
-        ok = True
-        for g in G.group.elements:
-            phase = unit_phase(-(Fraction(k) + twist) * G.iso[g].turns)
-            if lift_signs is not None:
-                phase = phase * lift_signs[g]
-            if abs(phase - 1.0) > 1e-12:
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return out
+    fixed = np.ones(2 * M + 1, dtype=bool)
+    for g in G.group.elements:
+        phase = phase_vector(M, twist, -G.iso[g].turns)
+        if lift_signs is not None:
+            phase = phase * lift_signs[g]
+        fixed &= np.abs(phase - 1.0) <= 1e-12
+    return [int(k) for k in np.flatnonzero(fixed) - M]
 
 
 def solve_downstairs_twist(cov: QuotientCovering, twist=Fraction(0), lift_signs=None):
     """The quotient-circle twist reproducing the invariant mode spectrum.
 
     Matches boundary conditions: invariant upstairs frequencies must equal
-    (TAU/L') (j + twist') for integers j.  Raises when no twist in
-    {0, 1/2} works (the structure does not descend).
+    (TAU/L') (j + twist') for integers j, i.e. (k + twist)/m must have
+    fractional part twist'; the exact phases of ``phase_vector`` read it off.
+    Raises when no twist in {0, 1/2} works (the structure does not descend).
     """
     ks = invariant_mode_indices(cov, twist, lift_signs)
     if not ks:
         raise InvarianceError("no invariant modes; nothing descends")
-    m = cov.degree
+    M = cov.upstairs.base.mode_cutoff
+    phases = phase_vector(M, twist, Fraction(1, cov.degree))[np.array(ks) + M]
     for tw in (Fraction(0), Fraction(1, 2)):
-        if all((Fraction(k) + twist) / m - tw == int((Fraction(k) + twist) / m - tw) for k in ks):
+        if np.all(phases == unit_phase(tw)):
             return tw
     raise InvarianceError("invariant spectrum matches no catalog twist")
 

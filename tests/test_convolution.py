@@ -31,7 +31,7 @@ from orbikit.groupoids import (
     unit_groupoid,
 )
 from orbikit.clifford import SpinLift
-from orbikit.spectral import DiracSpec
+from orbikit.spectral import DiracSpec, action_matrix, mult_operator
 from orbikit.transport import BundleSection
 
 
@@ -39,11 +39,11 @@ def z2():
     return group_groupoid(FiniteGroup.cyclic(2))
 
 
-def rotation_spec(m=2, M=8, signs=None):
+def rotation_spec(m=2, M=8, signs=None, twist=0):
     G = rotation_groupoid(m, FourierCircle(mode_cutoff=M))
     rep = build_clifford(1)
     lift = trivial_lift(G, rep) if signs is None else SpinLift(G, rep, dict(signs), True)
-    return DiracSpec(G, lift, (Fraction(0),), M)
+    return DiracSpec(G, lift, (Fraction(twist),), M)
 
 
 # -- the product
@@ -182,6 +182,72 @@ def test_representation_matrix_matches_act_modes():
     # interior modes agree; the matrix truncates at the window edge
     for k in range(-6, 7):
         assert abs(vec[k + 8] - out.coeffs[k + 8]) <= 1e-12
+
+
+def entries(mat):
+    coo = mat.tocoo()
+    return {(int(r), int(c)): v for r, c, v in zip(coo.row, coo.col, coo.data)}
+
+
+def random_part(base, M, seed, degree=3):
+    """Random mode data on the base, modes up to ``degree``."""
+    rng = np.random.default_rng(seed)
+    if base.dim == 1:
+        return CircleModes.random(base, M, rng, degree=degree)
+    f = TorusModes.zero(base, M)
+    window, shape = slice(M - degree, M + degree + 1), (2 * degree + 1,) * 2
+    f.coeffs[window, window] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return f
+
+
+def noneffective_spec(M=9):
+    G = rotation_groupoid(4, FourierCircle(mode_cutoff=M), through="1/2")
+    return DiracSpec(G, SpinLift(G, build_clifford(1), {g: 1 for g in G.group.elements}, True), (Fraction(0),), M)
+
+
+def pillowcase(M=9):
+    G = negation_torus_groupoid(FourierTorus((2 * np.pi, 2 * np.pi), M))
+    return DiracSpec(G, projective_lift(G, build_clifford(2)), (Fraction(0), Fraction(0)), M)
+
+
+def cos10(spec):
+    M = spec.cutoff
+    f = TorusModes.zero(spec.groupoid.base, M)
+    f.coeffs[M + 1, M] = f.coeffs[M - 1, M] = 0.5
+    return {0: f}
+
+
+REPRESENTED = {
+    "circle m=2": (lambda: rotation_spec(2, 9), lambda s: {1: random_part(s.groupoid.base, 9, 1)}),
+    # phases off the quarter turns, where the two products round differently
+    "circle m=3": (lambda: rotation_spec(3, 9), lambda s: {2: random_part(s.groupoid.base, 9, 8)}),
+    "circle m=4 half twist": (lambda: rotation_spec(4, 10, twist=Fraction(1, 2)),
+                              lambda s: {3: random_part(s.groupoid.base, 10, 2)}),
+    "non-effective circle": (noneffective_spec, lambda s: {2: random_part(s.groupoid.base, 9, 3)}),
+    "torus cos10": (pillowcase, cos10),
+    "torus flip": (pillowcase, lambda s: {1: TorusModes.mode(s.groupoid.base, 9, (0, 0))}),
+    "torus random flip": (pillowcase, lambda s: {1: random_part(s.groupoid.base, 9, 4)}),
+    "two components": (pillowcase, lambda s: {0: random_part(s.groupoid.base, 9, 5, 2),
+                                              1: random_part(s.groupoid.base, 9, 6, 2)}),
+    "four components": (lambda: rotation_spec(4, 9), lambda s: {
+        g: random_part(s.groupoid.base, 9, 7 + g) for g in s.groupoid.group.elements}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPRESENTED))
+def test_representation_matrix_is_the_sum_of_action_times_multiplication(case):
+    make_spec, make_parts = REPRESENTED[case]
+    spec = make_spec()
+    parts = make_parts(spec)
+    op = representation_matrix(spec, fourier_element(spec.groupoid, parts))
+    reference = None
+    for g, part in parts.items():
+        term = action_matrix(spec, g) @ mult_operator(spec.space, part)
+        reference = term if reference is None else reference + term
+    # entry by entry and bit for bit, with sorted indices and no stored zeros
+    assert entries(op) == entries(reference)
+    assert op.has_canonical_format and op.indices.dtype == np.int32
+    assert op.count_nonzero() == op.nnz
 
 
 # -- faithfulness

@@ -222,3 +222,78 @@ def test_circle_cover_is_decided_on_exact_arcs():
     assert validate_cover(G, CechCover(())).violations == ["point 0 not covered"]
     with pytest.raises(ValueError, match="not covered"):
         cech_groupoid(G, gap)
+
+
+def grid_cech(G, cover, n):
+    """Arrows and composable pairs decided on the sample points k/n."""
+    pts = [Fraction(k, n) for k in range(n)]
+    group, idx = G.group, cover.indices()
+
+    dom = {
+        (g, a, b): [t for t in pts if cover.member(b, t) and cover.member(a, G.apply(g, t))]
+        for g in group.elements for a in idx for b in idx
+    }
+    arrows = [arrow for arrow, points in dom.items() if points]
+    pairs = [
+        ((g1, a1, b1), (g2, a2, b2), (group.mul(g1, g2), a1, b2))
+        for (g1, a1, b1) in arrows for (g2, a2, b2) in arrows
+        if b1 == a2 and any(cover.member(a1, G.apply(group.mul(g1, g2), t)) for t in dom[g2, a2, b2])
+    ]
+    return arrows, pairs
+
+
+def test_cech_arrows_are_decided_on_exact_arcs():
+    G = rotation_groupoid(2, FourierCircle(mode_cutoff=8))  # 32 sample points
+    quarter = Fraction(1, 4)
+    # sheets 0 and 1 meet on (15/64, 1/4), which holds no point k/32
+    cover = CechCover(tuple(CircleArc(c, quarter) for c in (0, Fraction(31, 64), Fraction(1, 2), Fraction(3, 4))))
+    C = cech_groupoid(G, cover)
+    assert {(0, 0, 1), (0, 1, 0)} <= set(C.arrows)
+    assert C.domain((0, 0, 1)) == [CircleArc(Fraction(31, 128), Fraction(1, 128))]
+    # every arc end is a multiple of 1/64, so the points k/128 fall inside
+    # every overlap: sampled on them, the groupoid is the exact one
+    arrows, pairs = grid_cech(G, cover, 128)
+    assert list(C.arrows) == arrows
+    assert list(C.composable_pairs()) == pairs
+    # the 32 sample points of the base's own grid miss the narrow overlaps
+    coarse = set(grid_cech(G, cover, 32)[0])
+    assert coarse < set(arrows) and coarse.isdisjoint({(0, 0, 1), (0, 1, 0)})
+
+
+def test_cech_composable_pairs_need_a_triple_overlap():
+    G = rotation_groupoid(3, FourierCircle(mode_cutoff=8))
+    # pairwise overlapping arcs with no point common to all three
+    cover = CechCover(tuple(CircleArc(Fraction(k, 3), Fraction(1, 4)) for k in range(3)))
+    C = cech_groupoid(G, cover)
+    pairs = list(C.composable_pairs())
+    assert ((0, 0, 1), (0, 1, 2), (0, 0, 2)) not in pairs
+    assert ((0, 0, 1), (0, 1, 1), (0, 0, 1)) in pairs
+    assert pairs == grid_cech(G, cover, 24)[1]  # arc ends and rotations are multiples of 1/12
+
+
+def test_arc_overlap_is_exact_and_wraps():
+    half = Fraction(1, 2)
+    assert CircleArc(0, half).overlap(CircleArc(half, half)) == [
+        CircleArc(Fraction(3, 4), Fraction(1, 4)), CircleArc(Fraction(1, 4), Fraction(1, 4))]
+    # arcs that only touch share no point
+    assert CircleArc(Fraction(1, 4), Fraction(1, 4)).overlap(CircleArc(Fraction(3, 4), Fraction(1, 4))) == []
+    assert CircleArc(Fraction(9, 10), Fraction(1, 5)).overlap(CircleArc(Fraction(1, 20), Fraction(1, 10))) == [
+        CircleArc(Fraction(1, 40), Fraction(3, 40))]
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_trivial_circle_cover_is_a_valid_cover(m):
+    G = rotation_groupoid(m, FourierCircle(mode_cutoff=8))
+    cover = trivial_cover(G)
+    assert validate_cover(G, cover).ok
+    C = cech_groupoid(G, cover)
+    # every sheet meets every rotated sheet
+    assert set(C.arrows) == {(g, a, b) for g in G.group.elements for a in (0, 1) for b in (0, 1)}
+
+
+def test_cech_localization_of_an_action_groupoid_needs_a_circle():
+    from orbikit.groupoids import CechActionGroupoid
+
+    G = negation_torus_groupoid(FourierTorus(mode_cutoff=4))
+    with pytest.raises(CatalogError, match="circle"):
+        CechActionGroupoid(G, CechCover((CircleArc(0, Fraction(1, 2)),)))

@@ -18,7 +18,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbikit.bases import CircleModes, FourierCircle, FourierTorus, TorusModes
+from orbikit.bases import (
+    BandLimitError,
+    CircleModes,
+    FourierCircle,
+    FourierTorus,
+    TorusIsometry,
+    TorusModes,
+    phase_vector,
+    unit_phase,
+)
 from orbikit.clifford import build_clifford, projective_lift, trivial_lift
 from orbikit.groupoids import negation_torus_groupoid, rotation_groupoid, trivial_groupoid
 from orbikit.harness import SCHEMA_VERSION, run_scenario
@@ -192,6 +201,62 @@ def test_frame_identity_holds_per_axis_and_generator():
         assert report.commutator_norms[name] > 1.0
         assert report.frame_identity_residuals[name] <= 1e-12
         assert report.chirality_commutators[name] == 0.0
+
+
+# -- exact phases and pullbacks
+
+CATALOG_TURNS = [Fraction(t) for t in ("0", "1/2", "1/3", "2/3", "1/4", "3/4", "-1/4", "1/8", "5/8", "7/5", "-3/2")]
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.float64)
+
+
+@pytest.mark.parametrize("twist", [Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("turns", CATALOG_TURNS)
+def test_phase_vector_is_unit_phase_bit_for_bit(twist, turns):
+    M = 13
+    ref = np.array([unit_phase((k + twist) * turns) for k in range(-M, M + 1)])
+    assert np.array_equal(bits(phase_vector(M, twist, turns)), bits(ref))
+
+
+def ref_torus_pullback(f, iso):
+    """The per-mode loop: mode k picks up the shift phases and lands at e*k + (e - 1)*t."""
+    out = np.zeros_like(f.coeffs)
+    e = -1 if iso.negate else 1
+    for k1, k2 in f.nonzero_modes():
+        ph = unit_phase((k1 + f.twist[0]) * iso.shift[0]) * unit_phase((k2 + f.twist[1]) * iso.shift[1])
+        o1, o2 = (int(e * k + (e - 1) * t) for k, t in zip((k1, k2), f.twist))
+        out[o1 + f.cutoff, o2 + f.cutoff] += ph * f.coeffs[k1 + f.cutoff, k2 + f.cutoff]
+    return out
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("shift", [(0, 0), ("1/2", "1/4"), ("3/4", "1/2"), ("1/3", "1/8")])
+@pytest.mark.parametrize("fibre", [(), (2,)])
+def test_torus_pullback_matches_the_per_mode_loop(negate, shift, fibre):
+    torus = FourierTorus((TAU, TAU), 6)
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal((13, 13, *fibre)) + 1j * rng.standard_normal((13, 13, *fibre))
+    coeffs[rng.random((13, 13)) < 0.3] = 0
+    f = TorusModes(torus, 6, coeffs)
+    iso = TorusIsometry(negate, tuple(Fraction(x) for x in shift))
+    got, want = f.pullback(iso).coeffs, ref_torus_pullback(f, iso)
+    if all(4 * Fraction(x) % 1 == 0 for x in shift):
+        assert np.array_equal(got, want)  # quarter-turn phases are exact
+    else:
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_torus_pullback_refuses_only_nonzero_modes_outside_the_window():
+    torus = FourierTorus((TAU, TAU), 6)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    f = TorusModes.zero(torus, 6, twist=half)
+    f.coeffs[6, 6] = 1.0  # mode (0, 0) lands at (-1, -1)
+    assert f.pullback(TorusIsometry(True)).coeffs[5, 5] == 1.0
+    f.coeffs[12, 6] = 1.0  # mode (6, 0) would land at (-7, -1)
+    with pytest.raises(BandLimitError, match="truncation window"):
+        f.pullback(TorusIsometry(True))
 
 
 # -- interior_norm

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -87,11 +89,63 @@ def test_torus_mode_block_eigenvalues():
 
 
 def test_dirac_commutes_with_lifted_action():
-    spec = circle_spec(2, 8)
-    D = assemble_dirac(spec)
-    for g in spec.groupoid.group.elements:
-        U = action_matrix(spec, g).toarray()
-        assert np.max(np.abs(D.dense() @ U - U @ D.dense())) <= 1e-12
+    for spec in (circle_spec(2, 8), circle_spec(4, 9, twist=Fraction(1, 2)), pillowcase_spec(M=8)):
+        D = assemble_dirac(spec)
+        for g in spec.groupoid.group.elements:
+            U = action_matrix(spec, g).toarray()
+            assert np.max(np.abs(D.dense() @ U - U @ D.dense())) <= 1e-12
+
+
+def test_lift_that_does_not_commute_with_the_dirac_is_refused(monkeypatch):
+    spec = pillowcase_spec(M=8)
+    # the identity on spinors does not intertwine D with its negation
+    monkeypatch.setattr(spec.lift, "matrix", lambda g: np.eye(2, dtype=complex))
+    with pytest.raises(CatalogError, match="lift/action mismatch"):
+        assemble_dirac(spec)
+
+
+# -- one build per spec
+
+
+def test_dirac_and_doubled_spec_are_built_once_per_spec():
+    spec = pillowcase_spec(M=8)
+    assert assemble_dirac(spec).matrix is assemble_dirac(spec).matrix
+    double = spec.with_cutoff(16)
+    assert spec.with_cutoff(16) is double
+    assert double.cutoff == 16 and double.groupoid is not spec.groupoid
+    # a fresh spec builds its own
+    assert assemble_dirac(pillowcase_spec(M=8)).matrix is not assemble_dirac(spec).matrix
+
+
+def test_a_triple_check_without_generators_builds_no_doubled_spec(monkeypatch):
+    spec = circle_spec(2, 16)
+
+    def refuse(cutoff):
+        raise AssertionError(f"built the spec at cutoff {cutoff}")
+
+    monkeypatch.setattr(spec, "with_cutoff", refuse)
+    report = check_spectral_triple(spec, [], buffer=2)
+    assert report.growth_exponent is not None
+    with pytest.raises(AssertionError, match="cutoff 32"):
+        check_spectral_triple(spec, [("e1", CircleModes.mode(spec.groupoid.base, 16, 1))])
+
+
+def test_a_spec_and_its_caches_die_with_their_last_reference():
+    # without the cycle collector, only reference counting frees the spec:
+    # a Dirac cached with a pointer back to its spec would keep it alive
+    gc.disable()
+    try:
+        spec = pillowcase_spec(M=8)
+        f = TorusModes.zero(spec.groupoid.base, 8)
+        f.coeffs[9, 8] = f.coeffs[7, 8] = 0.5
+        report = check_spectral_triple(spec, [("cos10", f)])
+        assert report.commutator_norms["cos10"] > 0
+        action_matrix(spec, 1)
+        refs = [weakref.ref(spec), weakref.ref(spec.with_cutoff(16))]
+        del spec
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_hermiticity_residual_zero():
