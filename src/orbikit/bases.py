@@ -4,6 +4,15 @@ Coordinates on the continuous bases are arclength in [0, L).  Isometry data
 is kept as exact rational turns (fractions of a full circumference), so
 composing germs, comparing them and moving mode indices around are exact
 operations; floating point only enters when coefficients are evaluated.
+
+Band-limited data on the Fourier bases has one implementation, ``ModeData``,
+for n = 1 or 2 axes; ``CircleModes`` and ``TorusModes`` only fix n and name
+the base ``.circle`` or ``.torus``.  Both flavors share zero, mode, degree,
+``with_cutoff``, +, -, ``mul``, ``derivative(axis)`` and ``pullback(iso)``,
+and ``mode_class(base)`` picks the flavor of a base.  ``mode_map`` is the one
+place that decides where an isometry sends each mode row and the phase it
+picks up: ``pullback`` and the spinor action ``U(g)`` of ``spectral`` both
+read it.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -99,8 +109,9 @@ class FourierCircle:
         n = self.grid_size if n is None else n
         return np.arange(n) * (self.circumference / n)
 
-    def freq(self, k, twist=0):
-        return (TAU / self.circumference) * (float(k) + float(twist))
+    @property
+    def lengths(self):
+        return (self.circumference,)
 
 
 @dataclass(frozen=True)
@@ -130,11 +141,9 @@ class FourierTorus:
         ys = np.arange(n) * (self.circumferences[1] / n)
         return xs, ys
 
-    def freq(self, k, twist=(0, 0)):
-        return tuple(
-            (TAU / L) * (float(ki) + float(ti))
-            for L, ki, ti in zip(self.circumferences, k, twist)
-        )
+    @property
+    def lengths(self):
+        return self.circumferences
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +168,6 @@ class CircleRotation:
 
     def inverse(self) -> "CircleRotation":
         return CircleRotation(-self.turns)
-
-    def is_identity(self) -> bool:
-        return self.turns == 0
 
     def apply_turns(self, t: Fraction) -> Fraction:
         return (_frac(t) + self.turns) % 1
@@ -190,9 +196,6 @@ class TorusIsometry:
         e = -1 if self.negate else 1
         # v = eps*w + s  =>  w = eps*(v - s)
         return TorusIsometry(self.negate, tuple((-e * s) % 1 for s in self.shift))
-
-    def is_identity(self) -> bool:
-        return not self.negate and all(s == 0 for s in self.shift)
 
     def apply_turns(self, t: tuple) -> tuple:
         e = -1 if self.negate else 1
@@ -235,9 +238,6 @@ class LabelPermutation:
     def inverse(self) -> "LabelPermutation":
         return LabelPermutation(tuple((y, x) for x, y in self.pairs))
 
-    def is_identity(self) -> bool:
-        return all(x == y for x, y in self.pairs)
-
 
 def identity_isometry(base):
     if isinstance(base, FiniteSet):
@@ -253,45 +253,104 @@ def identity_isometry(base):
 # band-limited mode data
 
 
-class CircleModes:
-    """Band-limited coefficients on a circle.
+def _affine(iso, n):
+    """``(e, shift)`` of a catalog isometry v -> e*v + shift*L, shift in turns per axis."""
+    if isinstance(iso, CircleRotation):
+        e, shift = 1, (iso.turns,)
+    else:
+        e, shift = (-1 if iso.negate else 1), iso.shift
+    if len(shift) != n:
+        raise CatalogError(f"{type(iso).__name__} does not act on a {n}-dimensional base")
+    return e, shift
 
-    ``coeffs`` has shape (2*cutoff+1, *fibre); mode k sits at index
-    k+cutoff and multiplies exp(i*(TAU/L)*(k+twist)*x).  twist 0 gives
-    periodic functions, twist 1/2 antiperiodic (spinor) sections.
+
+def mode_map(M, twist, iso):
+    """Where the pullback ``f -> f o iso`` sends each mode row, and the phase it picks up.
+
+    The rows are the modes {-M..M}^n in row-major order, and ``twist``
+    holds one Fraction per axis.  For iso(v) = e*v + s*L, mode k of f picks
+    up unit_phase((k + t) * s) per axis and lands at the mode k' with
+    k' + t = e*(k + t).  ``target[r]`` is the row of k', or -1 where k'
+    leaves the window, and ``phase[r]`` is the product of the axis phases.
+    A negation that moves the twist lattice raises ``BandLimitError``.
+    """
+    e, shift = _affine(iso, len(twist))
+    phase = reduce(np.multiply.outer, [phase_vector(M, t, s) for t, s in zip(twist, shift)]).reshape(-1)
+    if e == 1:  # a translation keeps every mode in place
+        return np.arange(phase.size, dtype=np.int32), phase
+    offsets = [(e - 1) * t for t in twist]
+    if any(o % 1 != 0 for o in offsets):
+        raise BandLimitError("negation does not preserve this twist lattice")
+    ks = np.arange(-M, M + 1, dtype=np.int32)
+    rows, inside = np.zeros((), np.int32), np.ones((), bool)
+    for o in offsets:
+        lands = e * ks + int(o)
+        rows = np.add.outer(rows * (2 * M + 1), lands + M)
+        inside = np.logical_and.outer(inside, np.abs(lands) <= M)
+    return np.where(inside, rows, -1).reshape(-1), phase
+
+
+class ModeData:
+    """Band-limited coefficients on a flat circle (n = 1) or 2-torus (n = 2).
+
+    ``coeffs`` has shape ``(2*cutoff+1,)*n + fibre``; the entry at
+    ``k + cutoff`` (one index per axis) multiplies exp(i*sum_i w_i*x_i)
+    with w_i = (TAU/L_i)*(k_i + twist_i).  Twist 0 gives periodic
+    functions along an axis, twist 1/2 antiperiodic (spinor) sections.
+    ``twists`` holds one twist per axis; the subclasses fix n and spell the
+    base and the twist as before: ``CircleModes.circle`` with a Fraction
+    ``twist``, ``TorusModes.torus`` with a pair.
     """
 
-    __slots__ = ("circle", "cutoff", "twist", "coeffs")
+    __slots__ = ("base", "cutoff", "twists", "coeffs")
+    n: int  # the number of axes
+    _shape_error: str
 
-    def __init__(self, circle: FourierCircle, cutoff: int, coeffs, twist=Fraction(0)):
+    def __init__(self, base, cutoff, coeffs, twist=None):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape[0] != 2 * cutoff + 1:
-            raise ValueError("coefficient axis does not match cutoff")
-        self.circle = circle
+        if coeffs.shape[: self.n] != (2 * cutoff + 1,) * self.n:
+            raise ValueError(self._shape_error)
+        if twist is None:
+            twist = (0,) * self.n
+        elif self.n == 1:
+            twist = (twist,)
+        self.base = base
         self.cutoff = int(cutoff)
-        self.twist = _frac(twist)
+        self.twists = tuple(map(_frac, twist))
         self.coeffs = coeffs
+
+    @property
+    def twist(self):
+        return self.twists[0] if self.n == 1 else self.twists
 
     # -- constructors
 
     @classmethod
-    def zero(cls, circle, cutoff, fibre_shape=(), twist=Fraction(0)):
-        return cls(circle, cutoff, np.zeros((2 * cutoff + 1, *fibre_shape)), twist)
+    def zero(cls, base, cutoff, fibre_shape=(), twist=None):
+        return cls(base, cutoff, np.zeros((2 * cutoff + 1,) * cls.n + tuple(fibre_shape)), twist)
 
     @classmethod
-    def mode(cls, circle, cutoff, k, twist=Fraction(0), amplitude=1.0):
-        out = cls.zero(circle, cutoff, twist=twist)
-        out.coeffs[k + cutoff] = amplitude
+    def mode(cls, base, cutoff, k, twist=None, amplitude=1.0):
+        """The single mode ``k``: an int on a circle, a pair on a torus."""
+        out = cls.zero(base, cutoff, twist=twist)
+        out.coeffs[tuple(np.reshape(k, cls.n) + cutoff)] = amplitude
         return out
 
     @classmethod
-    def random(cls, circle, cutoff, rng, fibre_shape=(), twist=Fraction(0), degree=None):
+    def random(cls, base, cutoff, rng, fibre_shape=(), twist=None, degree=None):
         degree = cutoff if degree is None else degree
-        out = cls.zero(circle, cutoff, fibre_shape, twist)
-        shape = (2 * degree + 1, *fibre_shape)
+        out = cls.zero(base, cutoff, fibre_shape, twist)
+        shape = (2 * degree + 1,) * cls.n + tuple(fibre_shape)
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out.coeffs[cutoff - degree : cutoff + degree + 1] = block
+        out.coeffs[(slice(cutoff - degree, cutoff + degree + 1),) * cls.n] = block
         return out
+
+    def with_coeffs(self, coeffs):
+        """The same base, cutoff and twist with other coefficients."""
+        return type(self)(self.base, self.cutoff, coeffs, self.twist)
+
+    def copy(self):
+        return self.with_coeffs(self.coeffs.copy())
 
     # -- structure
 
@@ -301,46 +360,54 @@ class CircleModes:
 
     @property
     def fibre_shape(self):
-        return self.coeffs.shape[1:]
+        return self.coeffs.shape[self.n :]
+
+    def _support(self) -> np.ndarray:
+        """The mask of the modes with a nonzero coefficient anywhere in the fibre."""
+        return (self.coeffs != 0).reshape(self.coeffs.shape[: self.n] + (-1,)).any(axis=-1)
+
+    def nonzero_modes(self):
+        """The labels of the nonzero modes as n-tuples, row-major."""
+        for pos in np.argwhere(self._support()):
+            yield tuple(int(p) - self.cutoff for p in pos)
 
     def degree(self):
-        flat = self.coeffs.reshape(self.coeffs.shape[0], -1)
-        nz = np.nonzero(np.abs(flat).max(axis=1) > 0)[0]
-        if nz.size == 0:
-            return 0
-        return int(max(abs(nz - self.cutoff)))
+        pos = np.argwhere(self._support())
+        return int(np.abs(pos - self.cutoff).max()) if len(pos) else 0
 
-    def frequencies(self):
-        return (TAU / self.circle.circumference) * (self.modes + float(self.twist))
-
-    def copy(self):
-        return CircleModes(self.circle, self.cutoff, self.coeffs.copy(), self.twist)
+    def frequencies(self, axis=0):
+        return (TAU / self.base.lengths[axis]) * (self.modes + float(self.twists[axis]))
 
     def with_cutoff(self, cutoff):
         if cutoff < self.degree():
             raise BandLimitError("cutoff change would drop nonzero modes")
-        out = CircleModes.zero(self.circle, cutoff, self.fibre_shape, self.twist)
+        out = self.zero(self.base, cutoff, self.fibre_shape, self.twist)
         lo = min(self.cutoff, cutoff)
-        out.coeffs[cutoff - lo : cutoff + lo + 1] = self.coeffs[
-            self.cutoff - lo : self.cutoff + lo + 1
-        ]
+        keep = (slice(self.cutoff - lo, self.cutoff + lo + 1),) * self.n
+        out.coeffs[(slice(cutoff - lo, cutoff + lo + 1),) * self.n] = self.coeffs[keep]
         return out
 
     # -- evaluation
 
-    def evaluate(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        basis = np.exp(1j * np.outer(xs, self.frequencies()))
-        return np.tensordot(basis, self.coeffs, axes=(1, 0))
+    def evaluate(self, *points):
+        """Values on the grid of one coordinate array per axis: ``evaluate(xs)``
+        on a circle, ``evaluate(xs, ys)`` on a torus."""
+        if len(points) != self.n:
+            raise TypeError(f"{type(self).__name__}.evaluate takes {self.n} coordinate array(s)")
+        out = self.coeffs
+        for axis, xs in enumerate(points):
+            basis = np.exp(1j * np.outer(np.asarray(xs, dtype=float), self.frequencies(axis)))
+            out = np.moveaxis(np.tensordot(basis, out, axes=(1, axis)), 0, axis)
+        return out
 
     # -- algebra
 
     def _binary(self, other, op):
-        if isinstance(other, CircleModes):
-            if other.cutoff != self.cutoff or other.twist != self.twist:
+        if isinstance(other, ModeData):
+            if other.cutoff != self.cutoff or other.twists != self.twists:
                 raise ValueError("mismatched cutoffs or twists")
-            return CircleModes(self.circle, self.cutoff, op(self.coeffs, other.coeffs), self.twist)
-        return CircleModes(self.circle, self.cutoff, op(self.coeffs, other), self.twist)
+            other = other.coeffs
+        return self.with_coeffs(op(self.coeffs, other))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -349,182 +416,92 @@ class CircleModes:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        return CircleModes(self.circle, self.cutoff, self.coeffs * scalar, self.twist)
+        return self.with_coeffs(self.coeffs * scalar)
 
     __rmul__ = __mul__
 
-    def mul(self, other: "CircleModes") -> "CircleModes":
-        """Pointwise product with a scalar function (twist 0 factor).
+    def mul(self, other):
+        """Pointwise product with a scalar function (an untwisted factor with no fibre).
 
         The result keeps all modes (cutoff = sum of degrees), with the
-        twist of the non-scalar operand.
+        twist of the other operand.  Each nonzero mode of the scalar factor,
+        in row-major order, adds one shifted copy of the other operand.
         """
         a, b = self, other
-        if b.fibre_shape != () or b.twist != 0:
-            if a.fibre_shape != () or a.twist != 0:
+        if b.fibre_shape != () or any(b.twists):
+            if a.fibre_shape != () or any(a.twists):
                 raise ValueError("one factor must be an untwisted scalar function")
             a, b = b, a
-        da, db = a.degree(), b.degree()
-        out_cut = da + db
-        out = CircleModes.zero(self.circle, out_cut, a.fibre_shape, a.twist)
-        bf = b.coeffs[b.cutoff - db : b.cutoff + db + 1]
-        af = a.coeffs[a.cutoff - da : a.cutoff + da + 1]
-        # direct convolution over the mode axis
-        for i, ka in enumerate(range(-da, da + 1)):
-            ai = af[i]
-            if not np.any(ai):
-                continue
-            for j, kb in enumerate(range(-db, db + 1)):
-                bj = bf[j]
-                if not np.any(bj):
-                    continue
-                out.coeffs[ka + kb + out_cut] += ai * bj
+        da, nz = a.degree(), np.argwhere(b._support())
+        db = int(np.abs(nz - b.cutoff).max()) if len(nz) else 0
+        out = self.zero(self.base, da + db, a.fibre_shape, a.twist)
+        window = a.coeffs[(slice(a.cutoff - da, a.cutoff + da + 1),) * a.n]
+        for pos in nz:
+            # mode l of b moves mode k of a to k + l: out index k + l + da + db
+            at = tuple(slice(p - b.cutoff + db, p - b.cutoff + db + 2 * da + 1) for p in pos)
+            out.coeffs[at] += window * b.coeffs[tuple(pos)]
         return out
 
-    def derivative(self) -> "CircleModes":
-        freqs = self.frequencies().reshape((-1,) + (1,) * len(self.fibre_shape))
-        return CircleModes(self.circle, self.cutoff, 1j * freqs * self.coeffs, self.twist)
-
-    def rotate_pullback(self, turns) -> "CircleModes":
-        """Pullback under rotation: result(x) = self(x + turns*L)."""
-        phases = phase_vector(self.cutoff, self.twist, turns)
-        phases = phases.reshape((-1,) + (1,) * len(self.fibre_shape))
-        return CircleModes(self.circle, self.cutoff, phases * self.coeffs, self.twist)
-
-    def conj(self) -> "CircleModes":
-        # conj of mode k has frequency -(k+t) = (k'+t) with k' = -k-2t,
-        # which stays on the same lattice when 2t is an integer
-        if 2 * self.twist % 1 != 0:
-            raise ValueError("conjugation needs an integer or half-integer twist lattice")
-        shift = int(2 * self.twist)
-        out = CircleModes.zero(self.circle, self.cutoff + shift, self.fibre_shape, self.twist)
-        for k in self.modes:
-            out.coeffs[-int(k) - shift + out.cutoff] = np.conj(self.coeffs[int(k) + self.cutoff])
-        return out
-
-
-class TorusModes:
-    """Band-limited coefficients on a flat 2-torus.
-
-    coeffs[k1+M, k2+M, *fibre] multiplies exp(i*(w1*x1 + w2*x2)) with
-    wi = (TAU/Li)*(ki+twist_i).
-    """
-
-    __slots__ = ("torus", "cutoff", "twist", "coeffs")
-
-    def __init__(self, torus: FourierTorus, cutoff: int, coeffs, twist=(Fraction(0), Fraction(0))):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape[0] != 2 * cutoff + 1 or coeffs.shape[1] != 2 * cutoff + 1:
-            raise ValueError("coefficient axes do not match cutoff")
-        self.torus = torus
-        self.cutoff = int(cutoff)
-        self.twist = tuple(_frac(t) for t in twist)
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, torus, cutoff, fibre_shape=(), twist=(Fraction(0), Fraction(0))):
-        n = 2 * cutoff + 1
-        return cls(torus, cutoff, np.zeros((n, n, *fibre_shape)), twist)
-
-    @classmethod
-    def mode(cls, torus, cutoff, k, twist=(Fraction(0), Fraction(0)), amplitude=1.0):
-        out = cls.zero(torus, cutoff, twist=twist)
-        out.coeffs[k[0] + cutoff, k[1] + cutoff] = amplitude
-        return out
-
-    @property
-    def modes(self):
-        return np.arange(-self.cutoff, self.cutoff + 1)
-
-    @property
-    def fibre_shape(self):
-        return self.coeffs.shape[2:]
-
-    def degree(self):
-        flat = np.abs(self.coeffs).reshape(self.coeffs.shape[0], self.coeffs.shape[1], -1).max(axis=2)
-        idx = np.nonzero(flat > 0)
-        if idx[0].size == 0:
-            return 0
-        return int(
-            max(
-                np.abs(idx[0] - self.cutoff).max(),
-                np.abs(idx[1] - self.cutoff).max(),
-            )
-        )
-
-    def nonzero_modes(self):
-        flat = np.abs(self.coeffs).reshape(self.coeffs.shape[0], self.coeffs.shape[1], -1).max(axis=2)
-        for i, j in zip(*np.nonzero(flat > 0)):
-            yield int(i - self.cutoff), int(j - self.cutoff)
-
-    def evaluate(self, xs, ys):
-        f1 = (TAU / self.torus.circumferences[0]) * (self.modes + float(self.twist[0]))
-        f2 = (TAU / self.torus.circumferences[1]) * (self.modes + float(self.twist[1]))
-        b1 = np.exp(1j * np.outer(np.asarray(xs, float), f1))
-        b2 = np.exp(1j * np.outer(np.asarray(ys, float), f2))
-        return np.einsum("xa,yb,ab...->xy...", b1, b2, self.coeffs)
-
-    def mul(self, other: "TorusModes") -> "TorusModes":
-        a, b = self, other
-        if b.fibre_shape != () or any(t != 0 for t in b.twist):
-            if a.fibre_shape != () or any(t != 0 for t in a.twist):
-                raise ValueError("one factor must be an untwisted scalar function")
-            a, b = b, a
-        out_cut = a.degree() + b.degree()
-        out = TorusModes.zero(self.torus, out_cut, a.fibre_shape, a.twist)
-        for kb in b.nonzero_modes():
-            bv = b.coeffs[kb[0] + b.cutoff, kb[1] + b.cutoff]
-            for ka in a.nonzero_modes():
-                av = a.coeffs[ka[0] + a.cutoff, ka[1] + a.cutoff]
-                out.coeffs[ka[0] + kb[0] + out_cut, ka[1] + kb[1] + out_cut] += av * bv
-        return out
-
-    def __add__(self, other):
-        if other.cutoff != self.cutoff or other.twist != self.twist:
-            raise ValueError("mismatched cutoffs or twists")
-        return TorusModes(self.torus, self.cutoff, self.coeffs + other.coeffs, self.twist)
-
-    def __sub__(self, other):
-        if other.cutoff != self.cutoff or other.twist != self.twist:
-            raise ValueError("mismatched cutoffs or twists")
-        return TorusModes(self.torus, self.cutoff, self.coeffs - other.coeffs, self.twist)
-
-    def __mul__(self, scalar):
-        return TorusModes(self.torus, self.cutoff, self.coeffs * scalar, self.twist)
-
-    __rmul__ = __mul__
-
-    def derivative(self, axis: int) -> "TorusModes":
-        freqs = (TAU / self.torus.circumferences[axis]) * (
-            self.modes + float(self.twist[axis])
-        )
-        shape = [1, 1] + [1] * len(self.fibre_shape)
+    def derivative(self, axis=0):
+        """The partial derivative along one axis."""
+        shape = [1] * self.coeffs.ndim
         shape[axis] = 2 * self.cutoff + 1
-        return TorusModes(
-            self.torus, self.cutoff, 1j * freqs.reshape(shape) * self.coeffs, self.twist
-        )
+        return self.with_coeffs(1j * self.frequencies(axis).reshape(shape) * self.coeffs)
 
-    def pullback(self, iso: TorusIsometry) -> "TorusModes":
-        """result(v) = self(iso(v)); exact coefficient permutation + phase.
+    def pullback(self, iso):
+        """result(v) = self(iso(v)): the mode permutation and phases of ``mode_map``.
 
-        Mode w of self(e*v + s*L) picks up unit_phase((k+t)*s) per axis and
-        lands at frequency e*w, i.e. at the index k' with k'+t = e*(k+t).
+        A translation keeps every mode in place, so it only multiplies by
+        the phases.  A negation moves the nonzero modes; one that would
+        leave the window raises ``BandLimitError``.
         """
-        out = TorusModes.zero(self.torus, self.cutoff, self.fibre_shape, self.twist)
-        M = self.cutoff
-        rows, cols = np.nonzero(np.abs(self.coeffs).reshape(2 * M + 1, 2 * M + 1, -1).max(axis=2) > 0)
+        fibre = (1,) * len(self.fibre_shape)
+        if _affine(iso, self.n)[0] == 1:
+            _, phase = mode_map(self.cutoff, self.twists, iso)
+            return self.with_coeffs(phase.reshape(self.coeffs.shape[: self.n] + fibre) * self.coeffs)
+        out = self.zero(self.base, self.cutoff, self.fibre_shape, self.twist)
+        rows = np.flatnonzero(self._support())
         if rows.size == 0:
             return out
-        e = -1 if iso.negate else 1
-        offsets = [(e - 1) * t for t in self.twist]
-        if any(o % 1 != 0 for o in offsets):
-            raise BandLimitError("negation does not preserve this twist lattice")
-        o1 = e * (rows - M) + int(offsets[0])
-        o2 = e * (cols - M) + int(offsets[1])
-        if max(np.abs(o1).max(), np.abs(o2).max()) > M:
+        target, phase = mode_map(self.cutoff, self.twists, iso)
+        if (target[rows] < 0).any():
             raise BandLimitError("pullback leaves the truncation window")
-        p1 = phase_vector(M, self.twist[0], iso.shift[0])
-        p2 = phase_vector(M, self.twist[1], iso.shift[1])
-        ph = (p1[rows] * p2[cols]).reshape((-1,) + (1,) * len(self.fibre_shape))
-        out.coeffs[o1 + M, o2 + M] = ph * self.coeffs[rows, cols]
+        flat = (-1,) + self.fibre_shape
+        moved = phase[rows].reshape((-1,) + fibre) * self.coeffs.reshape(flat)[rows]
+        out.coeffs.reshape(flat)[target[rows]] = moved
         return out
+
+
+class CircleModes(ModeData):
+    """Mode data on a circle: ``coeffs`` has shape (2*cutoff+1, *fibre) and
+    ``twist`` is a Fraction."""
+
+    __slots__ = ()
+    n = 1
+    _shape_error = "coefficient axis does not match cutoff"
+
+    @property
+    def circle(self) -> FourierCircle:
+        return self.base
+
+
+class TorusModes(ModeData):
+    """Mode data on a flat 2-torus: coeffs[k1+M, k2+M, *fibre], and ``twist``
+    is a pair."""
+
+    __slots__ = ()
+    n = 2
+    _shape_error = "coefficient axes do not match cutoff"
+
+    @property
+    def torus(self) -> FourierTorus:
+        return self.base
+
+
+def mode_class(base):
+    """``CircleModes`` or ``TorusModes``: the mode data of a Fourier base."""
+    if isinstance(base, FourierCircle):
+        return CircleModes
+    if isinstance(base, FourierTorus):
+        return TorusModes
+    raise CatalogError(f"no mode data on base {base!r}")

@@ -23,6 +23,7 @@ to one, so kernel elements are exact difference vectors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .bases import BandLimitError, CatalogError, CircleModes, TorusModes
+from .bases import BandLimitError, CatalogError, mode_class
 from .cocycles import ReconstructedBundle, trivial_bundle
 from .groupoids import ActionGroupoid, FiniteGroupoid, is_effective
 from .spectral import DiracSpec, action_mult_operator, check_spectral_triple, interior_norm
@@ -61,17 +62,14 @@ def unit_element(G: FiniteGroupoid) -> ConvolutionElement:
 
 
 def fourier_element(G: ActionGroupoid, parts: dict) -> ConvolutionElement:
-    """parts: group element -> CircleModes | TorusModes on the base."""
+    """parts: group element -> mode data (CircleModes | TorusModes) on the base."""
     return ConvolutionElement(G, dict(parts))
 
 
 def fourier_unit(G: ActionGroupoid, cutoff=None) -> ConvolutionElement:
     base = G.base
     cutoff = base.mode_cutoff if cutoff is None else cutoff
-    if base.dim == 1:
-        one = CircleModes.mode(base, cutoff, 0)
-    else:
-        one = TorusModes.mode(base, cutoff, (0, 0))
+    one = mode_class(base).mode(base, cutoff, (0,) * base.dim)
     return fourier_element(G, {G.group.identity: one})
 
 
@@ -103,32 +101,13 @@ def convolve(f1: ConvolutionElement, f2: ConvolutionElement) -> ConvolutionEleme
     for g1, p1 in f1.data.items():
         for g2, p2 in f2.data.items():
             g = group.mul(g1, g2)
-            moved = _compose_with_action(p1, G, g2)
-            term = moved.mul(p2)
-            term = _with_cutoff_any(term, cutoff)
+            # p1 o phi_g2, an exact pullback under the isometry
+            term = p1.pullback(G.iso[g2]).mul(p2).with_cutoff(cutoff)
             if g in out:
                 out[g] = out[g] + term
             else:
                 out[g] = term
     return ConvolutionElement(G, out)
-
-
-def _compose_with_action(p, G: ActionGroupoid, g):
-    """p o phi_g as mode data (exact pullback under the isometry)."""
-    iso = G.iso[g]
-    if isinstance(p, CircleModes):
-        return p.rotate_pullback(iso.turns)
-    return p.pullback(iso)
-
-
-def _with_cutoff_any(p, cutoff):
-    if isinstance(p, CircleModes):
-        return p.with_cutoff(cutoff)
-    out = TorusModes.zero(p.torus, cutoff, p.fibre_shape, p.twist)
-    lo = min(p.cutoff, cutoff)
-    src = p.coeffs[p.cutoff - lo : p.cutoff + lo + 1, p.cutoff - lo : p.cutoff + lo + 1]
-    out.coeffs[cutoff - lo : cutoff + lo + 1, cutoff - lo : cutoff + lo + 1] = src
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +137,15 @@ def act_modes(spec: DiracSpec, f: ConvolutionElement, psi):
         raise BandLimitError("generator degree plus section degree exceeds the cutoff")
     total = None
     for g, part in f.data.items():
-        term = part.mul(psi)
-        term = _with_cutoff_any(term, psi.cutoff)
         # transport along g: lift sign/spin matrix times pullback by g^{-1}
+        moved = part.mul(psi).with_cutoff(psi.cutoff).pullback(G.iso[g].inverse())
         S = spec.lift.matrix(g)
-        iso = G.iso[g].inverse()
-        if isinstance(term, CircleModes):
-            moved = term.rotate_pullback(iso.turns)
-        else:
-            moved = term.pullback(iso)
         if moved.fibre_shape == ():
             moved = moved * complex(S[0, 0])
         else:
-            moved = _apply_spin(moved, S)
+            moved = moved.with_coeffs(np.einsum("...j,ij->...i", moved.coeffs, np.asarray(S)))
         total = moved if total is None else total + moved
     return total
-
-
-def _apply_spin(modes, S):
-    coeffs = np.einsum("...j,ij->...i", modes.coeffs, np.asarray(S))
-    if isinstance(modes, CircleModes):
-        return CircleModes(modes.circle, modes.cutoff, coeffs, modes.twist)
-    return TorusModes(modes.torus, modes.cutoff, coeffs, modes.twist)
 
 
 def representation_matrix(spec: DiracSpec, f: ConvolutionElement) -> sp.csr_matrix:
@@ -318,15 +284,9 @@ def _rref(rows) -> tuple[list, list]:
 
 def _fourier_probe(G: ActionGroupoid, spec: DiracSpec, degree, effective) -> FaithfulnessReport:
     base = G.base
-    params = []
-    for g in G.group.elements:
-        if base.dim == 1:
-            for l in range(-degree, degree + 1):
-                params.append((g, (l,)))
-        else:
-            for l1 in range(-degree, degree + 1):
-                for l2 in range(-degree, degree + 1):
-                    params.append((g, (l1, l2)))
+    kind = mode_class(base)
+    labels = list(itertools.product(range(-degree, degree + 1), repeat=base.dim))
+    params = [(g, l) for g in G.group.elements for l in labels]
     space = spec.space
     # a kernel element of the full operator also kills the interior block,
     # so solving on the block and verifying candidates on the full matrix
@@ -335,11 +295,7 @@ def _fourier_probe(G: ActionGroupoid, spec: DiracSpec, degree, effective) -> Fai
     ops = []
     cols = []
     for g, l in params:
-        if base.dim == 1:
-            part = CircleModes.mode(base, base.mode_cutoff, l[0])
-        else:
-            part = TorusModes.mode(base, base.mode_cutoff, l)
-        op = representation_matrix(spec, fourier_element(G, {g: part}))
+        op = representation_matrix(spec, fourier_element(G, {g: kind.mode(base, base.mode_cutoff, l)}))
         ops.append(op)
         cols.append(op[idx][:, idx].toarray().reshape(-1))
     A = np.array(cols).T
@@ -364,10 +320,7 @@ def _fourier_probe(G: ActionGroupoid, spec: DiracSpec, degree, effective) -> Fai
         for (g, l), c in zip(params, vec):
             if abs(c) < 1e-9:
                 continue
-            if base.dim == 1:
-                part = CircleModes.mode(base, base.mode_cutoff, l[0], amplitude=c)
-            else:
-                part = TorusModes.mode(base, base.mode_cutoff, l, amplitude=c)
+            part = kind.mode(base, base.mode_cutoff, l, amplitude=c)
             if g in data:
                 data[g] = data[g] + part
             else:

@@ -24,9 +24,6 @@ stores only the ``result`` column.
 (``composable_index`` lists the composable pairs) and build their groupoid
 with ``table_groupoid``, whose ``cmp`` is a ``TableCmp``: the label dict is
 built only when a key is read, and a write into it keeps the table in step.
-``group_groupoid``, ``unit_groupoid`` and the restriction of a groupoid
-to one of its components (``cocycles``) still build a plain ``cmp`` dict,
-and such a groupoid derives its table from that dict on first use.
 ``compose_ids`` looks pairs up in the table, and ``composites`` lists the
 composable pairs and their composites as index arrays.
 """
@@ -110,15 +107,13 @@ def cmp_from_table(arrows, table) -> dict:
     return dict(zip(zip(later, earlier), result))
 
 
-def table_from_cmp(arrows, cmp, index=None) -> np.ndarray:
+def table_from_cmp(arrows, cmp) -> np.ndarray:
     """The ``[later, earlier, result]`` index rows of a label ``cmp``, sorted by ``(later, earlier)``.
 
     A result outside ``arrows`` reads -1, and an entry whose pair names a
-    label outside ``arrows`` has no row.  ``index`` maps each arrow to its
-    position, when the caller has it.
+    label outside ``arrows`` has no row.
     """
-    if index is None:
-        index = {a: i for i, a in enumerate(arrows)}
+    index = {a: i for i, a in enumerate(arrows)}
     flat = np.fromiter(
         (index.get(a, -1) for pair, result in cmp.items() for a in (*pair, result)),
         np.int64,
@@ -133,13 +128,17 @@ class TableCmp(MutableMapping):
     """A label ``cmp`` over ``[later, earlier, result]`` index rows.
 
     The label dict is ``cmp_from_table(arrows, table)``, built on the first
-    key access; ``len`` reads the table, so it builds nothing.  A write
-    goes into the label dict and drops the table, which ``table`` then
-    derives again from the labels, so the two never disagree.
+    key access; ``len`` reads the table, so it builds nothing.  Given
+    ``labels`` instead of a table, that dict is the label dict, and the
+    table is derived from it on first use.  A write goes into the label
+    dict and drops the table, which ``table`` then derives again from the
+    labels, so the two never disagree.
     """
 
-    def __init__(self, arrows, table):
+    def __init__(self, arrows, table=None, labels=None):
         self._arrows, self._table = arrows, table
+        if labels is not None:
+            self._dict = labels
 
     @cached_property
     def _dict(self) -> dict:
@@ -221,7 +220,7 @@ class FiniteGroupoid:
     arrows: tuple
     src: dict
     tgt: dict
-    cmp: dict  # (tau, sigma) -> tau after sigma
+    cmp: dict  # (tau, sigma) -> tau after sigma; held as a TableCmp
     inv: dict
     unit: dict  # object -> unit arrow
     base: object = None  # optional BaseSpace (FiniteSet) for flavor checks
@@ -232,6 +231,8 @@ class FiniteGroupoid:
     _into: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.cmp, TableCmp):
+            object.__setattr__(self, "cmp", TableCmp(self.arrows, labels=self.cmp))
         src, tgt = self.src, self.tgt
         object.__setattr__(self, "_hom", group_by(self.arrows, lambda a: (src[a], tgt[a])))
         object.__setattr__(self, "_out", group_by(self.arrows, src.__getitem__))
@@ -267,17 +268,10 @@ class FiniteGroupoid:
 
         Sorted by ``(later, earlier)``; on a groupoid this is the order of
         ``composable_pairs``.  A result outside ``arrows`` reads -1, and an
-        entry whose pair names a label outside ``arrows`` has no row.  A
-        ``TableCmp`` holds the table and keeps it in step with writes; a
-        plain ``cmp`` dict is read once, on first use.
+        entry whose pair names a label outside ``arrows`` has no row.
+        ``cmp`` is a ``TableCmp``, which keeps the table in step with writes.
         """
-        if isinstance(self.cmp, TableCmp):
-            return self.cmp.table
-        return self._label_table
-
-    @cached_property
-    def _label_table(self) -> np.ndarray:
-        return table_from_cmp(self.arrows, self.cmp, self.arrow_index)
+        return self.cmp.table
 
     def _per_table(self, name, build):
         """``build(table)``, kept under ``name`` until the table changes."""

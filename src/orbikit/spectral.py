@@ -17,7 +17,8 @@ mutated after construction; build a new spec to change one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 
@@ -29,8 +30,9 @@ from .bases import (
     CircleModes,
     FiniteSet,
     FourierCircle,
-    FourierTorus,
-    TorusModes,
+    ModeData,
+    mode_class,
+    mode_map,
     phase_vector,
 )
 from .clifford import CliffordRep, SpinLift
@@ -77,7 +79,7 @@ class SpinorModeSpace:
     @property
     def lengths(self) -> tuple:
         """The circumference of each circle factor."""
-        return getattr(self.base, "circumferences", None) or (self.base.circumference,)
+        return self.base.lengths
 
     @cached_property
     def freqs(self) -> np.ndarray:
@@ -144,11 +146,7 @@ class DiracSpec:
     def with_cutoff(self, cutoff) -> "DiracSpec":
         """The same structure at another cutoff; one spec per cutoff."""
         if cutoff not in self._cutoff_cache:
-            base = self.groupoid.base
-            if isinstance(base, FourierCircle):
-                new_base = FourierCircle(base.circumference, cutoff)
-            else:
-                new_base = FourierTorus(base.circumferences, cutoff)
+            new_base = replace(self.groupoid.base, mode_cutoff=cutoff)
             G = ActionGroupoid(self.groupoid.group, new_base, dict(self.groupoid.iso), self.groupoid.name)
             lift = SpinLift(G, self.lift.rep, dict(self.lift.signs), self.lift.strict)
             self._cutoff_cache[cutoff] = DiracSpec(G, lift, self.twist, cutoff)
@@ -166,28 +164,13 @@ class DiracSpec:
 def _mode_action(spec: DiracSpec, g):
     """U(g) on scalar modes: mode row r goes to row ``target[r]`` times ``phase[r]``.
 
-    U(g) is the pullback psi -> psi o iso^{-1}; cached per spec.
+    U(g) is the pullback psi -> psi o iso^{-1} of ``bases.mode_map``; every
+    mode must stay in the window.  Cached per spec.
     """
     if g not in spec._action_cache:
-        space = spec.space
-        M = space.cutoff
-        inv = spec.groupoid.iso[g].inverse()
-        if space.n == 1:
-            target = np.arange(2 * M + 1, dtype=np.int32)
-            phase = phase_vector(M, space.twist[0], inv.turns)
-        else:
-            e = -1 if inv.negate else 1
-            offsets = [(e - 1) * t for t in space.twist]
-            if any(o % 1 != 0 for o in offsets):
-                raise CatalogError("negation does not preserve this twist lattice")
-            ks = np.arange(-M, M + 1, dtype=np.int32)
-            o1, o2 = (e * ks + int(o) for o in offsets)
-            if np.abs(o1).max() > M or np.abs(o2).max() > M:
-                raise CatalogError("pullback leaves the truncation window")
-            target = ((o1[:, None] + M) * (2 * M + 1) + (o2[None, :] + M)).reshape(-1)
-            p1 = phase_vector(M, space.twist[0], inv.shift[0])
-            p2 = phase_vector(M, space.twist[1], inv.shift[1])
-            phase = (p1[:, None] * p2[None, :]).reshape(-1)
+        target, phase = mode_map(spec.cutoff, spec.twist, spec.groupoid.iso[g].inverse())
+        if (target < 0).any():
+            raise CatalogError("pullback leaves the truncation window")
         spec._action_cache[g] = (target, phase)
     return spec._action_cache[g]
 
@@ -199,7 +182,7 @@ def _mult_entries(space: SpinorModeSpace, f):
     another in descending row-major order, so within each row the columns
     ascend.
     """
-    kind = (CircleModes, TorusModes)[space.n - 1]
+    kind = mode_class(space.base)
     if not isinstance(f, kind):
         raise CatalogError(f"{type(space.base).__name__} space needs {kind.__name__} data")
     M = space.cutoff
@@ -408,8 +391,7 @@ class OrbifoldMeasure:
             total = total + np.pad(p.coeffs, [(pad, pad)] * p.coeffs.ndim)
             if groupoid is not None:
                 for g in groupoid.group.elements:
-                    iso = groupoid.iso[g]
-                    moved = p.rotate_pullback(iso.turns) if isinstance(p, CircleModes) else p.pullback(iso)
+                    moved = p.pullback(groupoid.iso[g])
                     if np.abs(moved.coeffs - p.coeffs).sum() > tol:
                         raise CatalogError(
                             f"chart {ch.name!r} partition is not invariant under {g!r}"
@@ -420,21 +402,17 @@ class OrbifoldMeasure:
         return self
 
     def volume_element(self):
-        if isinstance(self.base, FourierCircle):
-            return self.base.circumference
-        if isinstance(self.base, FourierTorus):
-            return self.base.circumferences[0] * self.base.circumferences[1]
-        return 1.0  # counting measure
+        if isinstance(self.base, FiniteSet):
+            return 1.0  # counting measure
+        return math.prod(self.base.lengths)
 
 
 def uniform_measure(base, group_order, principal_rank, cutoff=None, name="whole") -> OrbifoldMeasure:
     """Single whole-base chart with the constant partition function."""
     if isinstance(base, FiniteSet):
         part = {x: 1.0 for x in base.points}
-    elif isinstance(base, FourierCircle):
-        part = CircleModes.mode(base, cutoff or base.mode_cutoff, 0)
     else:
-        part = TorusModes.mode(base, cutoff or base.mode_cutoff, (0, 0))
+        part = mode_class(base).mode(base, cutoff or base.mode_cutoff, (0,) * base.dim)
     return OrbifoldMeasure(base, [Chart(name, group_order, principal_rank, part)])
 
 
@@ -450,7 +428,7 @@ def orbifold_integral(measure: OrbifoldMeasure, f) -> complex:
         for ch in measure.charts:
             total += ch.weight * sum(ch.partition[x] * f[x] for x in measure.base.points)
         return total
-    if f.fibre_shape or not _is_untwisted(f):
+    if f.fibre_shape or any(f.twists):
         raise CatalogError("integrand is not a scalar function on the base")
     one = np.ones((1,) * f.coeffs.ndim)  # the constant function, at cutoff 0
     return _weighted_pairing(measure, one, 0, f.coeffs, f.cutoff)
@@ -731,10 +709,6 @@ def growth_exponent(eigenvalues, lam_max, lam_min=None) -> float:
     return float(slope)
 
 
-def generator_degree(f) -> int:
-    return f.degree()
-
-
 def _scalar_part(f):
     """The plain function content of a generator, when it has one.
 
@@ -742,31 +716,22 @@ def _scalar_part(f):
     when it is supported on the identity component (its representation is
     then plain multiplication and the flat frame identity applies).
     """
-    if isinstance(f, (CircleModes, TorusModes)):
-        return f if f.fibre_shape == () and _is_untwisted(f) else None
+    if isinstance(f, ModeData):
+        return f if f.fibre_shape == () and not any(f.twists) else None
     data = getattr(f, "data", None)
     groupoid = getattr(f, "groupoid", None)
     if isinstance(data, dict) and groupoid is not None and len(data) == 1:
         ((g, part),) = data.items()
-        if g == groupoid.group.identity and isinstance(part, (CircleModes, TorusModes)):
-            return part if part.fibre_shape == () and _is_untwisted(part) else None
+        if g == groupoid.group.identity and isinstance(part, ModeData):
+            return _scalar_part(part)
     return None
 
 
 def _frame_identity_rhs(space: SpinorModeSpace, f) -> sp.csr_matrix:
     """sum_i  mult(-i d_i f) x gamma_i, the flat-space commutator value."""
-    terms = []
-    if space.n == 1:
-        df = f.derivative()
-        terms.append((CircleModes(f.circle, f.cutoff, -1j * df.coeffs, f.twist), 0))
-    else:
-        for axis in range(2):
-            fr = 2.0 * np.pi / space.base.circumferences[axis]
-            w = fr * (f.modes[:, None] if axis == 0 else f.modes[None, :])
-            terms.append((TorusModes(f.torus, f.cutoff, w * f.coeffs, f.twist), axis))
     total = None
-    for tf, axis in terms:
-        rows, cols, vals = _mult_entries(space, tf)
+    for axis in range(space.n):
+        rows, cols, vals = _mult_entries(space, f.derivative(axis) * -1j)
         gamma = space.rep.gammas[axis]
         term = _spinor_operator(space, rows, cols, gamma, _product(vals[:, None], gamma[np.nonzero(gamma)]))
         total = term if total is None else total + term
@@ -794,7 +759,7 @@ def check_spectral_triple(
     cutoff come back in ``report.operators``.
     """
     gens = list(generators)
-    max_deg = max([generator_degree(f) for _, f in gens], default=0)
+    max_deg = max([f.degree() for _, f in gens], default=0)
     if max_deg >= spec.cutoff:
         raise CatalogError(
             f"generator of degree {max_deg} is not representable at cutoff {spec.cutoff}"
@@ -861,24 +826,10 @@ def _interior_edge(space: SpinorModeSpace, buffer) -> float:
     return min((2.0 * np.pi / L) * (space.cutoff - buffer) for L in space.lengths)
 
 
-def _is_untwisted(f) -> bool:
-    tw = f.twist
-    if isinstance(tw, tuple):
-        return all(t == 0 for t in tw)
-    return tw == 0
-
-
 def _regrade(f, spec2: DiracSpec):
     """Re-express a generator over the doubled-cutoff base space."""
-    base = spec2.groupoid.base
-    if isinstance(f, CircleModes):
-        out = CircleModes.zero(base, f.cutoff, f.fibre_shape, f.twist)
-        out.coeffs[...] = f.coeffs
-        return out
-    if isinstance(f, TorusModes):
-        out = TorusModes.zero(base, f.cutoff, f.fibre_shape, f.twist)
-        out.coeffs[...] = f.coeffs
-        return out
+    if isinstance(f, ModeData):
+        return type(f)(spec2.groupoid.base, f.cutoff, f.coeffs.copy(), f.twist)
     data = getattr(f, "data", None)
     if isinstance(data, dict):
         return type(f)(spec2.groupoid, {g: _regrade(p, spec2) for g, p in data.items()})
@@ -888,8 +839,7 @@ def _regrade(f, spec2: DiracSpec):
 def _apply_dirac(dirac: TruncatedDirac, psi):
     """The assembled Dirac applied to the coefficients of a spinor section."""
     space = dirac.space
-    twist = psi.twist if isinstance(psi.twist, tuple) else (psi.twist,)
-    if psi.cutoff != space.cutoff or twist != space.twist or psi.coeffs.size != space.dim:
+    if psi.cutoff != space.cutoff or psi.twists != space.twist or psi.coeffs.size != space.dim:
         raise CatalogError("spinor section does not live on the Dirac's mode space")
     coeffs = (dirac.matrix @ psi.coeffs.reshape(-1)).reshape(psi.coeffs.shape)
     return type(psi)(space.base, space.cutoff, coeffs, psi.twist)

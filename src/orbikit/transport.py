@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bases import CatalogError, CircleModes, FourierCircle, phase_vector, unit_phase
+from .bases import CatalogError, CircleModes, FourierCircle, mode_map, phase_vector, unit_phase
 from .cocycles import ReconstructedBundle
 from .groupoids import ActionGroupoid, FiniteGroupoid
 from .morita import Bitorsor, QuotientCovering, left_witness
@@ -160,9 +160,8 @@ def scale_section(f: dict, psi: BundleSection) -> BundleSection:
 
 
 def function_action(G: ActionGroupoid, g, f: CircleModes) -> CircleModes:
-    """(g . f)(x) = f(g^{-1} x); rotations only on the circle catalog."""
-    iso = G.iso[g]
-    return f.rotate_pullback(-iso.turns)
+    """(g . f)(x) = f(g^{-1} x): the pullback by the inverse isometry."""
+    return f.pullback(G.iso[g].inverse())
 
 
 def require_invariant_modes(G: ActionGroupoid, f: CircleModes, lift_signs=None):
@@ -181,12 +180,17 @@ def require_invariant_modes(G: ActionGroupoid, f: CircleModes, lift_signs=None):
 
 
 def invariant_mode_indices(cov: QuotientCovering, twist=Fraction(0), lift_signs=None):
-    """Upstairs modes fixed by every lifted group element."""
+    """Upstairs modes fixed by every lifted group element.
+
+    Element g acts on mode k by the phase ``bases.mode_map`` gives the
+    pullback by g^{-1} (the phase of ``spectral.action_matrix``), times its
+    lift sign.
+    """
     G = cov.upstairs
     M = G.base.mode_cutoff
     fixed = np.ones(2 * M + 1, dtype=bool)
     for g in G.group.elements:
-        phase = phase_vector(M, twist, -G.iso[g].turns)
+        _, phase = mode_map(M, (Fraction(twist),), G.iso[g].inverse())
         if lift_signs is not None:
             phase = phase * lift_signs[g]
         fixed &= np.abs(phase - 1.0) <= 1e-12
@@ -393,7 +397,7 @@ class InvariantConnection:
 def connection_invariance_residual(conn: InvariantConnection, G: ActionGroupoid) -> float:
     worst = 0.0
     for g in G.group.elements:
-        moved = conn.potential.rotate_pullback(G.iso[g].turns)
+        moved = conn.potential.pullback(G.iso[g])
         worst = max(worst, float(np.max(np.abs(moved.coeffs - conn.potential.coeffs))))
     return worst
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,15 @@ from hypothesis import strategies as st
 
 from orbikit.bases import (
     BandLimitError,
+    CatalogError,
     CircleModes,
+    CircleRotation,
     FourierCircle,
     FourierTorus,
     TorusIsometry,
     TorusModes,
+    mode_class,
+    mode_map,
     phase_vector,
     unit_phase,
 )
@@ -246,6 +251,87 @@ def test_torus_pullback_matches_the_per_mode_loop(negate, shift, fibre):
         assert np.array_equal(got, want)  # quarter-turn phases are exact
     else:
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def ref_mode_map(M, twist, e, shift):
+    """The per-mode loops the parent's U(g) used: mode k lands at e*k + (e - 1)*t
+    (row -1 outside the window); the phase of each axis is unit_phase((k + t)*s),
+    and the axes multiply as ``p1[:, None] * p2[None, :]``."""
+    side = 2 * M + 1
+    target = []
+    for k in itertools.product(range(-M, M + 1), repeat=len(twist)):
+        land = [int(e * ki + (e - 1) * ti) for ki, ti in zip(k, twist)]
+        inside = all(abs(x) <= M for x in land)
+        target.append(reduce(lambda r, x: r * side + x + M, land, 0) if inside else -1)
+    axes = [np.array([unit_phase((k + t) * s) for k in range(-M, M + 1)]) for t, s in zip(twist, shift)]
+    return np.array(target), reduce(np.multiply.outer, axes).reshape(-1)
+
+
+TWISTS = [Fraction(0), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("shift", [(0, 0), ("1/2", "1/4"), ("3/4", "1/2"), ("1/3", "1/8")])
+@pytest.mark.parametrize(
+    "twist, negate",
+    [((t,), False) for t in TWISTS]
+    + [(tw, negate) for tw in itertools.product(TWISTS, repeat=2) for negate in (False, True)],
+)
+def test_mode_map_matches_the_per_mode_loop(twist, negate, shift):
+    M = 7
+    shift = tuple(Fraction(x) for x in shift[: len(twist)])
+    iso = CircleRotation(shift[0]) if len(twist) == 1 else TorusIsometry(negate, shift)
+    target, phase = mode_map(M, twist, iso)
+    want_target, want_phase = ref_mode_map(M, twist, -1 if negate else 1, shift)
+    assert target.dtype == np.int32 and target.tolist() == want_target.tolist()
+    assert np.array_equal(bits(phase), bits(want_phase))
+    # only a negation of a twisted axis moves an edge mode out of the window
+    assert (target < 0).any() == (negate and any(twist))
+
+
+@pytest.mark.parametrize("twist", [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)), (Fraction(1, 2),) * 2])
+def test_assembling_a_twisted_negation_leaves_the_window(twist):
+    G = negation_torus_groupoid(FourierTorus((TAU, TAU), 8))
+    spec = DiracSpec(G, projective_lift(G, build_clifford(2)), twist, 8)
+    with pytest.raises(CatalogError, match="pullback leaves the truncation window"):
+        assemble_dirac(spec)
+
+
+def test_mode_map_refuses_a_negation_that_moves_the_twist_lattice():
+    with pytest.raises(BandLimitError, match="negation does not preserve this twist lattice"):
+        mode_map(5, (Fraction(1, 3), Fraction(0)), TorusIsometry(True))
+    with pytest.raises(CatalogError, match="does not act on a 2-dimensional base"):
+        mode_map(5, (Fraction(0), Fraction(0)), CircleRotation(Fraction(1, 4)))
+
+
+@pytest.mark.parametrize("fibre", [(), (2,)])
+@pytest.mark.parametrize("twist", TWISTS)
+@pytest.mark.parametrize("turns", CATALOG_TURNS)
+def test_circle_pullback_is_the_phase_multiply(turns, twist, fibre):
+    """Bit for bit the old ``rotate_pullback(iso.turns)``: exact phases times the coefficients."""
+    M = 9
+    rng = np.random.default_rng(5)
+    f = CircleModes.random(FourierCircle(TAU, M), M, rng, fibre, twist)
+    iso = CircleRotation(turns)
+    want = phase_vector(M, twist, iso.turns).reshape((-1,) + (1,) * len(fibre)) * f.coeffs
+    got = f.pullback(iso)
+    assert type(got) is CircleModes and got.twist == twist and got.cutoff == M
+    assert np.array_equal(bits(got.coeffs), bits(want))
+
+
+@pytest.mark.parametrize("base", [FourierCircle(TAU, 6), FourierTorus((TAU, 3.0), 6)], ids=["circle", "torus"])
+def test_with_cutoff_pads_trims_and_refuses_below_the_degree(base):
+    kind = mode_class(base)
+    f = kind.random(base, 6, np.random.default_rng(8), (2,), degree=3)
+    inner = (slice(3, 10),) * kind.n
+    up = f.with_cutoff(9)
+    assert up.coeffs.shape == (19,) * kind.n + (2,) and up.twist == f.twist
+    assert np.array_equal(up.coeffs[(slice(3, 16),) * kind.n], f.coeffs)
+    assert np.abs(up.coeffs).sum() == np.abs(f.coeffs).sum()  # the padding is zero
+    down = f.with_cutoff(3)
+    assert np.array_equal(down.coeffs, f.coeffs[inner])
+    assert np.array_equal(down.with_cutoff(6).coeffs, f.coeffs)
+    with pytest.raises(BandLimitError, match="cutoff change would drop nonzero modes"):
+        f.with_cutoff(2)
 
 
 def test_torus_pullback_refuses_only_nonzero_modes_outside_the_window():

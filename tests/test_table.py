@@ -28,9 +28,13 @@ from orbikit.cocycles import (
 )
 from orbikit.groupoids import (
     CechCover,
+    FiniteGroup,
+    TableCmp,
     cech_groupoid,
     cmp_from_table,
     cyclic_translation_groupoid,
+    group_groupoid,
+    validate_groupoid,
 )
 from orbikit.morita import (
     StrictMorphism,
@@ -167,7 +171,7 @@ def test_writer_refuses_a_table_that_is_not_the_composable_pairs():
 def test_span_table_equals_the_derived_one(groupoids, name):
     G = groupoids[name]
     derived = replace(G, cmp=dict(G.cmp))  # a plain dict: the table is derived from it
-    assert "_label_table" not in vars(derived)
+    assert isinstance(derived.cmp, TableCmp) and derived.cmp._table is None  # not before first use
     assert np.array_equal(G.table, derived.table)
 
 
@@ -321,6 +325,18 @@ def test_writes_into_a_table_cmp_reach_the_table():
         X.cmp[("stray", X.arrows[0])] = X.arrows[0]
         with pytest.raises(ValueError, match="outside its arrows"):
             groupoid_to_dict(X)
+
+
+def test_writes_into_a_given_cmp_dict_reach_the_table():
+    """A groupoid given a plain ``cmp`` dict holds it in a ``TableCmp`` too, so a
+    write after the table was first read does not leave that table stale."""
+    read, fresh = (group_groupoid(FiniteGroup.cyclic(3)) for _ in range(2))
+    read.table
+    for G in (read, fresh):
+        G.cmp[(1, 1)] = 0
+    assert read.table.tolist() == fresh.table.tolist() == ref_table(fresh)
+    violations = [validate_groupoid(G).violations for G in (read, fresh)]
+    assert violations[0] == violations[1] and len(violations[0]) == 4
 
 
 def test_cech_groupoid_of_a_broken_parent_raises():
