@@ -24,8 +24,10 @@ stores only the ``result`` column.
 (``composable_index`` lists the composable pairs) and build their groupoid
 with ``table_groupoid``, whose ``cmp`` is a ``TableCmp``: the label dict is
 built only when a key is read, and a write into it keeps the table in step.
-``compose_ids`` looks pairs up in the table, and ``composites`` lists the
-composable pairs and their composites as index arrays.
+``compose_ids`` reads pairs from a slot grid of the table: an arrow's slot
+is its rank among the arrows into its target, so a composable pair sits at
+``grid[later, slot[earlier]]``.  ``composites`` lists the composable pairs
+and their composites as index arrays.
 """
 
 from __future__ import annotations
@@ -177,12 +179,6 @@ def label_ids(ids, labels, of) -> np.ndarray:
     return np.fromiter((ids.setdefault(of[a], len(ids)) for a in labels), np.int64, len(labels))
 
 
-def object_ids(arrows, src, tgt):
-    """Integer object ids of each arrow's source and target, in arrow order."""
-    ids = {}
-    return label_ids(ids, arrows, src), label_ids(ids, arrows, tgt)
-
-
 def composable_index(src, tgt):
     """``(later, earlier)`` index arrays of the pairs with ``src[later] == tgt[earlier]``.
 
@@ -191,10 +187,24 @@ def composable_index(src, tgt):
     then ``earlier`` ascending.
     """
     n_objects = int(max(src.max(initial=-1), tgt.max(initial=-1))) + 1
-    by_target = np.argsort(tgt, kind="stable")
-    counts = np.bincount(tgt, minlength=n_objects)
-    later, j = expand_runs(counts[src], (np.cumsum(counts) - counts)[src])
+    counts, starts, by_target, _ = fibres(tgt, n_objects)
+    later, j = expand_runs(counts[src], starts[src])
     return later, by_target[j]
+
+
+def fibres(ids, n_ids):
+    """``(counts, starts, order, slot)`` of the items carrying integer ``ids``.
+
+    ``order`` lists the items sorted stably by id; id ``i`` has ``counts[i]``
+    items there, from ``starts[i]`` on, and ``slot`` is each item's rank
+    among the items of its id.
+    """
+    counts = np.bincount(ids, minlength=n_ids)
+    starts = np.cumsum(counts) - counts
+    order = np.argsort(ids, kind="stable")
+    slot = np.empty_like(ids)
+    slot[order] = np.arange(len(ids)) - starts[ids[order]]
+    return counts, starts, order, slot
 
 
 def expand_runs(counts, starts):
@@ -225,18 +235,25 @@ class FiniteGroupoid:
     unit: dict  # object -> unit arrow
     base: object = None  # optional BaseSpace (FiniteSet) for flavor checks
     name: str = "groupoid"
-    # hom-set index, built from src/tgt: (x, y), x or y -> arrows in arrow order
-    _hom: dict = field(init=False, repr=False)
-    _out: dict = field(init=False, repr=False)
-    _into: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.cmp, TableCmp):
             object.__setattr__(self, "cmp", TableCmp(self.arrows, labels=self.cmp))
+
+    # hom-set index, built from src/tgt when first read: (x, y), x or y -> arrows in arrow order
+
+    @cached_property
+    def _hom(self) -> dict:
         src, tgt = self.src, self.tgt
-        object.__setattr__(self, "_hom", group_by(self.arrows, lambda a: (src[a], tgt[a])))
-        object.__setattr__(self, "_out", group_by(self.arrows, src.__getitem__))
-        object.__setattr__(self, "_into", group_by(self.arrows, tgt.__getitem__))
+        return group_by(self.arrows, lambda a: (src[a], tgt[a]))
+
+    @cached_property
+    def _out(self) -> dict:
+        return group_by(self.arrows, self.src.__getitem__)
+
+    @cached_property
+    def _into(self) -> dict:
+        return group_by(self.arrows, self.tgt.__getitem__)
 
     # -- structure access
 
@@ -262,6 +279,25 @@ class FiniteGroupoid:
         """arrow -> its position in ``arrows``."""
         return {a: i for i, a in enumerate(self.arrows)}
 
+    @cached_property
+    def endpoint_ids(self):
+        """``(ids, src, tgt)``: integer object ids, and those of each arrow's ends.
+
+        ``ids`` numbers the distinct objects in order, then each other label
+        met as an end; ``src`` and ``tgt`` are int arrays in arrow order.
+        """
+        ids = {}
+        for x in self.objects:
+            ids.setdefault(x, len(ids))
+        return ids, label_ids(ids, self.arrows, self.src), label_ids(ids, self.arrows, self.tgt)
+
+    @cached_property
+    def into_fibres(self):
+        """``fibres`` of the arrows by target id: ``slot`` is each arrow's rank
+        among the arrows into its target, in arrow order."""
+        ids, _, tgt = self.endpoint_ids
+        return fibres(tgt, len(ids))
+
     @property
     def table(self) -> np.ndarray:
         """``cmp`` as ``(P, 3)`` int rows ``[later, earlier, result]`` of arrow indices.
@@ -281,20 +317,48 @@ class FiniteGroupoid:
             kept = self.__dict__[name] = table, build(table)
         return kept[1]
 
+    def _grid(self):
+        """The table as ``grid[later, slot[earlier]] = result`` over its composable
+        pairs (-1 where it has none), plus the sorted pair keys and results of
+        the rows whose pair is not composable.  Kept until the table changes.
+        """
+
+        def build(table):
+            _, src, tgt = self.endpoint_ids
+            counts, _, _, slot = self.into_fibres
+            later, earlier, result = table.T
+            fits = src[later] == tgt[earlier]
+            grid = np.full((len(self.arrows), counts.max(initial=0)), -1, dtype=np.int64)
+            grid[later[fits], slot[earlier[fits]]] = result[fits]
+            odd = table[~fits]
+            return grid, odd[:, 0] * len(self.arrows) + odd[:, 1], odd[:, 2]
+
+        return self._per_table("_slot_grid", build)
+
     def compose_ids(self, later, earlier) -> np.ndarray:
         """Index of ``later o earlier`` for two index arrays; -1 where undefined.
 
         A negative index, standing for an arrow that is not there, reads -1.
-        The sorted pair keys of the table are kept until the table changes.
+        A composable pair is a gather from the slot grid; only a pair that is
+        not composable is searched for, among the table's other rows.
         """
-        table, n = self.table, len(self.arrows)
-        if not len(table):
+        if not len(self.table):
             return np.full(later.shape, -1, dtype=np.int64)
-        keys = self._per_table("_keys", lambda t: t[:, 0] * n + t[:, 1])
-        wanted = later * n + earlier
-        pos = np.searchsorted(keys, wanted).clip(max=len(keys) - 1)
-        found = (keys[pos] == wanted) & (later >= 0) & (earlier >= 0)
-        return np.where(found, table[pos, 2], -1)
+        grid, odd_keys, odd_results = self._grid()
+        _, src, tgt = self.endpoint_ids
+        slot = self.into_fibres[3]
+        known = (later >= 0) & (earlier >= 0)
+        if not known.all():
+            later, earlier = np.where(known, later, 0), np.where(known, earlier, 0)
+        fits = known & (src[later] == tgt[earlier])
+        out = grid[later, slot[earlier]]
+        out[~fits] = -1
+        ask = known & ~fits
+        if len(odd_keys) and ask.any():
+            wanted = later[ask] * len(self.arrows) + earlier[ask]
+            pos = np.searchsorted(odd_keys, wanted).clip(max=len(odd_keys) - 1)
+            out[ask] = np.where(odd_keys[pos] == wanted, odd_results[pos], -1)
+        return out
 
     @property
     def composites(self):
@@ -306,8 +370,10 @@ class FiniteGroupoid:
         """
 
         def build(table):
-            later, earlier = composable_index(*object_ids(self.arrows, self.src, self.tgt))
-            return later, earlier, self.compose_ids(later, earlier)
+            _, src, tgt = self.endpoint_ids
+            later, earlier = composable_index(src, tgt)
+            grid = self._grid()[0]
+            return later, earlier, grid[later, self.into_fibres[3][earlier]]
 
         return self._per_table("_composites", build)
 
@@ -360,7 +426,8 @@ def finite_action_groupoid(group: FiniteGroup, points, act, name=None) -> Finite
         [element[group.mul(g, h)] for g in group.elements for h in group.elements], dtype=np.int64
     ).reshape(group.order, group.order)
     n = len(points)
-    later, earlier = composable_index(*object_ids(arrows, src, tgt))
+    ids = {}
+    later, earlier = composable_index(label_ids(ids, arrows, src), label_ids(ids, arrows, tgt))
     table = np.stack([later, earlier, mul[later // n, earlier // n] * n + earlier % n], axis=1)
     inverse = {g: group.inv(g) for g in group.elements}
     inv = {(g, x): (inverse[g], tgt[(g, x)]) for (g, x) in arrows}
@@ -644,14 +711,10 @@ def _associativity_failures(G: FiniteGroupoid):
     the label lookups of ``cmp``.
     """
     later, earlier, result = G.composites
-    src, tgt = object_ids(G.arrows, G.src, G.tgt)
+    _, src, tgt = G.endpoint_ids
+    rank = G.into_fibres[3]
     counts = np.bincount(later, minlength=len(G.arrows))
     starts = np.cumsum(counts) - counts
-    # rank of each arrow among the arrows into its target, in arrow order
-    into = np.bincount(tgt)
-    by_target = np.argsort(tgt, kind="stable")
-    rank = np.empty_like(tgt)
-    rank[by_target] = np.arange(len(tgt)) - (np.cumsum(into) - into)[tgt[by_target]]
     n = counts[earlier]  # triples of each pair
     rho_ends = np.cumsum(counts)[counts > 0]
     rho_triples = np.add.reduceat(n, rho_ends - counts[counts > 0]) if len(n) else n
@@ -838,7 +901,7 @@ def cech_groupoid(G, cover: CechCover):
     parent, a_of, b_of = np.array(
         [(index[s], a, b) for s, a, b in arrows], dtype=np.int64
     ).reshape(-1, 3).T
-    parent_src, parent_tgt = object_ids(G.arrows, G.src, G.tgt)
+    _, parent_src, parent_tgt = G.endpoint_ids
     later, earlier = composable_index(parent_src[parent] * k + b_of, parent_tgt[parent] * k + a_of)
     composite = G.compose_ids(parent[later], parent[earlier])
     where = np.full((len(G.arrows), k, k), -1, dtype=np.int64)

@@ -772,9 +772,8 @@ def run_scenario(config: dict, out_dir=None, force=False, registry_dir=None):
             json.dump(report, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
-            fh.write("index,eigenvalue\n")
-            for label, value in scenario.spectra:
-                fh.write(f"{label},{value!r}\n")
+            rows = "".join([f"{label},{value!r}\n" for label, value in scenario.spectra])
+            fh.write("index,eigenvalue\n" + rows)
         with open(os.path.join(out_dir, "summary.md"), "w") as fh:
             fh.write(render_summary(report))
     return (0 if passed else 1), report

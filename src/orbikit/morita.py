@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .groupoids import (
     FiniteGroup,
     isotropy,
     label_ids,
-    object_ids,
+    expand_runs,
     table_groupoid,
     validate_cover,
 )
@@ -275,19 +276,34 @@ def identity_bitorsor(G: FiniteGroupoid) -> Bitorsor:
 
     Composition acts on both sides; this is the unit of bitorsor
     composition (a carrier of bare objects fails freeness as soon as the
-    groupoid has isotropy).
+    groupoid has isotropy).  Both actions are read from ``G.table``.
     """
     carrier = tuple(G.arrows)
+    _, src, tgt = G.endpoint_ids
+    q, s = composable_index(tgt, src)  # s . q, q-major
+    later, earlier, _ = G.composites  # q . t, q-major
     return Bitorsor(
         left=G,
         right=G,
         carrier=carrier,
         rho=dict(G.tgt),
         alpha=dict(G.src),
-        left_act={(s, q): G.compose(s, q) for q in carrier for s in G.arrows_from(G.tgt[q])},
-        right_act={(q, t): G.compose(q, t) for q in carrier for t in G.arrows_into(G.src[q])},
+        left_act=_composite_labels(G, s, q),
+        right_act=_composite_labels(G, later, earlier),
         name=f"id({G.name})",
     )
+
+
+def _composite_labels(G: FiniteGroupoid, later, earlier) -> dict:
+    """``(later, earlier) -> later o earlier`` as labels, in the order of the index
+    arrays; a pair the table lacks is read from ``G.cmp``, so it raises ``KeyError``."""
+    result = G.compose_ids(later, earlier)
+    arrows = G.arrows
+    values = [arrows[i] for i in result.tolist()]
+    for i in np.flatnonzero(result < 0).tolist():
+        values[i] = G.cmp[(arrows[later[i]], arrows[earlier[i]])]
+    pairs = zip(map(arrows.__getitem__, later.tolist()), map(arrows.__getitem__, earlier.tolist()))
+    return dict(zip(pairs, values))
 
 
 def inverse_bitorsor(b: Bitorsor) -> Bitorsor:
@@ -357,60 +373,112 @@ def compose_homs(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
 
     Carrier: pairs (q1, q2) with alpha1(q1) == rho2(q2), modulo
     (q1, q2) ~ (q1 . sigma, sigma^-1 . q2).  Classes are stored as
-    canonical frozensets of pairs.
+    canonical frozensets of pairs, sorted by their members' reprs.  The
+    pairs are point indices of the action arrays (``_action_arrays``); a
+    class is a connected component of the graph of those moves, and each
+    class acts through its first pair.
     """
     if b1.right is not b2.left:
         raise CatalogError("middle groupoids differ; cannot compose")
     mid = b1.right
-    pairs = [(q1, q2) for q1 in b1.carrier for q2 in b2.rho_fibre(b1.alpha[q1])]
-    # close each pair under the middle action
-    cls_of = {}
-    classes = []
-    for p in pairs:
-        if p in cls_of:
-            continue
-        block = {p}
-        stack = [p]
-        while stack:
-            (q1, q2) = stack.pop()
-            for s in mid.arrows:
-                if (q1, s) in b1.right_act and (mid.inv[s], q2) in b2.left_act:
-                    nxt = (b1.right_act[(q1, s)], b2.left_act[(mid.inv[s], q2)])
-                    if nxt not in block:
-                        block.add(nxt)
-                        stack.append(nxt)
-        block = frozenset(block)
-        classes.append(block)
-        for m in block:
-            cls_of[m] = block
-    carrier = tuple(sorted(classes, key=lambda c: sorted(map(repr, c))))
-    rho = {c: b1.rho[next(iter(c))[0]] for c in carrier}
-    alpha = {c: b2.alpha[next(iter(c))[1]] for c in carrier}
+    left1, right1, index1 = _action_arrays(b1)
+    left2, right2, index2 = _action_arrays(b2)
+    points1, points2 = list(index1), list(index2)
+    # a pair (i1, i2) of point indices has the code i1 * m + i2
+    m = len(points2)
+    ids = {}
+    alpha1 = label_ids(ids, b1.carrier, b1.alpha)
+    rho2 = label_ids(ids, b2.carrier, {q: b2.rho.get(q) for q in b2.carrier})
+    codes = np.ravel_multi_index(composable_index(alpha1, rho2), (len(points1), m))
+    # the moves sigma from each point of b1, sigma^-1 on the b2 side
+    moves_from, sigma = np.nonzero(right1[:-1, : len(mid.arrows)] >= 0)
+    n_moves = np.bincount(moves_from, minlength=len(points1))
+    inverse = np.array([mid.arrow_index.get(mid.inv[s], -1) for s in mid.arrows], dtype=np.int64)
+    # close the pairs under the moves; a move may reach a pair that is not
+    # listed (an action that breaks the anchors), which then moves on too
+    no_edges = np.zeros(0, dtype=np.int64)
+    frontier, tail, head = codes, [no_edges], [no_edges]
+    while len(frontier):
+        i1, i2 = np.divmod(frontier, m)
+        row, j = expand_runs(n_moves[i1], (np.cumsum(n_moves) - n_moves)[i1])
+        there = left2[inverse[sigma[j]], i2[row]]
+        step = there >= 0
+        tail.append(frontier[row][step])
+        head.append(right1[i1[row], sigma[j]][step] * m + there[step])
+        frontier = np.setdiff1d(head[-1], codes)
+        codes = np.union1d(codes, frontier)
+    tail, head = np.searchsorted(codes, np.concatenate(tail)), np.searchsorted(codes, np.concatenate(head))
+    root = _components(len(codes), tail, head)
+
+    i1, i2 = np.divmod(codes, m)
+    pairs = list(zip([points1[i] for i in i1.tolist()], [points2[i] for i in i2.tolist()]))
+    # one block of pair indices per class, ascending, so a block starts at its root
+    order = np.argsort(root, kind="stable")
+    sizes = np.bincount(root, minlength=len(codes))
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    blocks = [order[start:end] for start, end in zip([0, *ends], ends)]
+    reprs = [repr(p) for p in pairs]
+    blocks.sort(key=lambda block: sorted(reprs[k] for k in block.tolist()))
+    carrier = tuple(frozenset(pairs[k] for k in block.tolist()) for block in blocks)
+    position = np.empty(len(codes), dtype=np.int64)
+    for c, block in enumerate(blocks):
+        position[block] = c
+    first = np.array([block[0] for block in blocks], dtype=np.int64)
     # anchors are class invariants; guard while building
-    for c in carrier:
-        for (q1, q2) in c:
-            if b1.rho[q1] != rho[c] or b2.alpha[q2] != alpha[c]:
-                raise CatalogError("composite anchors are not class invariants")
-    left_act = {}
-    right_act = {}
-    for c in carrier:
-        q1, q2 = next(iter(c))
-        for s in b1.left.arrows:
-            if (s, q1) in b1.left_act:
-                left_act[(s, c)] = cls_of[(b1.left_act[(s, q1)], q2)]
-        for t in b2.right.arrows:
-            if (q2, t) in b2.right_act:
-                right_act[(c, t)] = cls_of[(q1, b2.right_act[(q2, t)])]
+    rho = label_ids({}, [points1[i] for i in i1.tolist()], b1.rho)
+    alpha = label_ids({}, [points2[i] for i in i2.tolist()], b2.alpha)
+    anchor = first[position]
+    if (rho != rho[anchor]).any() or (alpha != alpha[anchor]).any():
+        raise CatalogError("composite anchors are not class invariants")
+
+    def classes(to):
+        """The carrier classes of the pair codes ``to``; a code that is no pair raises."""
+        k = np.searchsorted(codes, to).clip(max=len(codes) - 1)
+        missing = np.flatnonzero(codes[k] != to)
+        if len(missing):
+            raise KeyError((points1[to[missing[0]] // m], points2[to[missing[0]] % m]))
+        return [carrier[p] for p in position[k].tolist()]
+
+    # each class acts through its first pair (r1, r2)
+    r1, r2 = i1[first], i2[first]
+    c, s = np.nonzero(left1[: len(b1.left.arrows), r1].T >= 0)
+    left_act = dict(zip(
+        zip([b1.left.arrows[i] for i in s.tolist()], [carrier[i] for i in c.tolist()]),
+        classes(left1[s, r1[c]] * m + r2[c]),
+    ))
+    c, t = np.nonzero(right2[r2, : len(b2.right.arrows)] >= 0)
+    right_act = dict(zip(
+        zip([carrier[i] for i in c.tolist()], [b2.right.arrows[i] for i in t.tolist()]),
+        classes(r1[c] * m + right2[r2[c], t]),
+    ))
     return Bitorsor(
         left=b1.left,
         right=b2.right,
         carrier=carrier,
-        rho=rho,
-        alpha=alpha,
+        rho={cls: b1.rho[points1[i]] for cls, i in zip(carrier, r1.tolist())},
+        alpha={cls: b2.alpha[points2[i]] for cls, i in zip(carrier, r2.tolist())},
         left_act=left_act,
         right_act=right_act,
         name=f"({b1.name} * {b2.name})",
     )
+
+
+def _components(n, tail, head) -> np.ndarray:
+    """The smallest node of each node's connected component, over edges ``tail -- head``.
+
+    Each node takes the smallest label among its neighbours and then its
+    label's label, until nothing moves: on a union of cliques, such as the
+    classes of a groupoid action, that is two rounds.
+    """
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, tail, label[head])
+        np.minimum.at(low, head, label[tail])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
 
 
 @dataclass
@@ -647,21 +715,38 @@ class StrictMorphism:
     arr_map: dict
 
     def check_functor(self) -> ValidationReport:
+        return self._check_functor(*self._images())
+
+    def _images(self):
+        """``(image, obj, onto)`` as int arrays over the target's ``endpoint_ids``.
+
+        ``image`` is the target index of each source arrow's image, -1 where
+        it has none; ``obj`` the target id of each source object id; and
+        ``onto`` whether an arrow's image runs between the images of its
+        ends.  An image that is not a target arrow raises ``KeyError``.
+        """
+        S, T = self.source, self.target
+        images = list(map(self.arr_map.get, S.arrows))
+        image = np.fromiter(map(T.arrow_index.get, images, repeat(-1)), np.int64, len(images))
+        for i in np.flatnonzero(image < 0).tolist():
+            if images[i] is not None:
+                raise KeyError(images[i])
+        obj = label_ids(dict(T.endpoint_ids[0]), S.endpoint_ids[0], self.obj_map)
+        _, s_src, s_tgt = S.endpoint_ids
+        _, t_src, t_tgt = T.endpoint_ids
+        onto = (np.append(t_src, -1)[image] == obj[s_src]) & (np.append(t_tgt, -1)[image] == obj[s_tgt])
+        return image, obj, onto
+
+    def _check_functor(self, image, obj, onto) -> ValidationReport:
         rep = ValidationReport(subject="strict morphism")
         S, T = self.source, self.target
-        for a in S.arrows:
-            img = self.arr_map.get(a)
-            if img is None:
-                rep.add(f"totality: no image for arrow {a!r}")
-                continue
-            if T.src[img] != self.obj_map[S.src[a]] or T.tgt[img] != self.obj_map[S.tgt[a]]:
-                rep.add(f"endpoints: image of {a!r} has wrong endpoints")
-        # image indices in T, -1 for a missing image; a pair fails unless its
-        # composite and both images exist and the composite's image composes them
-        index = T.arrow_index
-        image = np.fromiter(
-            (index.get(self.arr_map.get(a), -1) for a in S.arrows), np.int64, len(S.arrows)
-        )
+        for i in np.flatnonzero(~onto).tolist():
+            if image[i] < 0:
+                rep.add(f"totality: no image for arrow {S.arrows[i]!r}")
+            else:
+                rep.add(f"endpoints: image of {S.arrows[i]!r} has wrong endpoints")
+        # a pair fails unless its composite and both images exist and the
+        # composite's image composes them
         later, earlier, composite = S.composites
         lhs = np.append(image, -1)[composite]
         rhs = T.compose_ids(image[later], image[earlier])
@@ -673,23 +758,37 @@ class StrictMorphism:
         return rep
 
     def check_weak_equivalence(self) -> ValidationReport:
-        """Surjectivity on objects plus the cartesian arrow condition."""
-        rep = self.check_functor()
+        """Surjectivity on objects plus the cartesian arrow condition.
+
+        For each ordered pair of source objects, the arrows between them
+        must map one to one onto the target arrows between their images:
+        per pair, the count of arrows, of distinct images, of images that
+        are target arrows between the images of the ends, and of those
+        target arrows must all agree.
+        """
+        image, obj, onto = self._images()
+        rep = self._check_functor(image, obj, onto)
         S, T = self.source, self.target
         if set(self.obj_map[x] for x in S.objects) != set(T.objects):
             rep.add("weak equivalence: object map is not surjective")
-        # arrows q -> q' must biject with target arrows between the images
-        for q in S.objects:
-            for q2 in S.objects:
-                here = S.arrows_between(q, q2)
-                there = T.arrows_between(self.obj_map[q], self.obj_map[q2])
-                images = [self.arr_map.get(a) for a in here]
-                if len(images) != len(there) or set(images) != set(there) or len(
-                    set(images)
-                ) != len(images):
-                    rep.add(
-                        f"cartesian: arrows {q!r}->{q2!r} do not match the base arrows"
-                    )
+        objects = list(dict.fromkeys(S.objects))  # ids 0, 1, ... of S.endpoint_ids
+        k, n_images = len(objects), len(T.arrows) + 1
+        _, s_src, s_tgt = S.endpoint_ids
+        _, t_src, t_tgt = T.endpoint_ids
+        inside = (s_src < k) & (s_tgt < k)
+        ends, image = (s_src * k + s_tgt)[inside], image[inside]
+        here = np.bincount(ends, minlength=k * k)
+        distinct = np.bincount(np.unique(ends * n_images + image + 1) // n_images, minlength=k * k)
+        hits = np.bincount(ends[onto[inside]], minlength=k * k)
+        # target arrows between the images of each pair of source objects
+        width = int(max(obj.max(initial=-1), t_src.max(initial=-1), t_tgt.max(initial=-1))) + 1
+        codes, counts = np.unique(t_src * width + t_tgt, return_counts=True)
+        wanted = (obj[:k, None] * width + obj[None, :k]).ravel()
+        pos = np.searchsorted(codes, wanted).clip(max=max(len(codes) - 1, 0))
+        there = np.where(codes[pos] == wanted, counts[pos], 0) if len(codes) else np.zeros_like(wanted)
+        for i in np.flatnonzero((here != there) | (distinct != here) | (hits != here)).tolist():
+            q, q2 = objects[i // k], objects[i % k]
+            rep.add(f"cartesian: arrows {q!r}->{q2!r} do not match the base arrows")
         return rep
 
 
@@ -715,69 +814,90 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
     (sigma, q, tau) with src(sigma) == rho(q) and tgt(tau) == alpha(q),
     read as q -> (sigma . q) . tau.  One projection keeps sigma, the other
     keeps tau^-1.  This is one valid realization; nothing downstream may
-    depend on the arrow labels.  The middle's composition is computed as
-    its integer table, and its ``cmp`` is a ``TableCmp`` over that table.
+    depend on the arrow labels.  The middle is built from the action arrays
+    (``_action_arrays``): its arrows, ends and composition table are index
+    arrays, and its ``cmp`` is a ``TableCmp`` over that table.
     """
     L, R = b.left, b.right
-    arrows = tuple(
-        (s, q, t)
-        for q in b.carrier
-        for s in L.arrows
-        if (s, q) in b.left_act
-        for t in R.arrows_into(b.alpha[q])
-    )
-    src = {a: a[1] for a in arrows}
-    tgt = {(s, q, t): b.right_act[(b.left_act[(s, q)], t)] for s, q, t in arrows}
+    carrier, n = b.carrier, len(b.carrier)
+    left_act, right_act, index = _action_arrays(b)
+    points = list(index)
+    ids, _, r_tgt = R.endpoint_ids
+    into, into_start, by_target, slot = R.into_fibres
+    alpha = np.fromiter((ids.get(b.alpha[q], -1) for q in carrier), np.int64, n)
+    n_taus = np.where(alpha >= 0, into[alpha], 0)
+    # arrows q-major, then sigma among those acting on q, then tau among the arrows into alpha(q)
+    acts = left_act[: len(L.arrows), :n] >= 0
+    point, sigma = np.nonzero(acts.T)
+    row, j = expand_runs(n_taus[point], np.where(alpha >= 0, into_start[alpha], 0)[point])
+    sigmas, qs, taus = sigma[row], point[row], by_target[j]
+    ends = right_act[left_act[sigmas, qs], taus]
+    if (ends < 0).any():
+        i = np.flatnonzero(ends < 0)[0]
+        raise KeyError((points[left_act[sigmas[i], qs[i]]], R.arrows[taus[i]]))
+    sigma_of = [L.arrows[s] for s in sigmas.tolist()]
+    q_of = [points[i] for i in qs.tolist()]
+    end_of = [points[i] for i in ends.tolist()]
+    arrows = tuple(zip(sigma_of, q_of, [R.arrows[t] for t in taus.tolist()]))
 
-    # The rule a2 o a1 = (s2 o s1, q1, t1 o t2) in integers.  Arrows come
-    # q-major, then s and t in arrow order, so the code (q, s, t) ascends
-    # with the arrow index.
-    carrier_index = {q: i for i, q in enumerate(b.carrier)}
-    n_left, n_right = len(L.arrows), len(R.arrows)
-    sigmas, points, taus = np.array(
-        [(L.arrow_index[s], carrier_index[q], R.arrow_index[t]) for s, q, t in arrows],
-        dtype=np.int64,
-    ).reshape(-1, 3).T
-    codes = (points * n_left + sigmas) * n_right + taus
-    later, earlier = composable_index(*object_ids(arrows, src, tgt))
-    left = L.compose_ids(sigmas[later], sigmas[earlier])
-    right = R.compose_ids(taus[earlier], taus[later])
-    wanted = (points[earlier] * n_left + left) * n_right + right
-    result = np.searchsorted(codes, wanted).clip(max=max(len(codes) - 1, 0))
-    bad = np.flatnonzero((left < 0) | (right < 0) | (codes[result] != wanted))
-    if len(bad):
-        i = bad[0]
-        raise CatalogError(
-            f"middle composite of ({arrows[later[i]]!r},{arrows[earlier[i]]!r}) is not a middle arrow"
-        )
-    table = np.stack([later, earlier, result], axis=1)
+    # The rule a2 o a1 = (s2 o s1, q1, t1 o t2) in integers.  (s, q, t) sits
+    # at start[q] + rank(s at q) * n_taus[q] + slot(t), where rank(s at q)
+    # counts the arrows acting on q before s and slot(t) the arrows into
+    # alpha(q) before t.  For a1 ending at p, its composite with (s2, p, t2)
+    # takes the first two terms from s2 alone and the last from t2 alone, so
+    # each is composed once per (a1, s2) and per (a1, t2), then gathered.
+    n_sigmas = acts.sum(axis=0)
+    sizes = n_sigmas * n_taus
+    start = np.cumsum(sizes) - sizes
+    ranks = np.vstack([np.where(acts, np.cumsum(acts, axis=0) - 1, -1), np.full(n, -1)])
+    inside = ends < n  # an arrow ending outside the carrier composes with nothing
+    p = np.where(inside, ends, 0)
+    s_counts = np.where(inside, n_sigmas[p], 0)
+    e, j = expand_runs(s_counts, (np.cumsum(n_sigmas) - n_sigmas)[p])
+    s_rank = ranks[L.compose_ids(sigma[j], sigmas[e]), qs[e]]
+    s_part = start[qs[e]] + s_rank * n_taus[qs[e]]
+    t_counts = np.where(inside, n_taus[p], 0)
+    e, j = expand_runs(t_counts, np.where(alpha >= 0, into_start[alpha], 0)[p])
+    right = R.compose_ids(taus[e], by_target[j])
+    t_ok = (right >= 0) & (np.append(r_tgt, -1)[right] == alpha[qs[e]])
+    t_part = slot[right]
 
-    inv = {}
-    for a in arrows:
-        s, q, t = a
-        inv[a] = (L.inv[s], tgt[a], R.inv[t])
-    unit = {q: (L.unit[b.rho[q]], q, R.unit[b.alpha[q]]) for q in b.carrier}
+    later, earlier = composable_index(qs, ends)
+    s_at = (np.cumsum(s_counts) - s_counts)[earlier] + ranks[sigmas, qs][later]
+    t_at = (np.cumsum(t_counts) - t_counts)[earlier] + slot[taus][later]
+    if (s_rank < 0).any() or not t_ok.all():
+        bad = np.flatnonzero((s_rank[s_at] < 0) | ~t_ok[t_at])
+        if len(bad):
+            i = bad[0]
+            raise CatalogError(
+                f"middle composite of ({arrows[later[i]]!r},{arrows[earlier[i]]!r}) is not a middle arrow"
+            )
+    result = s_part[s_at] + t_part[t_at]
+
+    left_inverse = [L.inv[s] for s in L.arrows]
+    right_inverse = [R.inv[t] for t in R.arrows]
+    tau_inverse = [right_inverse[t] for t in taus.tolist()]
     middle = table_groupoid(
         arrows,
-        table,
-        objects=b.carrier,
-        src=src,
-        tgt=tgt,
-        inv=inv,
-        unit=unit,
+        np.stack([later, earlier, result], axis=1),
+        objects=carrier,
+        src=dict(zip(arrows, q_of)),
+        tgt=dict(zip(arrows, end_of)),
+        inv=dict(zip(arrows, zip([left_inverse[s] for s in sigmas.tolist()], end_of, tau_inverse))),
+        unit={q: (L.unit[b.rho[q]], q, R.unit[b.alpha[q]]) for q in carrier},
         name=f"middle({b.name})",
     )
     to_left = StrictMorphism(
         source=middle,
         target=L,
-        obj_map={q: b.rho[q] for q in b.carrier},
-        arr_map={a: a[0] for a in arrows},
+        obj_map={q: b.rho[q] for q in carrier},
+        arr_map=dict(zip(arrows, sigma_of)),
     )
     to_right = StrictMorphism(
         source=middle,
         target=R,
-        obj_map={q: b.alpha[q] for q in b.carrier},
-        arr_map={a: R.inv[a[2]] for a in arrows},
+        obj_map={q: b.alpha[q] for q in carrier},
+        arr_map=dict(zip(arrows, tau_inverse)),
     )
     return WeakEquivalencePair(middle, to_left, to_right)
 

@@ -50,15 +50,16 @@ GROUPOID_SCHEMA_1 = "orbikit/groupoid/1"
 
 
 def _freeze(value):
-    """Lists decoded from JSON become tuples, recursively."""
+    """Lists decoded from JSON become tuples, recursively; only lists are entered."""
     if isinstance(value, list):
-        return tuple(map(_freeze, value))
+        return tuple([_freeze(v) if isinstance(v, list) else v for v in value])
     return value
 
 
 def _thaw(value):
+    """Tuples become lists, recursively; only tuples are entered."""
     if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
+        return [_thaw(v) if isinstance(v, tuple) else v for v in value]
     return value
 
 

@@ -42,6 +42,7 @@ from .transport import (
     invariant_mode_indices,
     pullback_modes_section,
     solve_downstairs_twist,
+    twist_of_modes,
 )
 
 DEFAULT_BUFFER = 2
@@ -491,7 +492,7 @@ def induced_dirac(cov: QuotientCovering, spec: DiracSpec) -> InducedDirac:
     up = assemble_dirac(spec)
     signs = {g: float(spec.lift.signs[g]) for g in spec.groupoid.group.elements}
     ks = invariant_mode_indices(cov, spec.twist[0], signs)
-    tw = solve_downstairs_twist(cov, spec.twist[0], signs)
+    tw = twist_of_modes(cov, spec.twist[0], ks)
     # the relabeling (k + t) = m (j + t') of the invariant modes
     js = np.array([int((Fraction(k) + spec.twist[0]) / cov.degree - tw) for k in ks])
     down_cut = max(MIN_CUTOFF, int(np.abs(js).max()))

@@ -205,7 +205,11 @@ def solve_downstairs_twist(cov: QuotientCovering, twist=Fraction(0), lift_signs=
     fractional part twist'; the exact phases of ``phase_vector`` read it off.
     Raises when no twist in {0, 1/2} works (the structure does not descend).
     """
-    ks = invariant_mode_indices(cov, twist, lift_signs)
+    return twist_of_modes(cov, twist, invariant_mode_indices(cov, twist, lift_signs))
+
+
+def twist_of_modes(cov: QuotientCovering, twist, ks):
+    """``solve_downstairs_twist`` given the invariant modes ``ks``."""
     if not ks:
         raise InvarianceError("no invariant modes; nothing descends")
     M = cov.upstairs.base.mode_cutoff

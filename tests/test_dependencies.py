@@ -1,7 +1,10 @@
-"""Every third-party module the package imports is a declared dependency, and back."""
+"""Every third-party module the package imports is a declared dependency, and back; and importing
+the package leaves the modules it loads lazily unloaded."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +36,11 @@ def declared_dependencies():
 def test_imports_match_declared_dependencies():
     third_party = {n for n in imported_top_levels() if n not in sys.stdlib_module_names and n != "orbikit"}
     assert third_party == declared_dependencies()
+
+
+def test_import_does_not_load_csgraph():
+    """``scipy.sparse.csgraph`` is imported inside the functions that use it, not with the package."""
+    code = "import sys, orbikit; print('scipy.sparse.csgraph' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -181,3 +181,23 @@ def test_groupoid_doc_bundles_covers():
     doc = roundtrip(groupoid_to_dict(G, covers=[cover]))
     assert covers_from_groupoid_doc(doc) == [cover]
     assert covers_from_groupoid_doc(roundtrip(groupoid_to_dict(G))) == []
+
+
+def test_freeze_and_thaw_match_the_leafwise_recursion():
+    """Only lists (tuples) are entered; each leaf comes back as the same object."""
+    from orbikit.serialize import _freeze, _thaw
+
+    def ref_freeze(value):
+        return tuple(map(ref_freeze, value)) if isinstance(value, list) else value
+
+    def ref_thaw(value):
+        return [ref_thaw(v) for v in value] if isinstance(value, tuple) else value
+
+    M = weak_equivalence_pair(cech_bitorsor(cyclic_translation_groupoid(6, 3), CechCover(((0, 1), (1, 2), (2, 0))))).middle
+    labels = [*M.arrows, *M.objects, "*", 3, [], (), ((),), ("id", (1, [2, (3,)]))]
+    for label in labels:
+        thawed = _thaw(label)
+        assert thawed == ref_thaw(label) and json.dumps(thawed) == json.dumps(ref_thaw(label))
+        assert _freeze(thawed) == ref_freeze(thawed) == ref_freeze(ref_thaw(label))
+        assert type(_freeze(thawed)) is type(ref_freeze(thawed))
+    assert _freeze(_thaw(M.arrows[5])) == M.arrows[5]
