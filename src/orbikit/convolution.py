@@ -34,7 +34,15 @@ import scipy.sparse as sp
 from .bases import BandLimitError, CatalogError, mode_class
 from .cocycles import ReconstructedBundle, trivial_bundle
 from .groupoids import ActionGroupoid, FiniteGroupoid, is_effective
-from .spectral import DiracSpec, action_mult_operator, check_spectral_triple, interior_norm
+from .spectral import (
+    DiracSpec,
+    action_mult_entries,
+    action_mult_operator,
+    check_spectral_triple,
+    interior_norm,
+    mult_operator,
+    spinor_entries,
+)
 from .transport import BundleSection
 
 
@@ -148,17 +156,21 @@ def act_modes(spec: DiracSpec, f: ConvolutionElement, psi):
     return total
 
 
-def representation_matrix(spec: DiracSpec, f: ConvolutionElement) -> sp.csr_matrix:
-    """pi(f) = sum_g U(g) mult(f_g) on the truncated spinor space."""
+def representation_matrix(spec: DiracSpec, f: ConvolutionElement, band=None) -> sp.csr_matrix:
+    """pi(f) = sum_g U(g) mult(f_g) on the truncated spinor space.
+
+    ``band`` (see the operator builders of ``spectral``) builds only a
+    block of it, with the entries of that block of the whole matrix.
+    """
     if f.groupoid is not spec.groupoid:
         raise CatalogError("element lives on a different groupoid")
     total = None
     for g, part in f.data.items():
-        term = action_mult_operator(spec, g, part)
+        term = action_mult_operator(spec, g, part, band)
         total = term if total is None else total + term
-    if total is None:
-        dim = spec.space.dim
-        total = sp.csr_matrix((dim, dim), dtype=complex)
+    if total is None:  # the zero element
+        base = spec.groupoid.base
+        total = mult_operator(spec.space, mode_class(base).zero(base, base.mode_cutoff), band)
     return total
 
 
@@ -287,31 +299,18 @@ def _fourier_probe(G: ActionGroupoid, spec: DiracSpec, degree, effective) -> Fai
     kind = mode_class(base)
     labels = list(itertools.product(range(-degree, degree + 1), repeat=base.dim))
     params = [(g, l) for g in G.group.elements for l in labels]
-    space = spec.space
-    # a kernel element of the full operator also kills the interior block,
-    # so solving on the block and verifying candidates on the full matrix
-    # is sound in both directions
-    idx = space.interior_indices(max(2, spec.cutoff - degree - 2))
-    ops = []
-    cols = []
-    for g, l in params:
-        op = representation_matrix(spec, fourier_element(G, {g: kind.mode(base, base.mode_cutoff, l)}))
-        ops.append(op)
-        cols.append(op[idx][:, idx].toarray().reshape(-1))
-    A = np.array(cols).T
+    elements = [fourier_element(G, {g: kind.mode(base, base.mode_cutoff, l)}) for g, l in params]
+    A = _probe_matrix(spec, elements, spec.space.band(max(2, spec.cutoff - degree - 2)))
     _, s, vh = np.linalg.svd(A, full_matrices=False)
     tol = 1e-10 * (s[0] if len(s) else 1.0)
     candidates = [vh[i] for i in range(len(s)) if s[i] < tol]
+    # a kernel element of the whole representation also kills the interior
+    # block, so solving on the block and verifying each candidate on the
+    # whole matrices, taken only when there is a candidate, is sound both ways
     kernel_vectors = []
-    for vec in candidates:
-        combo = None
-        for c, op in zip(vec, ops):
-            term = complex(c) * op
-            combo = term if combo is None else combo + term
-        combo = sp.coo_matrix(combo)
-        resid = float(np.max(np.abs(combo.data))) if combo.nnz else 0.0
-        if resid <= 1e-9:
-            kernel_vectors.append(vec)
+    if candidates:
+        whole = _probe_matrix(spec, elements, None)
+        kernel_vectors = [vec for vec in candidates if np.abs(whole @ vec).max(initial=0.0) <= 1e-9]
     kernel_dim = len(kernel_vectors)
     witness = None
     if kernel_vectors:
@@ -334,6 +333,32 @@ def _fourier_probe(G: ActionGroupoid, spec: DiracSpec, degree, effective) -> Fai
         detail=f"band-limited probe, degree {degree}, smallest singular value "
         f"{float(s[-1]) if len(s) else float('nan'):.3e}",
     )
+
+
+def _probe_matrix(spec: DiracSpec, elements, band) -> np.ndarray:
+    """Column e: the ``band`` block of pi(elements[e]), flattened.
+
+    Each element has one part, so its block's entries are the mode-level
+    entries of ``action_mult_entries`` inside the band, with the values the
+    whole matrix holds.  Only the rows that are nonzero in some column are
+    kept: a row zero in every column adds exact zeros to A^H A, so the
+    singular values are those of the full matrix of flattened blocks.
+    """
+    space = spec.space
+    flat, column, values = [], [], []
+    for e, f in enumerate(elements):
+        ((g, part),) = f.data.items()
+        rows, cols, S, vals, (_, width) = action_mult_entries(spec, g, part, band)
+        r, c, data = spinor_entries(space, rows, cols, S, vals)
+        flat.append(r.astype(np.int64) * (width * space.rep.spinor_dim) + c)
+        column.append(np.full(len(r), e))
+        values.append(data)
+    flat, column, values = (np.concatenate(x) for x in (flat, column, values))
+    nonzero = values != 0
+    rows, row_of = np.unique(flat[nonzero], return_inverse=True)
+    A = np.zeros((len(rows), len(elements)), dtype=complex)
+    A[row_of, column[nonzero]] = values[nonzero]
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +387,22 @@ def convolution_triple_report(spec: DiracSpec, generators, *, buffer=None, label
         spec,
         elements,
         buffer=buffer,
-        operator_builder=lambda sp_, f: representation_matrix(sp_, _ensure_element(sp_, f)),
+        operator_builder=lambda sp_, f, band: representation_matrix(sp_, _ensure_element(sp_, f), band),
         label=label,
     )
     space = spec.space
-    reps = [(f, op) for (_, f), (_, op) in zip(elements, report.operators)]
+    band = space.band(report.buffer)
+    # the band block of pi(f1) pi(f2) sums over every middle mode: the band's
+    # rows of pi(f1), all columns, times pi(f2) on the band's columns
+    left = [representation_matrix(spec, f, (band[0], None)) for _, f in elements]
+    right = [representation_matrix(spec, f, (None, band[1])) for _, f in elements]
     worst = 0.0
-    for f1, r1 in reps:
-        for f2, r2 in reps:
+    for (_, f1), r1 in zip(elements, left):
+        for (_, f2), r2 in zip(elements, right):
             if f1.degree() + f2.degree() > spec.cutoff:
                 continue
-            lhs = representation_matrix(spec, convolve(f1, f2))
-            rhs = r1 @ r2
-            worst = max(worst, interior_norm(space, lhs - rhs, report.buffer))
+            lhs = representation_matrix(spec, convolve(f1, f2), band)
+            worst = max(worst, interior_norm(space, lhs - r1 @ r2, report.buffer))
     report.representation_residual = worst
     if not effective:
         report.faithfulness_note = "representation not faithful (groupoid not effective)"

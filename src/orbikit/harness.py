@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -133,7 +133,9 @@ class Param:
 class Scenario:
     description: str
     checks: list  # (check name, default tolerance, fn(tol) -> (ok, value or None, detail))
-    spectra: list = field(default_factory=list)  # (index label, eigenvalue)
+    # () -> the rows of spectra.csv after its header, rendered only when a
+    # bundle is written; None for a scenario with no spectrum
+    spectra: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +249,13 @@ def build_free_rotation_circle(m, modes, buffer) -> Scenario:
     ind = induced_dirac(cov, spec)
     base = G.base
     measure = uniform_measure(base, m, 1)
-    spectra = [(f"up:{k}", w) for (k,), (w,) in zip(spec.space.modes.tolist(), spec.space.freqs.tolist())]
-    spectra += [
-        (f"down:{j}", float(v))
-        for j, v in zip(range(-ind.downstairs.spec.cutoff, ind.downstairs.spec.cutoff + 1),
-                        np.diag(ind.downstairs.dense()).real)
-    ]
+
+    def spectra():
+        down_cut = ind.downstairs.spec.cutoff
+        down = ind.downstairs.matrix.diagonal().real
+        rows = [f"up:{k},{w!r}\n" for (k,), (w,) in zip(spec.space.modes.tolist(), spec.space.freqs.tolist())]
+        rows += [f"down:{j},{v!r}\n" for j, v in zip(range(-down_cut, down_cut + 1), down.tolist())]
+        return "".join(rows)
 
     def random_invariant(rng, reach):
         """Random coefficients on the invariant modes with |k| <= reach."""
@@ -395,11 +398,17 @@ def build_pillowcase_torus(modes, buffer) -> Scenario:
     spec = _torus_spec(M)
     G, lift = spec.groupoid, spec.lift
     torus = G.base
-    spectra = [
-        (f"{k1},{k2}:{label}", sign * r)
-        for (k1, k2), r in zip(spec.space.modes.tolist(), np.hypot(*spec.space.freqs.T).tolist())
-        for label, sign in (("+", 1), ("-", -1))
-    ]
+
+    def spectra():
+        """Rows ``k1,k2:+,r`` and ``k1,k2:-,-r`` per mode, r = |freq|.
+
+        ``repr`` runs once per distinct r, and the minus row writes "-" before
+        it, so mode (0, 0) reads -0.0, as the float -r does.
+        """
+        levels, level = np.unique(np.hypot(*spec.space.freqs.T), return_inverse=True)
+        text = [repr(r) for r in levels.tolist()]
+        return "".join([f"{k1},{k2}:+,{text[i]}\n{k1},{k2}:-,-{text[i]}\n"
+                        for (k1, k2), i in zip(spec.space.modes.tolist(), level.tolist())])
 
     def lift_search(tol):
         strict = spin_lift_search(G, lift.rep)
@@ -772,8 +781,7 @@ def run_scenario(config: dict, out_dir=None, force=False, registry_dir=None):
             json.dump(report, fh, indent=1, sort_keys=True, allow_nan=False)
             fh.write("\n")
         with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
-            rows = "".join([f"{label},{value!r}\n" for label, value in scenario.spectra])
-            fh.write("index,eigenvalue\n" + rows)
+            fh.write("index,eigenvalue\n" + (scenario.spectra() if scenario.spectra else ""))
         with open(os.path.join(out_dir, "summary.md"), "w") as fh:
             fh.write(render_summary(report))
     return (0 if passed else 1), report

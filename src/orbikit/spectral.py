@@ -1,18 +1,23 @@
 """Truncated Dirac operators and spectral-triple checks.
 
-Operators act on the spinor-mode basis {modes |k| <= M} x spinor module.
-Circle operators are small and dense; torus operators are kept sparse
-(their residual checks reduce to exact cancellations, and eigenvalues come
-from the per-mode blocks analytically).
+Operators act on the spinor-mode basis {modes |k| <= M} x spinor module,
+as sparse matrices; eigenvalues come from the per-mode blocks
+analytically.
 
 Operator-norm and spectrum statements are restricted to the interior band
 |k| <= M - B: multiplication operators couple modes across the cutoff, and
-the interior block is exact for band-limited generators.
+the interior block is exact for band-limited generators.  The checks build
+each operator on that band only (the builders' ``band``), never whole and
+then sliced: D and the chirality are block-diagonal over modes, so the
+interior block of a commutator with either is the commutator of the
+interior blocks.  ``interior_norm`` picks its method by the size of the
+whole space, whichever of the two it is handed.
 
 Each operator is built once per ``DiracSpec``: the spec keeps its assembled
-Dirac matrix, the mode permutation and phase of each lifted group element
-and its specs at other cutoffs.  These caches assume that a spec is not
-mutated after construction; build a new spec to change one.
+Dirac matrix with its Hermiticity residual, the mode permutation, phase
+and spin values of each lifted group element and its specs at other
+cutoffs.  These caches assume that a spec is not mutated after
+construction; build a new spec to change one.
 """
 
 from __future__ import annotations
@@ -100,6 +105,11 @@ class SpinorModeSpace:
         """Mask of the modes with max_i |k_i| <= M - buffer."""
         return np.abs(self.modes).max(axis=1) <= self.cutoff - buffer
 
+    def band(self, buffer) -> tuple:
+        """The interior band as the ``band`` of the operator builders."""
+        keep = self.interior(buffer)
+        return keep, keep
+
     def interior_indices(self, buffer) -> np.ndarray:
         d = self.rep.spinor_dim
         rows = np.flatnonzero(self.interior(buffer))
@@ -136,8 +146,8 @@ class DiracSpec:
             raise CatalogError("twist/representation dimension mismatch")
         if self.lift.groupoid is not self.groupoid:
             raise CatalogError("lift was built for a different groupoid")
-        self._action_cache = {}  # group element -> (target mode rows, phases)
-        self._dirac_matrix = None  # only the matrix: a TruncatedDirac would point back here
+        self._action_cache = {}  # group element -> (target mode rows, phases, spin values)
+        self._dirac = None  # (matrix, Hermiticity residual): a TruncatedDirac would point back here
         self._cutoff_cache = {}  # cutoff -> DiracSpec
 
     @cached_property
@@ -160,19 +170,29 @@ class DiracSpec:
 # Every operator is built as mode-level (row, column, value) arrays, expanded
 # over the spinor block by index arithmetic into one CSR matrix.  The values
 # keep the rounding of the Kronecker and sparse products they replace.
+#
+# A builder's ``band`` is None for the whole space, or a (row, column) pair
+# of masks over the mode rows, either of them None for every mode.  Only the
+# entries inside both masks are built, with the kept modes numbered in
+# order: the result is that block of the whole operator, with the same
+# entries in the same order.  ``SpinorModeSpace.band`` gives the interior
+# band's pair.
 
 
 def _mode_action(spec: DiracSpec, g):
-    """U(g) on scalar modes: mode row r goes to row ``target[r]`` times ``phase[r]``.
+    """U(g) on modes: mode row r goes to row ``target[r]`` times ``phase[r]`` S.
 
-    U(g) is the pullback psi -> psi o iso^{-1} of ``bases.mode_map``; every
-    mode must stay in the window.  Cached per spec.
+    U(g) is the pullback psi -> psi o iso^{-1} of ``bases.mode_map`` with
+    the spin block S of the lift; every mode must stay in the window.
+    Returns (target, phase, spin), where ``spin[p, r]`` is phase[r] S[i, j]
+    for the p-th nonzero S[i, j].  Cached per spec.
     """
     if g not in spec._action_cache:
         target, phase = mode_map(spec.cutoff, spec.twist, spec.groupoid.iso[g].inverse())
         if (target < 0).any():
             raise CatalogError("pullback leaves the truncation window")
-        spec._action_cache[g] = (target, phase)
+        S = spec.lift.matrix(g)
+        spec._action_cache[g] = (target, phase, phase * S[np.nonzero(S)][:, None])
     return spec._action_cache[g]
 
 
@@ -201,42 +221,76 @@ def _mult_entries(space: SpinorModeSpace, f):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _spinor_operator(space: SpinorModeSpace, rows, cols, block, values) -> sp.csr_matrix:
-    """One CSR operator from mode-level entries and a spinor block.
+def _in_band(space: SpinorModeSpace, rows, cols, band):
+    """The mode entries inside ``band``, renumbered over the kept modes.
 
-    Mode entry e and nonzero block entry p = (i, j) put ``values[e, p]``
+    Returns (hit, rows, cols, shape): ``hit`` indexes the kept entries (a
+    full slice when there is no band), and ``shape`` is the operator's size
+    in mode rows and columns.
+    """
+    n = len(space.modes)
+    if band is None:
+        return slice(None), rows, cols, (n, n)
+    hit = np.ones(len(rows), dtype=bool)
+    for index, keep in zip((rows, cols), band):
+        if keep is not None:
+            hit &= keep[index]
+    out, shape = [], []
+    for index, keep in zip((rows, cols), band):
+        if keep is None:
+            out.append(index[hit])
+            shape.append(n)
+        else:
+            out.append((np.cumsum(keep, dtype=np.int32) - 1)[index[hit]])
+            shape.append(int(np.count_nonzero(keep)))
+    return hit, out[0], out[1], tuple(shape)
+
+
+def spinor_entries(space: SpinorModeSpace, rows, cols, block, values):
+    """Spinor-level (rows, cols, values) of mode-level entries and a spinor block.
+
+    Nonzero block entry p = (i, j) and mode entry e put ``values[p, e]``
     (broadcast) at row ``rows[e] d + i`` and column ``cols[e] d + j``.  The
-    entries of each row keep their order, so its columns come out sorted
-    whenever ``cols`` ascends within each mode row.
+    entries come block entry by block entry, each run contiguous over the
+    mode entries; the CSR matrix built from them sorts each row, so their
+    order does not reach it.
     """
     d = space.rep.spinor_dim
-    i, j = (x.astype(np.int32) for x in np.nonzero(block))
-    r = (np.asarray(rows, dtype=np.int32)[:, None] * d + i).reshape(-1)
-    c = (np.asarray(cols, dtype=np.int32)[:, None] * d + j).reshape(-1)
-    data = np.broadcast_to(values, (len(rows), len(i))).reshape(-1)
-    return sp.csr_matrix((data, (r, c)), shape=(space.dim, space.dim))
+    i, j = (x.astype(np.int32)[:, None] for x in np.nonzero(block))
+    r = (np.asarray(rows, dtype=np.int32) * d + i).reshape(-1)
+    c = (np.asarray(cols, dtype=np.int32) * d + j).reshape(-1)
+    return r, c, np.broadcast_to(values, (len(i), len(rows))).reshape(-1)
+
+
+def _spinor_operator(space: SpinorModeSpace, rows, cols, block, values, shape) -> sp.csr_matrix:
+    """One CSR operator of ``shape`` mode rows and columns from ``spinor_entries``."""
+    d = space.rep.spinor_dim
+    r, c, data = spinor_entries(space, rows, cols, block, values)
+    return sp.csr_matrix((data, (r, c)), shape=(shape[0] * d, shape[1] * d))
 
 
 def _product(a, b) -> np.ndarray:
     """a * b by the textbook complex product, as the sparse matrix product
     rounds it; numpy's vectorized complex multiply can differ in the last bit."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    re, im = out.real, out.imag
+    np.multiply(a.real, b.real, out=re)
+    re -= a.imag * b.imag
+    np.multiply(a.real, b.imag, out=im)
+    im += a.imag * b.real
     return out
 
 
 def action_matrix(spec: DiracSpec, g) -> sp.csr_matrix:
     """The lifted unitary of one group element on the truncated spinors."""
-    target, phase = _mode_action(spec, g)
-    S = spec.lift.matrix(g)
+    target, _, spin = _mode_action(spec, g)
     cols = np.arange(len(target), dtype=np.int32)
     # the mode phase times the spin block, rounded as the Kronecker product
-    return _spinor_operator(spec.space, target, cols, S, phase[:, None] * S[np.nonzero(S)])
+    return _spinor_operator(spec.space, target, cols, spec.lift.matrix(g), spin, (len(target), len(target)))
 
 
-def mult_operator(space: SpinorModeSpace, f) -> sp.csr_matrix:
+def mult_operator(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
     """Pointwise multiplication by a band-limited scalar function.
 
     Mode l of ``f`` sends mode k to mode k + l.  Rows and columns outside
@@ -245,25 +299,37 @@ def mult_operator(space: SpinorModeSpace, f) -> sp.csr_matrix:
     generator degree.
     """
     rows, cols, vals = _mult_entries(space, f)
-    return _spinor_operator(space, rows, cols, np.eye(space.rep.spinor_dim), vals[:, None])
+    hit, rows, cols, shape = _in_band(space, rows, cols, band)
+    return _spinor_operator(space, rows, cols, np.eye(space.rep.spinor_dim), vals[hit], shape)
 
 
-def action_mult_operator(spec: DiracSpec, g, part) -> sp.csr_matrix:
-    """U(g) mult(part) in one step: mode entry (r, c, a) of the multiplication
-    moves to row target[r] with value (phase[r] S[i, j]) a."""
+def action_mult_entries(spec: DiracSpec, g, part, band=None):
+    """U(g) mult(part) as mode-level (rows, cols, spin block, values, shape).
+
+    Mode entry (r, c, a) of the multiplication moves to row target[r] with
+    value (phase[r] S[i, j]) a, one row of ``values`` per nonzero S[i, j];
+    the values are computed only for the entries inside ``band``.
+    """
     rows, cols, vals = _mult_entries(spec.space, part)
-    target, phase = _mode_action(spec, g)
-    S = spec.lift.matrix(g)
-    spin = phase[rows][:, None] * S[np.nonzero(S)]
-    return _spinor_operator(spec.space, target[rows], cols, S, _product(spin, vals[:, None]))
+    target, _, spin = _mode_action(spec, g)
+    hit, out_rows, out_cols, shape = _in_band(spec.space, target[rows], cols, band)
+    values = _product(spin[:, rows[hit]], vals[hit])
+    return out_rows, out_cols, spec.lift.matrix(g), values, shape
 
 
-def chirality_matrix(space: SpinorModeSpace) -> sp.csr_matrix:
+def action_mult_operator(spec: DiracSpec, g, part, band=None) -> sp.csr_matrix:
+    """U(g) mult(part) in one step."""
+    rows, cols, S, values, shape = action_mult_entries(spec, g, part, band)
+    return _spinor_operator(spec.space, rows, cols, S, values, shape)
+
+
+def chirality_matrix(space: SpinorModeSpace, band=None) -> sp.csr_matrix:
     if space.rep.chirality is None:
         raise CatalogError("chirality needs an even-dimensional base")
     chi = space.rep.chirality
     modes = np.arange(len(space.modes), dtype=np.int32)
-    return _spinor_operator(space, modes, modes, chi, chi[np.nonzero(chi)])
+    _, rows, cols, shape = _in_band(space, modes, modes, band)
+    return _spinor_operator(space, rows, cols, chi, chi[np.nonzero(chi)][:, None], shape)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +340,7 @@ def chirality_matrix(space: SpinorModeSpace) -> sp.csr_matrix:
 class TruncatedDirac:
     spec: DiracSpec
     matrix: sp.csr_matrix
+    residual: float  # max |D - D^H| entry, taken once per spec by assemble_dirac
 
     @property
     def space(self):
@@ -283,8 +350,7 @@ class TruncatedDirac:
         return self.matrix.toarray()
 
     def hermiticity_residual(self) -> float:
-        diff = (self.matrix - self.matrix.getH()).tocoo()
-        return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+        return self.residual
 
     def eigenvalues(self, buffer=None) -> np.ndarray:
         """Analytic spectrum of the per-mode blocks, sorted ascending: every
@@ -297,34 +363,50 @@ class TruncatedDirac:
         return np.sort(np.stack([r, -r], axis=1).reshape(-1))
 
 
+def _dirac_operator(space: SpinorModeSpace, keep=None) -> sp.csr_matrix:
+    """Sum of gamma(frame) x mode frequency, one block per mode.
+
+    D is block-diagonal over modes, so its block on the modes of the mask
+    ``keep`` (None for every mode) is built from those modes alone, with
+    the same entries as the matching block of the whole matrix.
+    """
+    d = space.rep.spinor_dim
+    gammas = space.rep.gammas
+    freqs = space.freqs if keep is None else space.freqs[keep]
+    # the block entries some gamma reaches, in row-major order
+    i, j = np.nonzero(sum(np.abs(gamma) for gamma in gammas))
+    values = sum(freqs[:, a] * gamma[i, j][:, None] for a, gamma in enumerate(gammas))  # (entries, modes)
+    e, m = np.nonzero(values)
+    size = len(freqs) * d
+    return sp.csr_matrix((values[e, m], (m * d + i[e], m * d + j[e])), shape=(size, size))
+
+
 def assemble_dirac(spec: DiracSpec) -> TruncatedDirac:
-    """Sum of gamma(frame) x mode frequency over the truncation window.
+    """The Dirac of ``_dirac_operator`` on the whole truncation window.
 
     Built and validated once per spec: Hermiticity (1e-14) and invariance
     against every lifted group element (1e-12), the latter on the per-mode
-    blocks; a failure of it is a lift/action mismatch and raises.
+    blocks; a failure of it is a lift/action mismatch and raises.  The
+    Hermiticity residual is kept with the matrix.
     """
-    if spec._dirac_matrix is None:
+    if spec._dirac is None:
         space = spec.space
-        d = space.rep.spinor_dim
-        w = space.freqs[:, :, None, None]
-        blocks = sum(w[:, i] * gamma for i, gamma in enumerate(space.rep.gammas))  # (n_modes, d, d)
-        m, i, j = np.nonzero(blocks)
-        D = sp.csr_matrix((blocks[m, i, j], (m * d + i, m * d + j)), shape=(space.dim, space.dim))
-        if TruncatedDirac(spec, D).hermiticity_residual() > 1e-14:
+        D = _dirac_operator(space)
+        residual = _max_abs(D - D.getH())
+        if residual > 1e-14:
             raise CatalogError("assembled Dirac is not Hermitian")
         for g in spec.groupoid.group.elements:
             # [D, U(g)] block by block: U(g) maps mode r to mode target[r] by
             # phase[r] S, a phase of modulus one, and D is w(r).gamma on mode r
-            target, _ = _mode_action(spec, g)
+            target, _, _ = _mode_action(spec, g)
             S = spec.lift.matrix(g)
             gamma_S = np.array([(gamma @ S).reshape(-1) for gamma in space.rep.gammas])
             S_gamma = np.array([(S @ gamma).reshape(-1) for gamma in space.rep.gammas])
             res = float(np.abs(space.freqs[target] @ gamma_S - space.freqs @ S_gamma).max())
             if res > 1e-12:
                 raise CatalogError(f"lift/action mismatch: [D, U({g!r})] residual {res:.2e}")
-        spec._dirac_matrix = D
-    return TruncatedDirac(spec, spec._dirac_matrix)
+        spec._dirac = (D, residual)
+    return TruncatedDirac(spec, *spec._dirac)
 
 
 def _max_abs(mat) -> float:
@@ -606,7 +688,7 @@ class SpectralTripleReport:
     symmetry_residual: float | None = None
     representation_residual: float | None = None
     faithfulness_note: str = ""
-    # (name, operator at the spec cutoff) per generator, in generator order
+    # (name, interior-band block at the spec cutoff) per generator, in generator order
     operators: list = field(default_factory=list, repr=False, compare=False)
 
     def as_dict(self):
@@ -643,20 +725,25 @@ class SpectralTripleReport:
 def interior_norm(space: SpinorModeSpace, mat, buffer) -> float:
     """Operator norm of the interior-band block of ``mat``.
 
-    The method depends only on the block and the size of ``mat``:
+    ``mat`` is either an operator on the whole of ``space``, whose interior
+    block is taken here, or that block already, as the operator builders
+    make it with ``band=space.band(buffer)``; both give the same value.
+    The method depends only on the block and the size of ``space``:
     - exactly 0.0 when the block has no nonzero entry (this includes an
       empty interior band);
-    - the exact 2-norm when ``mat`` has at most ``DENSE_NORM_ROWS`` rows,
+    - the exact 2-norm when ``space`` has at most ``DENSE_NORM_ROWS`` rows,
       taken as the largest dense 2-norm over the coupling components (see
       ``_component_norm``); it equals the 2-norm of the whole block up to
       rounding, so only the last bits can differ;
     - above that, the upper bound sqrt(||A||_1 ||A||_inf).
     """
-    idx = space.interior_indices(buffer)
-    block = sp.csr_matrix(mat)[idx][:, idx]
+    block = sp.csr_matrix(mat)
+    if block.shape[0] == space.dim:  # an operator on the whole space
+        idx = space.interior_indices(buffer)
+        block = block[idx][:, idx]
     if block.count_nonzero() == 0:
         return 0.0
-    if mat.shape[0] <= DENSE_NORM_ROWS:
+    if space.dim <= DENSE_NORM_ROWS:
         return _component_norm(block)
     magnitudes = abs(block)
     one = float(np.max(magnitudes.sum(axis=0)))
@@ -728,13 +815,15 @@ def _scalar_part(f):
     return None
 
 
-def _frame_identity_rhs(space: SpinorModeSpace, f) -> sp.csr_matrix:
+def _frame_identity_rhs(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
     """sum_i  mult(-i d_i f) x gamma_i, the flat-space commutator value."""
     total = None
     for axis in range(space.n):
         rows, cols, vals = _mult_entries(space, f.derivative(axis) * -1j)
+        hit, rows, cols, shape = _in_band(space, rows, cols, band)
         gamma = space.rep.gammas[axis]
-        term = _spinor_operator(space, rows, cols, gamma, _product(vals[:, None], gamma[np.nonzero(gamma)]))
+        values = _product(vals[hit], gamma[np.nonzero(gamma)][:, None])
+        term = _spinor_operator(space, rows, cols, gamma, values, shape)
         total = term if total is None else total + term
     return total
 
@@ -753,11 +842,16 @@ def check_spectral_triple(
     """Run the truncation-level spectral-triple checks.
 
     ``generators`` is a list of (name, band-limited function); they are
-    represented by multiplication unless ``operator_builder(spec, gen)``
-    supplies something else (the convolution module does).  Commutator
-    norms are computed on the interior band at the spec cutoff and again
-    at double cutoff to witness stability.  The operators built at the spec
-    cutoff come back in ``report.operators``.
+    represented by multiplication unless ``operator_builder(spec, gen,
+    band)`` supplies something else (the convolution module does).
+    Commutator norms are computed on the interior band at the spec cutoff
+    and again at double cutoff to witness stability.
+
+    Every operator is built on the interior band only (``band`` of the
+    builders): D and omega are block-diagonal over modes, so the interior
+    block of [D, X] or [omega, X] is the commutator of the interior blocks,
+    with the same products in the same order.  The generators' interior
+    blocks at the spec cutoff come back in ``report.operators``.
     """
     gens = list(generators)
     max_deg = max([f.degree() for _, f in gens], default=0)
@@ -768,7 +862,7 @@ def check_spectral_triple(
     buffer = max(DEFAULT_BUFFER, max_deg) if buffer is None else buffer
     dirac = assemble_dirac(spec)
     space = spec.space
-    build = operator_builder or (lambda sp_, f: mult_operator(sp_.space, f))
+    build = operator_builder or (lambda sp_, f, band: mult_operator(sp_.space, f, band))
 
     report = SpectralTripleReport(
         label=label,
@@ -778,21 +872,24 @@ def check_spectral_triple(
         eigenvalues=dirac.eigenvalues(buffer),
     )
 
+    band = space.band(buffer)
+    D = _dirac_operator(space, band[0])
     if gens:  # the drift check's doubled cutoff, built only when there is a generator
         double = spec.with_cutoff(2 * spec.cutoff)
-        D2 = assemble_dirac(double).matrix
+        band2 = double.space.band(buffer)
+        D2 = _dirac_operator(double.space, band2[0])
     for name, f in gens:
-        op = build(spec, f)
+        op = build(spec, f, band)
         report.operators.append((name, op))
-        comm = dirac.matrix @ op - op @ dirac.matrix
+        comm = D @ op - op @ D
         norm1 = interior_norm(space, comm, buffer)
-        op2 = build(double, _regrade(f, double))
+        op2 = build(double, _regrade(f, double), band2)
         norm2 = interior_norm(double.space, D2 @ op2 - op2 @ D2, buffer)
         report.commutator_norms[name] = norm1
         report.commutator_drift[name] = abs(norm2 - norm1) / max(1e-30, abs(norm1)) if norm1 else abs(norm2)
         scalar = _scalar_part(f)
         if scalar is not None:
-            rhs = _frame_identity_rhs(space, scalar)
+            rhs = _frame_identity_rhs(space, scalar, band)
             report.frame_identity_residuals[name] = interior_norm(space, comm - rhs, buffer)
 
     lam_edge = _interior_edge(space, buffer)
@@ -801,12 +898,12 @@ def check_spectral_triple(
     report.growth_target = space.n
 
     if space.rep.chirality is not None:
-        omega = chirality_matrix(space)
-        eye = sp.identity(omega.shape[0], format="csr")
-        report.chirality_square_residual = _max_abs(omega @ omega - eye)
-        report.chirality_anticommutator = interior_norm(
-            space, dirac.matrix @ omega + omega @ dirac.matrix, buffer
-        )
+        # omega is one spinor block on every mode, so omega^2 - 1 is that block's
+        chi = sp.csr_matrix(space.rep.chirality)
+        eye = sp.identity(chi.shape[0], format="csr")
+        report.chirality_square_residual = _max_abs(chi @ chi - eye)
+        omega = chirality_matrix(space, band)
+        report.chirality_anticommutator = interior_norm(space, D @ omega + omega @ D, buffer)
         for name, op in report.operators:
             report.chirality_commutators[name] = interior_norm(
                 space, omega @ op - op @ omega, buffer
