@@ -27,8 +27,10 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (scenario, params): every instance of the finite-ladder and fourier-ladder
 # benchmark workloads, the torus on both sides of interior_norm's switch from
-# the exact norm to the bound (modes 8, 11, 21, 22), and the circle configs
-# whose growth-exponent check fails (modes 8 and 10), so those stay pinned.
+# the exact norm to the bound (modes 8, 11, 21, 22), the circle configs
+# whose growth-exponent check fails (modes 8 and 10), and buffers at modes 8
+# that thin or empty the interior band (torus 0, 4, 8; circle 8), so those
+# stay pinned.
 GRID = (
     ("cech-localization", {}),
     ("a2-example", {"N": 3}),
@@ -53,6 +55,11 @@ GRID = (
     ("free-rotation-circle", {"m": 2, "modes": 10}),
     ("free-rotation-circle", {"m": 4, "modes": 8}),
     ("free-rotation-circle", {"m": 4, "modes": 10}),
+    ("pillowcase-torus", {"modes": 8, "buffer": 0}),
+    ("pillowcase-torus", {"modes": 8, "buffer": 4}),
+    ("pillowcase-torus", {"modes": 8, "buffer": 8}),
+    ("free-rotation-circle", {"m": 2, "modes": 8, "buffer": 8}),
+    ("free-rotation-circle", {"m": 4, "modes": 8, "buffer": 8}),
 )
 
 
