@@ -59,6 +59,8 @@ def phase_vector(M, twist, turns) -> np.ndarray:
     turns give exactly 1.0 and half turns exactly -1.0.
     """
     t, tw = _frac(turns), _frac(twist)
+    if t.denominator == 1 and (t * tw).denominator == 1:  # every phase is a whole turn
+        return np.ones(2 * M + 1, dtype=complex)
     den = t.denominator * tw.denominator
     ks = np.arange(-M, M + 1, dtype=np.int64)
     residues = np.mod((ks * tw.denominator + tw.numerator) * t.numerator, den)

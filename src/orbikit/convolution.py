@@ -36,12 +36,16 @@ from .cocycles import ReconstructedBundle, trivial_bundle
 from .groupoids import ActionGroupoid, FiniteGroupoid, is_effective
 from .spectral import (
     DiracSpec,
+    TripleRun,
     action_mult_entries,
     action_mult_operator,
-    check_spectral_triple,
+    chirality_step,
+    commutator_step,
+    growth_step,
     interior_norm,
     mult_operator,
     spinor_entries,
+    triple_header,
 )
 from .transport import BundleSection
 
@@ -372,26 +376,22 @@ def _ensure_element(spec: DiracSpec, f) -> ConvolutionElement:
     return fourier_element(spec.groupoid, {spec.groupoid.group.identity: f})
 
 
-def convolution_triple_report(spec: DiracSpec, generators, *, buffer=None, label="convolution-triple"):
-    """Spectral-triple checks with pi = the convolution representation.
+def convolution_header(spec: DiracSpec, generators, *, buffer=None, label="convolution-triple") -> TripleRun:
+    """``spectral.triple_header`` with pi = the convolution representation.
 
-    Adds the representation-law residual over generator pairs and an
-    effectiveness note (a non-effective groupoid still produces a report,
-    flagged as a non-faithful representation).  The chirality commutators
-    of the shared report double as the even-structure check: the induced
-    chirality must commute with every represented generator.
+    Bare mode data among ``generators`` is wrapped as a unit-component
+    element; every generator is built by ``representation_matrix``.
     """
-    effective, _ = is_effective(spec.groupoid)
     elements = [(name, _ensure_element(spec, f)) for name, f in generators]
-    report = check_spectral_triple(
-        spec,
-        elements,
-        buffer=buffer,
-        operator_builder=lambda sp_, f, band: representation_matrix(sp_, _ensure_element(sp_, f), band),
-        label=label,
-    )
-    space = spec.space
-    band = space.band(report.buffer)
+    return triple_header(spec, elements, buffer=buffer, operator_builder=representation_matrix, label=label)
+
+
+def law_step(run: TripleRun) -> None:
+    """The representation-law residual max ||pi(f1 * f2) - pi(f1) pi(f2)||
+    on the interior band, over the generator pairs whose product stays
+    within the cutoff."""
+    spec, band = run.spec, run.band
+    elements = run.generators
     # the band block of pi(f1) pi(f2) sums over every middle mode: the band's
     # rows of pi(f1), all columns, times pi(f2) on the band's columns
     left = [representation_matrix(spec, f, (band[0], None)) for _, f in elements]
@@ -402,8 +402,26 @@ def convolution_triple_report(spec: DiracSpec, generators, *, buffer=None, label
             if f1.degree() + f2.degree() > spec.cutoff:
                 continue
             lhs = representation_matrix(spec, convolve(f1, f2), band)
-            worst = max(worst, interior_norm(space, lhs - r1 @ r2, report.buffer))
-    report.representation_residual = worst
+            worst = max(worst, interior_norm(spec.space, lhs - r1 @ r2, run.buffer))
+    run.report.representation_residual = worst
+
+
+def convolution_triple_report(spec: DiracSpec, generators, *, buffer=None, label="convolution-triple"):
+    """Every spectral-triple step with pi = the convolution representation.
+
+    ``convolution_header``, then the commutator, growth and chirality steps
+    of ``spectral.check_spectral_triple``, then ``law_step``, and an
+    effectiveness note (a non-effective groupoid still produces a report,
+    flagged as a non-faithful representation).  The chirality commutators
+    double as the even-structure check: the induced chirality must commute
+    with every represented generator.
+    """
+    effective, _ = is_effective(spec.groupoid)
+    run = convolution_header(spec, generators, buffer=buffer, label=label)
+    commutator_step(run)
+    growth_step(run)
+    chirality_step(run)
+    law_step(run)
     if not effective:
-        report.faithfulness_note = "representation not faithful (groupoid not effective)"
-    return report
+        run.report.faithfulness_note = "representation not faithful (groupoid not effective)"
+    return run.report

@@ -48,10 +48,12 @@ from .cocycles import (
     INCONCLUSIVE,
 )
 from .convolution import (
+    convolution_header,
     convolution_triple_report,
     faithfulness_probe,
     fourier_element,
     fourier_unit,
+    law_step,
 )
 from .groupoids import (
     CechCover,
@@ -85,15 +87,19 @@ from .spectral import (
     Chart,
     DiracSpec,
     OrbifoldMeasure,
-    check_spectral_triple,
+    chirality_step,
+    commutator_step,
     conjugated_multiplication_residual,
     downstairs_tangent_cocycle,
+    growth_step,
     induced_dirac,
     induced_tangent_cocycle,
     matched_interior_spectra,
     orbifold_inner,
     orbifold_integral,
     spin_structure_transport,
+    symmetry_step,
+    triple_header,
     uniform_measure,
 )
 
@@ -340,17 +346,19 @@ def build_free_rotation_circle(m, modes, buffer) -> Scenario:
         pairs = [
             tuple(random_invariant(rng, M - buffer) for _ in range(2)) for _ in range(4)
         ]
-        report = check_spectral_triple(
-            spec, [], measure=measure, invariant_pairs=pairs, label="divergence",
-        )
-        residual = report.symmetry_residual
+        run = triple_header(spec, [], label="divergence")
+        symmetry_step(run, measure, pairs)
+        residual = run.report.symmetry_residual
         return residual <= tol, residual, (
             "Dirac is symmetric on invariant spinors under orbifold integration")
 
     def commutators(tol):
         gens = [(f"e{l}", fourier_element(G, {G.group.identity: CircleModes.mode(base, M, l)}))
                 for l in (1, 2, 3)]
-        report = convolution_triple_report(spec, gens, buffer=buffer)
+        run = convolution_header(spec, gens, buffer=buffer)
+        commutator_step(run)
+        law_step(run)
+        report = run.report
         worst = max(abs(report.commutator_norms[f"e{l}"] - l) for l in (1, 2, 3))
         drift = max(report.commutator_drift.values())
         frame = max(report.frame_identity_residuals.values())
@@ -366,7 +374,9 @@ def build_free_rotation_circle(m, modes, buffer) -> Scenario:
         return ok, rep.kernel_dim, f"zero kernel within band; {rep.detail}"
 
     def growth(tol):
-        report = check_spectral_triple(spec, [], buffer=buffer)
+        run = triple_header(spec, [], buffer=buffer)
+        growth_step(run)
+        report = run.report
         err = abs(report.growth_exponent - 1.0)
         return err <= tol, err, f"eigenvalue counting exponent {report.growth_exponent:.4f} vs n=1"
 
@@ -429,7 +439,10 @@ def build_pillowcase_torus(modes, buffer) -> Scenario:
             ("cos11", fourier_element(G, {0: diag})),
             ("flip", fourier_element(G, {1: TorusModes.mode(torus, M, (0, 0))})),
         ]
-        report = convolution_triple_report(spec, gens, buffer=buffer, label="pillowcase")
+        run = convolution_header(spec, gens, buffer=buffer, label="pillowcase")
+        chirality_step(run)
+        law_step(run)
+        report = run.report
         commutator = max(report.chirality_commutators.values())
         worst = max(report.chirality_square_residual, report.chirality_anticommutator, commutator)
         hermit = report.hermiticity_residual
@@ -441,7 +454,9 @@ def build_pillowcase_torus(modes, buffer) -> Scenario:
             f"{report.representation_residual:.3f} (order-four transport)")
 
     def growth(tol):
-        report = check_spectral_triple(spec, [], buffer=buffer)
+        run = triple_header(spec, [], buffer=buffer)
+        growth_step(run)
+        report = run.report
         err = abs(report.growth_exponent - 2.0) / 2.0
         return err <= tol, err, f"counting exponent {report.growth_exponent:.4f} vs n=2 at M={M}"
 

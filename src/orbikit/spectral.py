@@ -13,6 +13,19 @@ interior block of a commutator with either is the commutator of the
 interior blocks.  ``interior_norm`` picks its method by the size of the
 whole space, whichever of the two it is handed.
 
+The spectral-triple checks are steps that fill one report:
+``triple_header`` (the assembled Dirac, its Hermiticity residual and
+eigenvalues, and the interior-band operators the other steps share), then
+``commutator_step`` (norms, drift at double cutoff, frame residuals),
+``growth_step``, ``chirality_step`` and ``symmetry_step``;
+``convolution.law_step`` adds the representation law.
+``check_spectral_triple`` runs them all.  A scenario check runs only the
+steps whose fields it reads: the torus ``chirality-package`` the header,
+the chirality and the law; the circle ``convolution-commutators`` the
+header, the commutators and the law; ``growth-exponent`` the header and
+the growth; ``divergence-symmetry`` the header and the symmetry.  So only
+a check that reports drift builds the doubled cutoff.
+
 Each operator is built once per ``DiracSpec``: the spec keeps its assembled
 Dirac matrix with its Hermiticity residual, the mode permutation, phase
 and spin values of each lifted group element and its specs at other
@@ -828,6 +841,140 @@ def _frame_identity_rhs(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
     return total
 
 
+@dataclass(eq=False)
+class TripleRun:
+    """What the steps of one spectral-triple check share; ``triple_header``
+    makes it, and every step fills ``report``.
+
+    ``D`` and each generator's operator (``report.operators``) are built on
+    the interior ``band`` at the spec cutoff, once for every step.
+    """
+
+    spec: DiracSpec
+    generators: list  # (name, generator)
+    build: object  # (spec, generator, band) -> the generator's operator on the band
+    report: SpectralTripleReport
+    dirac: TruncatedDirac
+    band: tuple
+    D: sp.csr_matrix  # the interior block of the Dirac
+
+    @property
+    def space(self):
+        return self.spec.space
+
+    @property
+    def buffer(self):
+        return self.report.buffer
+
+
+def _mult_builder(spec, f, band):
+    return mult_operator(spec.space, f, band)
+
+
+def triple_header(
+    spec: DiracSpec, generators, *, buffer=None, operator_builder=None, label="invariant-triple"
+) -> TripleRun:
+    """The first step of every spectral-triple check.
+
+    Refuses a generator whose degree reaches the cutoff, fixes the buffer
+    (the larger of ``DEFAULT_BUFFER`` and the generator degree unless
+    given), assembles the Dirac (``assemble_dirac`` validates Hermiticity
+    and [D, U(g)] = 0) and reports its Hermiticity residual and the
+    interior-band eigenvalues.  It builds D and every generator's operator
+    on the interior band for the steps that follow.
+    """
+    gens = list(generators)
+    max_deg = max([f.degree() for _, f in gens], default=0)
+    if max_deg >= spec.cutoff:
+        raise CatalogError(
+            f"generator of degree {max_deg} is not representable at cutoff {spec.cutoff}"
+        )
+    buffer = max(DEFAULT_BUFFER, max_deg) if buffer is None else buffer
+    dirac = assemble_dirac(spec)
+    space = spec.space
+    build = operator_builder or _mult_builder
+    band = space.band(buffer)
+    report = SpectralTripleReport(
+        label=label,
+        cutoff=spec.cutoff,
+        buffer=buffer,
+        hermiticity_residual=dirac.hermiticity_residual(),
+        eigenvalues=dirac.eigenvalues(buffer),
+    )
+    report.operators = [(name, build(spec, f, band)) for name, f in gens]
+    return TripleRun(spec, gens, build, report, dirac, band, _dirac_operator(space, band[0]))
+
+
+def commutator_step(run: TripleRun) -> None:
+    """Commutator norms ||[D, pi(f)]|| on the interior band, their drift
+    against the same norms at double cutoff, and, for a generator with a
+    plain function part, the residual of the flat frame identity.
+
+    The only step that builds the doubled cutoff, and only when there is a
+    generator.
+    """
+    if not run.generators:
+        return
+    space, buffer, report, D = run.space, run.buffer, run.report, run.D
+    double = run.spec.with_cutoff(2 * run.spec.cutoff)
+    band2 = double.space.band(buffer)
+    D2 = _dirac_operator(double.space, band2[0])
+    for (name, f), (_, op) in zip(run.generators, report.operators):
+        comm = D @ op - op @ D
+        norm1 = interior_norm(space, comm, buffer)
+        op2 = run.build(double, _regrade(f, double), band2)
+        norm2 = interior_norm(double.space, D2 @ op2 - op2 @ D2, buffer)
+        report.commutator_norms[name] = norm1
+        report.commutator_drift[name] = abs(norm2 - norm1) / max(1e-30, abs(norm1)) if norm1 else abs(norm2)
+        scalar = _scalar_part(f)
+        if scalar is not None:
+            rhs = _frame_identity_rhs(space, scalar, run.band)
+            report.frame_identity_residuals[name] = interior_norm(space, comm - rhs, buffer)
+
+
+def growth_step(run: TripleRun, window=None) -> None:
+    """The eigenvalue counting exponent against the base dimension.
+
+    ``window`` is (lowest, highest) eigenvalue magnitude of the fit, by
+    default ``growth_exponent``'s floor up to the interior-band edge; a
+    window with fewer than three levels raises.
+    """
+    space = run.space
+    window = window or (None, _interior_edge(space, run.buffer))
+    run.report.growth_exponent = growth_exponent(run.dirac.eigenvalues(), window[1], window[0])
+    run.report.growth_target = space.n
+
+
+def chirality_step(run: TripleRun) -> None:
+    """omega^2 = 1, {D, omega} = 0 and [omega, pi(f)] = 0 on the interior
+    band; nothing on an odd-dimensional base, which has no chirality."""
+    space, buffer, report = run.space, run.buffer, run.report
+    if space.rep.chirality is None:
+        return
+    # omega is one spinor block on every mode, so omega^2 - 1 is that block's
+    chi = sp.csr_matrix(space.rep.chirality)
+    eye = sp.identity(chi.shape[0], format="csr")
+    report.chirality_square_residual = _max_abs(chi @ chi - eye)
+    omega = chirality_matrix(space, run.band)
+    report.chirality_anticommutator = interior_norm(space, run.D @ omega + omega @ run.D, buffer)
+    for name, op in report.operators:
+        report.chirality_commutators[name] = interior_norm(space, omega @ op - op @ omega, buffer)
+
+
+def symmetry_step(run: TripleRun, measure: OrbifoldMeasure | None, invariant_pairs) -> None:
+    """The largest |<D psi1, psi2> - <psi1, D psi2>| over ``invariant_pairs``
+    under the orbifold integral of ``measure``; nothing without both."""
+    if measure is None or not invariant_pairs:
+        return
+    worst = 0.0
+    for psi1, psi2 in invariant_pairs:
+        d1, d2 = (_apply_dirac(run.dirac, psi) for psi in (psi1, psi2))
+        lhs = orbifold_inner(measure, d1, psi2)
+        rhs = orbifold_inner(measure, psi1, d2)
+        worst = max(worst, abs(lhs - rhs))
+    run.report.symmetry_residual = worst
+
+
 def check_spectral_triple(
     spec: DiracSpec,
     generators,
@@ -839,85 +986,38 @@ def check_spectral_triple(
     label="invariant-triple",
     growth_window=None,
 ) -> SpectralTripleReport:
-    """Run the truncation-level spectral-triple checks.
+    """Run every truncation-level spectral-triple step and return the report.
 
     ``generators`` is a list of (name, band-limited function); they are
     represented by multiplication unless ``operator_builder(spec, gen,
-    band)`` supplies something else (the convolution module does).
-    Commutator norms are computed on the interior band at the spec cutoff
-    and again at double cutoff to witness stability.
+    band)`` supplies something else (the convolution module does).  The
+    steps, in this order:
+    - ``triple_header``: degree check, buffer, the assembled Dirac, its
+      Hermiticity residual and interior eigenvalues, and D and the
+      generators' operators on the interior band (``report.operators``);
+    - ``commutator_step``: commutator norms at the spec cutoff, their drift
+      at double cutoff, and the frame-identity residuals;
+    - ``growth_step``: the counting exponent over ``growth_window``;
+    - ``chirality_step``: the even structure, on an even-dimensional base;
+    - ``symmetry_step``: the symmetry of D on ``invariant_pairs`` under
+      ``measure``.
 
-    Every operator is built on the interior band only (``band`` of the
-    builders): D and omega are block-diagonal over modes, so the interior
-    block of [D, X] or [omega, X] is the commutator of the interior blocks,
-    with the same products in the same order.  The generators' interior
-    blocks at the spec cutoff come back in ``report.operators``.
+    A scenario check runs only the steps whose fields it reads:
+    ``pillowcase-torus`` ``chirality-package`` the header, the chirality
+    and the representation law (``convolution.law_step``);
+    ``free-rotation-circle`` ``convolution-commutators`` the header, the
+    commutators and the law; each ``growth-exponent`` the header and the
+    growth; ``divergence-symmetry`` the header and the symmetry.
+    ``noneffective-circle`` ``flagged-report`` runs every step
+    (``convolution.convolution_triple_report``): it checks that the whole
+    report comes out, flagged, on a non-effective groupoid.
     """
-    gens = list(generators)
-    max_deg = max([f.degree() for _, f in gens], default=0)
-    if max_deg >= spec.cutoff:
-        raise CatalogError(
-            f"generator of degree {max_deg} is not representable at cutoff {spec.cutoff}"
-        )
-    buffer = max(DEFAULT_BUFFER, max_deg) if buffer is None else buffer
-    dirac = assemble_dirac(spec)
-    space = spec.space
-    build = operator_builder or (lambda sp_, f, band: mult_operator(sp_.space, f, band))
-
-    report = SpectralTripleReport(
-        label=label,
-        cutoff=spec.cutoff,
-        buffer=buffer,
-        hermiticity_residual=dirac.hermiticity_residual(),
-        eigenvalues=dirac.eigenvalues(buffer),
-    )
-
-    band = space.band(buffer)
-    D = _dirac_operator(space, band[0])
-    if gens:  # the drift check's doubled cutoff, built only when there is a generator
-        double = spec.with_cutoff(2 * spec.cutoff)
-        band2 = double.space.band(buffer)
-        D2 = _dirac_operator(double.space, band2[0])
-    for name, f in gens:
-        op = build(spec, f, band)
-        report.operators.append((name, op))
-        comm = D @ op - op @ D
-        norm1 = interior_norm(space, comm, buffer)
-        op2 = build(double, _regrade(f, double), band2)
-        norm2 = interior_norm(double.space, D2 @ op2 - op2 @ D2, buffer)
-        report.commutator_norms[name] = norm1
-        report.commutator_drift[name] = abs(norm2 - norm1) / max(1e-30, abs(norm1)) if norm1 else abs(norm2)
-        scalar = _scalar_part(f)
-        if scalar is not None:
-            rhs = _frame_identity_rhs(space, scalar, band)
-            report.frame_identity_residuals[name] = interior_norm(space, comm - rhs, buffer)
-
-    lam_edge = _interior_edge(space, buffer)
-    window = growth_window or (None, lam_edge)
-    report.growth_exponent = growth_exponent(dirac.eigenvalues(), window[1], window[0])
-    report.growth_target = space.n
-
-    if space.rep.chirality is not None:
-        # omega is one spinor block on every mode, so omega^2 - 1 is that block's
-        chi = sp.csr_matrix(space.rep.chirality)
-        eye = sp.identity(chi.shape[0], format="csr")
-        report.chirality_square_residual = _max_abs(chi @ chi - eye)
-        omega = chirality_matrix(space, band)
-        report.chirality_anticommutator = interior_norm(space, D @ omega + omega @ D, buffer)
-        for name, op in report.operators:
-            report.chirality_commutators[name] = interior_norm(
-                space, omega @ op - op @ omega, buffer
-            )
-
-    if measure is not None and invariant_pairs:
-        worst = 0.0
-        for psi1, psi2 in invariant_pairs:
-            d1, d2 = (_apply_dirac(dirac, psi) for psi in (psi1, psi2))
-            lhs = orbifold_inner(measure, d1, psi2)
-            rhs = orbifold_inner(measure, psi1, d2)
-            worst = max(worst, abs(lhs - rhs))
-        report.symmetry_residual = worst
-    return report
+    run = triple_header(spec, generators, buffer=buffer, operator_builder=operator_builder, label=label)
+    commutator_step(run)
+    growth_step(run, growth_window)
+    chirality_step(run)
+    symmetry_step(run, measure, invariant_pairs)
+    return run.report
 
 
 def _interior_edge(space: SpinorModeSpace, buffer) -> float:

@@ -225,6 +225,18 @@ def test_phase_vector_is_unit_phase_bit_for_bit(twist, turns):
     assert np.array_equal(bits(phase_vector(M, twist, turns)), bits(ref))
 
 
+@pytest.mark.parametrize("twist", [Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("turns", [0, 1, -1, 2, 3])
+def test_phase_vector_of_whole_turns(twist, turns):
+    """Whole turns: all ones unless a half twist meets an odd number of turns."""
+    M = 9
+    ref = np.array([unit_phase((k + twist) * turns) for k in range(-M, M + 1)])
+    out = phase_vector(M, twist, turns)
+    assert out.dtype == complex and out.shape == (2 * M + 1,)
+    assert np.array_equal(bits(out), bits(ref))
+    assert np.array_equal(out, np.ones(2 * M + 1)) == ((twist * turns).denominator == 1)
+
+
 def ref_torus_pullback(f, iso):
     """The per-mode loop: mode k picks up the shift phases and lands at e*k + (e - 1)*t."""
     out = np.zeros_like(f.coeffs)
