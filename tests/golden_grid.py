@@ -30,7 +30,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the exact norm to the bound (modes 8, 11, 21, 22), the circle configs
 # whose growth-exponent check fails (modes 8 and 10), and buffers at modes 8
 # that thin or empty the interior band (torus 0, 4, 8; circle 8), so those
-# stay pinned.
+# stay pinned; the finite scenarios also at their floor N = 1, 2 and at N = 24.
 GRID = (
     ("cech-localization", {}),
     ("a2-example", {"N": 3}),
@@ -60,6 +60,12 @@ GRID = (
     ("pillowcase-torus", {"modes": 8, "buffer": 8}),
     ("free-rotation-circle", {"m": 2, "modes": 8, "buffer": 8}),
     ("free-rotation-circle", {"m": 4, "modes": 8, "buffer": 8}),
+    ("a2-example", {"N": 1}),
+    ("a2-example", {"N": 2}),
+    ("a2-example", {"N": 24}),
+    ("cocycle-transport", {"N": 1}),
+    ("cocycle-transport", {"N": 2}),
+    ("cocycle-transport", {"N": 24}),
 )
 
 
