@@ -22,7 +22,7 @@ import numpy as np
 
 from .bases import CatalogError
 from .groupoids import FiniteGroupoid, label_ids
-from .morita import Bitorsor, INCONCLUSIVE, left_witness
+from .morita import Bitorsor, INCONCLUSIVE, left_witnesses
 from .reports import ValidationReport
 
 ENTRY_TOL = 1e-12
@@ -221,18 +221,14 @@ def induce_cocycle(loc: Bitorsor, g: Cocycle, beta: SectionFamily) -> Cocycle:
     if g.groupoid is not loc.left:
         raise CatalogError("cocycle does not live on the left Cech groupoid")
     validate_section_family(loc, beta).raise_if_invalid()
-    entries = {}
-    for arrow in loc.right.arrows:
-        t, i, j = arrow
-        y = loc.right.src[arrow][0]
-        y2 = loc.right.tgt[arrow][0]
-        q_src = beta.point(j, y)
-        q_tgt = beta.point(i, y2)
-        moved = loc.right_act.get((q_tgt, arrow))
-        if moved is None:
-            raise CatalogError(f"section point over {y2!r} cannot move along {arrow!r}")
-        sigma = left_witness(loc, q_src, moved)
-        entries[arrow] = np.asarray(g.entries[sigma]).copy()
+    R, index = loc.right, loc.point_index
+    # arrow (t, i, j) runs from sheet j to sheet i
+    q_src = [index[beta.point(a[2], R.src[a][0])] for a in R.arrows]
+    q_tgt = [index[beta.point(a[1], R.tgt[a][0])] for a in R.arrows]
+    sigma = left_witnesses(loc, q_src, q_tgt, lambda k: CatalogError(
+        f"section point over {R.tgt[R.arrows[k]][0]!r} cannot move along {R.arrows[k]!r}"))
+    entries = {arrow: np.asarray(g.entries[loc.left.arrows[s]]).copy()
+               for arrow, s in zip(R.arrows, sigma.tolist())}
     return Cocycle(loc.right, g.rank, entries, name=f"induced({g.name})")
 
 
@@ -478,12 +474,11 @@ def induced_bundle(b: Bitorsor, bundle: ReconstructedBundle) -> ReconstructedBun
     missing = [y for y in b.right.objects if y not in reps]
     if missing:
         raise CatalogError(f"alpha not surjective; no representative over {missing[0]!r}")
-    action = {}
-    for t in b.right.arrows:
-        y, y2 = b.right.src[t], b.right.tgt[t]
-        moved = b.right_act[(reps[y2], t)]
-        sigma = left_witness(b, reps[y], moved)
-        action[t] = np.asarray(bundle.action[sigma]).copy()
+    R, index = b.right, b.point_index
+    sigma = left_witnesses(b, [index[reps[R.src[t]]] for t in R.arrows],
+                           [index[reps[R.tgt[t]]] for t in R.arrows],
+                           lambda k: KeyError((reps[R.tgt[R.arrows[k]]], R.arrows[k])))
+    action = {t: np.asarray(bundle.action[b.left.arrows[s]]).copy() for t, s in zip(R.arrows, sigma.tolist())}
     out = ReconstructedBundle(
         b.right, bundle.rank, action, name=f"induced({bundle.name})"
     )

@@ -214,14 +214,37 @@ def expand_runs(counts, starts):
     return row, np.repeat(starts - first, counts) + np.arange(len(row))
 
 
-def table_groupoid(arrows, table, **tables) -> FiniteGroupoid:
+def components(n, tail, head) -> np.ndarray:
+    """The smallest node of each node's connected component, over edges ``tail -- head``.
+
+    Each node takes the smallest label among its neighbours and then its
+    label's label, until nothing moves: on a union of cliques, such as the
+    classes of a groupoid action, that is two rounds.
+    """
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, tail, label[head])
+        np.minimum.at(low, head, label[tail])
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
+def table_groupoid(arrows, table, endpoint_ids=None, **tables) -> FiniteGroupoid:
     """The ``FiniteGroupoid`` over ``arrows`` composing by ``table``.
 
     ``table`` holds sorted ``[later, earlier, result]`` rows of indices into
     ``arrows``; the groupoid's ``cmp`` is a ``TableCmp`` over it, which
-    keeps it as the groupoid's table.  ``tables`` are the other fields.
+    keeps it as the groupoid's table.  ``endpoint_ids``, when given, is the
+    groupoid's ``endpoint_ids``, computed by the caller.  ``tables`` are the
+    other fields.
     """
-    return FiniteGroupoid(arrows=arrows, cmp=TableCmp(arrows, table), **tables)
+    G = FiniteGroupoid(arrows=arrows, cmp=TableCmp(arrows, table), **tables)
+    if endpoint_ids is not None:
+        G.__dict__["endpoint_ids"] = endpoint_ids
+    return G
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,6 +301,12 @@ class FiniteGroupoid:
     def arrow_index(self) -> dict:
         """arrow -> its position in ``arrows``."""
         return {a: i for i, a in enumerate(self.arrows)}
+
+    @cached_property
+    def inverse_ids(self) -> np.ndarray:
+        """Index of each arrow's inverse, in arrow order; -1 where ``inv`` names no arrow."""
+        index = self.arrow_index
+        return np.fromiter((index.get(self.inv[a], -1) for a in self.arrows), np.int64, len(self.arrows))
 
     @cached_property
     def endpoint_ids(self):
@@ -581,48 +610,29 @@ class OrbitPartition:
 
 
 def orbits(G) -> OrbitPartition:
+    """The orbits of a finite groupoid's objects, or of an action groupoid's sample grid.
+
+    Each block lists its points in their order, and the blocks come in the
+    order of their first points.
+    """
+    note = ""
     if isinstance(G, FiniteGroupoid):
-        parent = {x: x for x in G.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in G.arrows:
-            rx, ry = find(G.src[a]), find(G.tgt[a])
-            if rx != ry:
-                parent[ry] = rx
-        blocks = {}
-        for x in G.objects:
-            blocks.setdefault(find(x), []).append(x)
-        return OrbitPartition([tuple(b) for b in blocks.values()])
-    if isinstance(G, ActionGroupoid):
-        pts = G.grid_turns()
-        index = {p: i for i, p in enumerate(pts)}
-        parent = list(range(len(pts)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for g in G.group.elements:
-            for p in pts:
-                q = G.apply(g, p)
-                ri, rj = find(index[p]), find(index[q])
-                if ri != rj:
-                    parent[rj] = ri
-        blocks = {}
-        for i, p in enumerate(pts):
-            blocks.setdefault(find(i), []).append(p)
+        points = G.objects
+        index = {x: i for i, x in enumerate(points)}
+        edges = [(index[G.src[a]], index[G.tgt[a]]) for a in G.arrows]
+    elif isinstance(G, ActionGroupoid):
+        points = G.grid_turns()
+        index = {p: i for i, p in enumerate(points)}
+        edges = [(index[p], index[G.apply(g, p)]) for g in G.group.elements for p in points]
         note = "orbits of the uniform sample grid (exact for catalog isometries)"
-        if len(blocks) == 1:
-            note = "transitive on sampled points"
-        return OrbitPartition([tuple(b) for b in blocks.values()], note=note)
-    raise CatalogError(f"unsupported groupoid {G!r}")
+    else:
+        raise CatalogError(f"unsupported groupoid {G!r}")
+    tail, head = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    root = components(len(index), tail, head)
+    blocks = group_by(points, lambda x: root[index[x]])
+    if note and len(blocks) == 1:
+        note = "transitive on sampled points"
+    return OrbitPartition(list(blocks.values()), note=note)
 
 
 @dataclass

@@ -18,8 +18,10 @@ alpha-fibres.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
@@ -30,6 +32,7 @@ from .groupoids import (
     CechCover,
     FiniteGroupoid,
     cech_groupoid,
+    components,
     composable_index,
     group_by,
     group_groupoid,
@@ -46,23 +49,116 @@ from .reports import ValidationReport
 INCONCLUSIVE = object()  # sentinel returned by capped searches
 
 
+class ActionTable(Mapping):
+    """One action of a bitorsor: its int array ``ids``, read as a label mapping.
+
+    ``ids`` has the layout of ``Bitorsor.left_ids`` (``side`` "left") or of
+    ``Bitorsor.right_ids``, filled from ``entries``, the ``(rows, columns,
+    values)`` index arrays of the defined entries.  The label dict is built
+    on the first key access, point-major (by q, then arrow); ``len`` counts
+    the array.  Given ``labels``, that dict is the view, kept as given.
+    """
+
+    def __init__(self, side, arrows, carrier, points, entries, labels=None):
+        self.side, self.arrows, self.carrier, self.points = side, arrows, carrier, points
+        shape = (len(arrows) + 1, len(points) + 1)
+        self.ids = np.full(shape if side == "left" else shape[::-1], -1, dtype=np.int64)
+        self.ids[entries[0], entries[1]] = entries[2]
+        if labels is not None:
+            self._dict = labels
+
+    @cached_property
+    def _dict(self) -> dict:
+        by_point = self.ids[:-1, :-1].T if self.side == "left" else self.ids[:-1, :-1]
+        q, a = np.nonzero(by_point >= 0)
+        points = np.fromiter(self.points, dtype=object, count=len(self.points))
+        qs = points[q].tolist()
+        arrows = np.fromiter(self.arrows, dtype=object, count=len(self.arrows))[a].tolist()
+        return dict(zip(zip(arrows, qs) if self.side == "left" else zip(qs, arrows), points[by_point[q, a]].tolist()))
+
+    def fits(self, arrows, carrier) -> bool:
+        """Whether ``ids`` is laid out over these arrows and this carrier, in this order."""
+        return (self.arrows is arrows or self.arrows == arrows) and (self.carrier is carrier or self.carrier == carrier)
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        labels = self.__dict__.get("_dict")
+        return int(np.count_nonzero(self.ids[:-1, :-1] >= 0)) if labels is None else len(labels)
+
+
 @dataclass(frozen=True, eq=False)
 class Bitorsor:
+    """A generalized homomorphism, with both actions held as int arrays.
+
+    ``points`` lists the carrier, then each action value outside it.
+    ``left_ids[s, q]`` (``(|L|+1, points+1)``) is the point index of
+    ``sigma . q`` for the left arrow of index ``s``, ``right_ids[q, t]``
+    (``(points+1, |R|+1)``) that of ``q . tau``; -1 where undefined, and the
+    last row and column are all -1, so a gather at -1 reads undefined.
+
+    ``left_act`` and ``right_act`` are their label views (``ActionTable``).
+    Given label dicts, the bitorsor converts them once, here, and keeps them
+    as its views; a key naming neither an arrow nor a point is left out of
+    the arrays.  Two ``ActionTable``s over one ``points`` and over this
+    bitorsor's arrows and carrier, in the same order, lend their arrays; so
+    ``dataclasses.replace`` re-derives the arrays from the labels when an
+    action is replaced, or a new ``left``, ``right`` or ``carrier`` reorders
+    them.
+    """
+
     left: FiniteGroupoid
     right: FiniteGroupoid
     carrier: tuple
     rho: dict
     alpha: dict
-    left_act: dict  # (sigma, q) -> q'
-    right_act: dict  # (q, tau) -> q'
+    left_act: Mapping  # (sigma, q) -> q'
+    right_act: Mapping  # (q, tau) -> q'
     name: str = "bitorsor"
-    # fibre index, built from rho/alpha: anchor value -> carrier points in carrier order
-    _rho_fibres: dict = field(init=False, repr=False)
-    _alpha_fibres: dict = field(init=False, repr=False)
+    points: tuple = field(init=False, repr=False)
+    left_ids: np.ndarray = field(init=False, repr=False)
+    right_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_rho_fibres", group_by(self.carrier, self.rho.get))
-        object.__setattr__(self, "_alpha_fibres", group_by(self.carrier, self.alpha.get))
+        left, right, carrier = self.left_act, self.right_act, self.carrier
+        lent = (isinstance(left, ActionTable) and isinstance(right, ActionTable) and left.points is right.points
+                and left.fits(self.left.arrows, carrier) and right.fits(self.right.arrows, carrier))
+        if not lent:
+            index = {q: i for i, q in enumerate(carrier)}
+            values = [[index.setdefault(v, len(index)) for v in act.values()] for act in (left, right)]
+            points = tuple(index)
+            left, right = (_table_of_labels(side, act, G, carrier, points, index, v) for side, act, G, v
+                           in zip(("left", "right"), (left, right), (self.left, self.right), values))
+        for name, value in (("left_act", left), ("right_act", right), ("points", left.points),
+                            ("left_ids", left.ids), ("right_ids", right.ids)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of_entries(cls, left, right, carrier, rho, alpha, left_entries, right_entries, name, points=None):
+        """The bitorsor whose actions have the defined entries ``(s, q, v)``
+        (``sigma_s . q = v``) and ``(q, t, v)`` (``q . tau_t = v``), index
+        arrays over ``points`` (the carrier when None)."""
+        points = carrier if points is None else points
+        return cls(left, right, carrier, rho, alpha, ActionTable("left", left.arrows, carrier, points, left_entries),
+                   ActionTable("right", right.arrows, carrier, points, right_entries), name)
+
+    @cached_property
+    def point_index(self) -> dict:
+        """point -> its index in ``points``."""
+        return {q: i for i, q in enumerate(self.points)}
+
+    # fibre index, built from rho/alpha: anchor value -> carrier points in carrier order
+    @cached_property
+    def _rho_fibres(self) -> dict:
+        return group_by(self.carrier, self.rho.get)
+
+    @cached_property
+    def _alpha_fibres(self) -> dict:
+        return group_by(self.carrier, self.alpha.get)
 
     def rho_fibre(self, x):
         return self._rho_fibres.get(x, ())
@@ -71,28 +167,74 @@ class Bitorsor:
         return self._alpha_fibres.get(y, ())
 
 
+def _table_of_labels(side, act, G, carrier, points, index, values) -> ActionTable:
+    """The ``ActionTable`` over a label action ``act`` of ``G``'s arrows on
+    ``points``; ``values`` are the point indices of its values, in its order."""
+    at = 0 if side == "left" else 1
+    arrows = np.fromiter((G.arrow_index.get(key[at], -1) for key in act), np.int64, len(act))
+    moved = np.fromiter((index.get(key[1 - at], -1) for key in act), np.int64, len(act))
+    keep = (arrows >= 0) & (moved >= 0)
+    entries = (arrows[keep], moved[keep]) if side == "left" else (moved[keep], arrows[keep])
+    return ActionTable(side, G.arrows, carrier, points, (*entries, np.array(values, np.int64)[keep]), act)
+
+
+def _extra_points(found, label_of, n, extras) -> np.ndarray:
+    """``found`` point indices, each -1 replaced by the point after the ``n``
+    carrier points named ``label_of(i)``; ``extras`` numbers those points."""
+    for i in np.flatnonzero(found < 0).tolist():
+        found[i] = n + extras.setdefault(label_of(i), len(extras))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # torsor witnesses
 
 
 def left_witness(b: Bitorsor, q, q2):
     """The unique left arrow with sigma . q == q2 (same alpha-fibre)."""
-    hits = [s for s in b.left.arrows if b.left_act.get((s, q)) == q2]
-    if len(hits) != 1:
-        raise CatalogError(
-            f"left torsor witness for {q!r} -> {q2!r} is not unique: {hits!r}"
-        )
-    return hits[0]
+    index = b.point_index
+    return b.left.arrows[_witnesses(b, "left", [index.get(q, -1)], [index.get(q2, -2)], lambda _: (q, q2))[0]]
 
 
 def right_witness(b: Bitorsor, q, q2):
     """The unique right arrow with q . tau == q2 (same rho-fibre)."""
-    hits = [t for t in b.right.arrows if b.right_act.get((q, t)) == q2]
-    if len(hits) != 1:
-        raise CatalogError(
-            f"right torsor witness for {q!r} -> {q2!r} is not unique: {hits!r}"
-        )
-    return hits[0]
+    index = b.point_index
+    return b.right.arrows[_witnesses(b, "right", [index.get(q, -1)], [index.get(q2, -2)], lambda _: (q, q2))[0]]
+
+
+def left_witnesses(b: Bitorsor, sources, targets, stuck) -> np.ndarray:
+    """Per right arrow tau, the index of the unique left arrow sigma with
+    ``sigma . sources[tau] == targets[tau] . tau``, over point indices.
+
+    The first arrow that fails raises: ``stuck(k)`` when ``targets[k]``
+    cannot move along arrow ``k``, the witness error otherwise.
+    """
+    moved = b.right_ids[targets, np.arange(len(b.right.arrows))]
+    sources = np.asarray(sources, dtype=np.int64)
+
+    def pair_of(k):
+        return b.points[sources[k]], b.points[moved[k]]
+
+    for k in np.flatnonzero(moved < 0)[:1].tolist():
+        _witnesses(b, "left", sources[:k], moved[:k], pair_of)
+        raise stuck(k)
+    return _witnesses(b, "left", sources, moved, pair_of)
+
+
+def _witnesses(b: Bitorsor, side, q, q2, pair_of) -> np.ndarray:
+    """Per point pair ``(q[i], q2[i])`` of indices, the index of the one arrow of
+    ``side`` carrying ``q[i]`` to ``q2[i]``; the first pair with no such arrow,
+    or more than one, raises, naming the labels ``pair_of(i)``."""
+    q = np.asarray(q, dtype=np.int64)
+    moved = b.left_ids[:-1, q] if side == "left" else b.right_ids[q, :-1].T
+    hits = moved == np.asarray(q2, dtype=np.int64)
+    bad = np.flatnonzero(hits.sum(axis=0) != 1)
+    if len(bad):
+        arrows = b.left.arrows if side == "left" else b.right.arrows
+        found = [arrows[i] for i in np.flatnonzero(hits[:, bad[0]]).tolist()]
+        p, p2 = pair_of(bad[0])
+        raise CatalogError(f"{side} torsor witness for {p!r} -> {p2!r} is not unique: {found!r}")
+    return hits.argmax(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +248,10 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
     mode "bitorsor" additionally checks the left torsor condition over Y.
     Violations are report entries naming the failing pair or fibre.
 
-    The actions are checked as int arrays (``_action_arrays``); each
-    violation is reported as a loop over the labels would meet it, for
-    example arrow-major and then in carrier order for the action domains.
-    A missing action entry reads as undefined, and so does a composite or
+    The actions are checked on the bitorsor's int arrays; each violation is
+    reported as a loop over the labels would meet it, for example
+    arrow-major and then in carrier order for the action domains.  A
+    missing action entry reads as undefined, and so does a composite or
     unit that is not one of the groupoid's arrows.
     """
     if mode not in ("generalized", "bitorsor"):
@@ -127,13 +269,12 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
             rep.add(f"anchors: alpha({q!r}) not an object of the right groupoid")
 
     carrier, n, n_left, n_right = b.carrier, len(b.carrier), len(L.arrows), len(R.arrows)
-    left_act, right_act, index = _action_arrays(b)
-    n_points, points = len(index), np.arange(n)
-    # object ids per side: the left side's for L's endpoints and rho, the right's for R's and alpha
-    left_ids, right_ids = {}, {}
-    l_src, l_tgt = (label_ids(left_ids, L.arrows, end) for end in (L.src, L.tgt))
-    r_src, r_tgt = (label_ids(right_ids, R.arrows, end) for end in (R.src, R.tgt))
-    rho, alpha = label_ids(left_ids, carrier, b.rho), label_ids(right_ids, carrier, b.alpha)
+    left_act, right_act = b.left_ids, b.right_ids
+    n_points, points = len(b.points), np.arange(n)
+    # object ids per side, from the groupoid's endpoint ids; rho and alpha extend a copy
+    left_ids, l_src, l_tgt = L.endpoint_ids
+    right_ids, r_src, r_tgt = R.endpoint_ids
+    rho, alpha = label_ids(dict(left_ids), carrier, b.rho), label_ids(dict(right_ids), carrier, b.alpha)
     # anchors of every point index; a point outside the carrier reads -1
     rho_of = np.append(rho, np.full(n_points + 1 - n, -1))
     alpha_of = np.append(alpha, np.full(n_points + 1 - n, -1))
@@ -189,12 +330,13 @@ def validate_generalized_hom(b: Bitorsor, mode: str = "bitorsor") -> ValidationR
         rep.add(f"commutativity: ({L.arrows[s[i]]!r},{carrier[q[i]]!r},{R.arrows[t[i]]!r})")
 
     # right torsor over X: rho surjective, Xi free and transitive on rho-fibres
-    _report_torsor(rep, "right", "rho", L.objects, b.rho_fibre, index,
+    index = b.point_index
+    _report_torsor(rep, "right", "rho", L.objects, b.rho_fibre, index, n_points,
                    lambda ids: right_act[ids, :n_right])
     if mode == "generalized":
         return rep
     # left torsor over Y
-    _report_torsor(rep, "left", "alpha", R.objects, b.alpha_fibre, index,
+    _report_torsor(rep, "left", "alpha", R.objects, b.alpha_fibre, index, n_points,
                    lambda ids: left_act[:n_left, ids].T)
     return rep
 
@@ -218,7 +360,7 @@ def _report_domains(rep, side, values, in_domain, moved, pair):
             rep.add(f"{side} anchors: {pair(i, q)} moved anchors wrongly")
 
 
-def _report_torsor(rep, side, anchor, objects, fibre_of, index, values_of):
+def _report_torsor(rep, side, anchor, objects, fibre_of, index, n_points, values_of):
     """Surjectivity, and one arrow carrying each point of a fibre to each other.
 
     ``values_of(ids)`` holds, per fibre point, the point indices its arrows
@@ -230,41 +372,13 @@ def _report_torsor(rep, side, anchor, objects, fibre_of, index, values_of):
             rep.add(f"{anchor} surjectivity: empty fibre over {x!r}")
         ids = [index[p] for p in fibre]
         f = len(ids)
-        position = np.full(len(index) + 1, -1)
+        position = np.full(n_points + 1, -1)
         position[ids] = np.arange(f)
         found = position[values_of(ids)]
         rows = np.broadcast_to(np.arange(f)[:, None], found.shape)[found >= 0]
         hits = np.bincount(rows * f + found[found >= 0], minlength=f * f).reshape(f, f)
         for i, k in zip(*np.nonzero(hits != 1)):
             rep.add(f"{side} torsor: {hits[i, k]} arrows carry {fibre[i]!r} to {fibre[k]!r} over {x!r}")
-
-
-def _action_arrays(b: Bitorsor):
-    """Both actions as int arrays of point indices, and the point index.
-
-    The points are the carrier, in carrier order, then each action value
-    outside the carrier.  ``left[s, q]`` is the index of ``sigma . q`` for
-    the left arrow of index ``s``, and ``right[q, t]`` that of ``q . tau``;
-    -1 where undefined.  Each array has one more row and column, all -1, so
-    a gather at index -1 reads undefined.  Entries keyed by a label that is
-    neither an arrow nor a point are never read and are left out.
-    """
-    points = {q: i for i, q in enumerate(b.carrier)}
-    left_values = [points.setdefault(v, len(points)) for v in b.left_act.values()]
-    right_values = [points.setdefault(v, len(points)) for v in b.right_act.values()]
-    left = _action_array(b.left_act, b.left.arrow_index, points, left_values)
-    right = _action_array(b.right_act, points, b.right.arrow_index, right_values)
-    return left, right, points
-
-
-def _action_array(act, row_index, column_index, values):
-    out = np.full((len(row_index) + 1, len(column_index) + 1), -1, dtype=np.int64)
-    n = len(act)
-    rows = np.fromiter((row_index.get(r, -1) for r, _ in act), np.int64, n)
-    columns = np.fromiter((column_index.get(c, -1) for _, c in act), np.int64, n)
-    keep = (rows >= 0) & (columns >= 0)
-    out[rows[keep], columns[keep]] = np.asarray(values, dtype=np.int64)[keep]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,60 +390,29 @@ def identity_bitorsor(G: FiniteGroupoid) -> Bitorsor:
 
     Composition acts on both sides; this is the unit of bitorsor
     composition (a carrier of bare objects fails freeness as soon as the
-    groupoid has isotropy).  Both actions are read from ``G.table``.
+    groupoid has isotropy).  Both actions are read from ``G.table``; a pair
+    the table lacks is read from ``G.cmp``, so it raises ``KeyError``, and a
+    composite there that is no arrow is a point after the carrier.
     """
     carrier = tuple(G.arrows)
+    n, extras = len(carrier), {}
     _, src, tgt = G.endpoint_ids
     q, s = composable_index(tgt, src)  # s . q, q-major
-    later, earlier, _ = G.composites  # q . t, q-major
-    return Bitorsor(
-        left=G,
-        right=G,
-        carrier=carrier,
-        rho=dict(G.tgt),
-        alpha=dict(G.src),
-        left_act=_composite_labels(G, s, q),
-        right_act=_composite_labels(G, later, earlier),
-        name=f"id({G.name})",
-    )
-
-
-def _composite_labels(G: FiniteGroupoid, later, earlier) -> dict:
-    """``(later, earlier) -> later o earlier`` as labels, in the order of the index
-    arrays; a pair the table lacks is read from ``G.cmp``, so it raises ``KeyError``."""
-    result = G.compose_ids(later, earlier)
-    arrows = G.arrows
-    values = [arrows[i] for i in result.tolist()]
-    for i in np.flatnonzero(result < 0).tolist():
-        values[i] = G.cmp[(arrows[later[i]], arrows[earlier[i]])]
-    pairs = zip(map(arrows.__getitem__, later.tolist()), map(arrows.__getitem__, earlier.tolist()))
-    return dict(zip(pairs, values))
+    later, earlier, result = G.composites  # q . t, q-major
+    left = _extra_points(G.compose_ids(s, q), lambda i: G.cmp[(carrier[s[i]], carrier[q[i]])], n, extras)
+    right = _extra_points(result.copy(), lambda i: G.cmp[(carrier[later[i]], carrier[earlier[i]])], n, extras)
+    return Bitorsor.of_entries(G, G, carrier, dict(G.tgt), dict(G.src), (s, q, left),
+                               (later, earlier, right), f"id({G.name})", carrier + tuple(extras))
 
 
 def inverse_bitorsor(b: Bitorsor) -> Bitorsor:
     """Swap the two sides; actions are re-anchored through arrow inverses."""
-    left_act = {
-        (t, q): b.right_act[(q, b.right.inv[t])]
-        for q in b.carrier
-        for t in b.right.arrows
-        if (q, b.right.inv[t]) in b.right_act
-    }
-    right_act = {
-        (q, s): b.left_act[(b.left.inv[s], q)]
-        for q in b.carrier
-        for s in b.left.arrows
-        if (b.left.inv[s], q) in b.left_act
-    }
-    return Bitorsor(
-        left=b.right,
-        right=b.left,
-        carrier=b.carrier,
-        rho=dict(b.alpha),
-        alpha=dict(b.rho),
-        left_act=left_act,
-        right_act=right_act,
-        name=f"inv({b.name})",
-    )
+    n, inv_left, inv_right = len(b.carrier), b.left.inverse_ids, b.right.inverse_ids
+    q, t = np.nonzero(b.right_ids[:n, inv_right] >= 0)  # t . q = q . t^-1
+    p, s = np.nonzero(b.left_ids[inv_left, :n].T >= 0)  # p . s = s^-1 . p
+    return Bitorsor.of_entries(b.right, b.left, b.carrier, dict(b.alpha), dict(b.rho),
+                               (t, q, b.right_ids[q, inv_right[t]]), (p, s, b.left_ids[inv_left[s], p]),
+                               f"inv({b.name})", b.points)
 
 
 def double_cover_bitorsor(N: int):
@@ -343,24 +426,12 @@ def double_cover_bitorsor(N: int):
     theta = group_groupoid(FiniteGroup.cyclic(2), name="Z2 over point")
     xi = cyclic_translation_groupoid(2 * N, N)
     carrier = tuple(range(2 * N))
-    rho = {q: "*" for q in carrier}
-    alpha = {q: q % N for q in carrier}
-    left_act = {}
-    for q in carrier:
-        left_act[(0, q)] = q
-        left_act[(1, q)] = (q + N) % (2 * N)
-    right_act = {
-        (q, (a, y)): (q - a) % (2 * N) for q in carrier for (a, y) in xi.arrows_into(alpha[q])
-    }
-    return theta, xi, Bitorsor(
-        left=theta,
-        right=xi,
-        carrier=carrier,
-        rho=rho,
-        alpha=alpha,
-        left_act=left_act,
-        right_act=right_act,
-        name=f"a2(N={N})",
+    q, a = np.arange(2 * N)[:, None], np.arange(2 * N)[None, :]
+    # 1 . q = q + N; q . (a, y) is defined iff y + a = q mod N, and (a, y) has index a * N + y
+    left = (np.array([[0], [1]]), q.T, (q.T + np.array([[0], [N]])) % (2 * N))
+    right = (q, a * N + (q - a) % N, (q - a) % (2 * N))
+    return theta, xi, Bitorsor.of_entries(
+        theta, xi, carrier, {q: "*" for q in carrier}, {q: q % N for q in carrier}, left, right, f"a2(N={N})"
     )
 
 
@@ -374,16 +445,15 @@ def compose_homs(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
     Carrier: pairs (q1, q2) with alpha1(q1) == rho2(q2), modulo
     (q1, q2) ~ (q1 . sigma, sigma^-1 . q2).  Classes are stored as
     canonical frozensets of pairs, sorted by their members' reprs.  The
-    pairs are point indices of the action arrays (``_action_arrays``); a
-    class is a connected component of the graph of those moves, and each
-    class acts through its first pair.
+    pairs are point indices of the two bitorsors; a class is a connected
+    component of the graph of those moves, and each class acts through its
+    first pair.
     """
     if b1.right is not b2.left:
         raise CatalogError("middle groupoids differ; cannot compose")
     mid = b1.right
-    left1, right1, index1 = _action_arrays(b1)
-    left2, right2, index2 = _action_arrays(b2)
-    points1, points2 = list(index1), list(index2)
+    left1, right1, points1 = b1.left_ids, b1.right_ids, b1.points
+    left2, right2, points2 = b2.left_ids, b2.right_ids, b2.points
     # a pair (i1, i2) of point indices has the code i1 * m + i2
     m = len(points2)
     ids = {}
@@ -393,7 +463,7 @@ def compose_homs(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
     # the moves sigma from each point of b1, sigma^-1 on the b2 side
     moves_from, sigma = np.nonzero(right1[:-1, : len(mid.arrows)] >= 0)
     n_moves = np.bincount(moves_from, minlength=len(points1))
-    inverse = np.array([mid.arrow_index.get(mid.inv[s], -1) for s in mid.arrows], dtype=np.int64)
+    inverse = mid.inverse_ids
     # close the pairs under the moves; a move may reach a pair that is not
     # listed (an action that breaks the anchors), which then moves on too
     no_edges = np.zeros(0, dtype=np.int64)
@@ -408,7 +478,7 @@ def compose_homs(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
         frontier = np.setdiff1d(head[-1], codes)
         codes = np.union1d(codes, frontier)
     tail, head = np.searchsorted(codes, np.concatenate(tail)), np.searchsorted(codes, np.concatenate(head))
-    root = _components(len(codes), tail, head)
+    root = components(len(codes), tail, head)
 
     i1, i2 = np.divmod(codes, m)
     pairs = list(zip([points1[i] for i in i1.tolist()], [points2[i] for i in i2.tolist()]))
@@ -437,48 +507,20 @@ def compose_homs(b1: Bitorsor, b2: Bitorsor) -> Bitorsor:
         missing = np.flatnonzero(codes[k] != to)
         if len(missing):
             raise KeyError((points1[to[missing[0]] // m], points2[to[missing[0]] % m]))
-        return [carrier[p] for p in position[k].tolist()]
+        return position[k]
 
     # each class acts through its first pair (r1, r2)
     r1, r2 = i1[first], i2[first]
-    c, s = np.nonzero(left1[: len(b1.left.arrows), r1].T >= 0)
-    left_act = dict(zip(
-        zip([b1.left.arrows[i] for i in s.tolist()], [carrier[i] for i in c.tolist()]),
-        classes(left1[s, r1[c]] * m + r2[c]),
-    ))
-    c, t = np.nonzero(right2[r2, : len(b2.right.arrows)] >= 0)
-    right_act = dict(zip(
-        zip([carrier[i] for i in c.tolist()], [b2.right.arrows[i] for i in t.tolist()]),
-        classes(r1[c] * m + right2[r2[c], t]),
-    ))
-    return Bitorsor(
-        left=b1.left,
-        right=b2.right,
-        carrier=carrier,
-        rho={cls: b1.rho[points1[i]] for cls, i in zip(carrier, r1.tolist())},
-        alpha={cls: b2.alpha[points2[i]] for cls, i in zip(carrier, r2.tolist())},
-        left_act=left_act,
-        right_act=right_act,
-        name=f"({b1.name} * {b2.name})",
+    c, s = np.nonzero(left1[:-1, r1].T >= 0)
+    left = (s, c, classes(left1[s, r1[c]] * m + r2[c]))
+    c2, t = np.nonzero(right2[r2, :-1] >= 0)
+    right = (c2, t, classes(r1[c2] * m + right2[r2[c2], t]))
+    return Bitorsor.of_entries(
+        b1.left, b2.right, carrier,
+        {cls: b1.rho[points1[i]] for cls, i in zip(carrier, r1.tolist())},
+        {cls: b2.alpha[points2[i]] for cls, i in zip(carrier, r2.tolist())},
+        left, right, f"({b1.name} * {b2.name})",
     )
-
-
-def _components(n, tail, head) -> np.ndarray:
-    """The smallest node of each node's connected component, over edges ``tail -- head``.
-
-    Each node takes the smallest label among its neighbours and then its
-    label's label, until nothing moves: on a union of cliques, such as the
-    classes of a groupoid action, that is two rounds.
-    """
-    label = np.arange(n)
-    while True:
-        low = label.copy()
-        np.minimum.at(low, tail, label[head])
-        np.minimum.at(low, head, label[tail])
-        low = low[low]
-        if np.array_equal(low, label):
-            return label
-        label = low
 
 
 @dataclass
@@ -492,11 +534,17 @@ class TwoMorphism:
         for q in b1.carrier:
             if b1.rho[q] != b2.rho[T[q]] or b1.alpha[q] != b2.alpha[T[q]]:
                 return False
-        for (s, q), q2 in b1.left_act.items():
-            if b2.left_act.get((s, T[q])) != T[q2]:
-                return False
-        for (q, t), q2 in b1.right_act.items():
-            if b2.right_act.get((T[q], t)) != T[q2]:
+        # T on the points of b1, as point indices of b2; -2 where T names none
+        index = b2.point_index
+        image = np.array([index.get(T.get(p), -2) for p in b1.points] + [-1], dtype=np.int64)
+        for G1, G2, ids1, ids2 in ((b1.left, b2.left, b1.left_ids, b2.left_ids),
+                                   (b1.right, b2.right, b1.right_ids.T, b2.right_ids.T)):
+            arrows = (np.arange(len(G1.arrows)) if G1.arrows == G2.arrows else
+                      np.array([G2.arrow_index.get(a, -1) for a in G1.arrows], dtype=np.int64))
+            a, q = np.nonzero(ids1[:-1, :-1] >= 0)
+            there = image[q]
+            moved = np.where(there >= 0, ids2[arrows[a], there.clip(0)], -3)
+            if (moved != image[ids1[a, q]]).any():
                 return False
         return True
 
@@ -507,68 +555,58 @@ def find_two_morphism(b1: Bitorsor, b2: Bitorsor, node_cap: int = 10**6):
     Returns a TwoMorphism, None when provably absent, or INCONCLUSIVE when
     the backtracking search exceeds ``node_cap`` nodes.  Equivariance
     propagates through both actions, so a single seed per connected block
-    forces the rest.
+    forces the rest.  An assignment is an int array from the points of b1
+    to those of b2, -1 where unassigned.
     """
     if b1.left is not b2.left or b1.right is not b2.right:
         return None
     if len(b1.carrier) != len(b2.carrier):
         return None
 
-    order = list(b1.carrier)
-    nodes = 0
+    n, nodes = len(b1.carrier), 0
+    # row per arrow of either side: where it moves each point
+    moves1 = np.vstack([b1.left_ids[:-1], b1.right_ids.T[:-1]])
+    moves2 = np.vstack([b2.left_ids[:-1], b2.right_ids.T[:-1]])
+    anchors1 = [(b1.rho[q], b1.alpha[q]) for q in b1.carrier]
+    anchors2 = [(b2.rho[q], b2.alpha[q]) for q in b2.carrier]
 
     def propagate(assign, q0, image):
         """Close assign under both actions starting from q0; None on clash."""
-        stack = [q0]
-        assign = dict(assign)
-        assign[q0] = image
-        if len(set(assign.values())) != len(assign):
+        if image in assign:
             return None
+        assign = assign.copy()
+        assign[q0] = image
+        stack = [q0]
         while stack:
             q = stack.pop()
-            for (s, p), p2 in b1.left_act.items():
-                if p != q:
-                    continue
-                t2 = b2.left_act.get((s, assign[q]))
-                if t2 is None:
-                    return None
-                if p2 in assign:
-                    if assign[p2] != t2:
-                        return None
-                else:
-                    assign[p2] = t2
-                    stack.append(p2)
-            for (p, t), p2 in b1.right_act.items():
-                if p != q:
-                    continue
-                t2 = b2.right_act.get((assign[q], t))
-                if t2 is None:
-                    return None
-                if p2 in assign:
-                    if assign[p2] != t2:
-                        return None
-                else:
-                    assign[p2] = t2
-                    stack.append(p2)
-        if len(set(assign.values())) != len(assign):
-            return None
-        return assign
+            p2, t2 = moves1[:, q], moves2[:, assign[q]]
+            p2, t2 = p2[p2 >= 0], t2[p2 >= 0]
+            if (t2 < 0).any():
+                return None
+            known = assign[p2] >= 0
+            if (assign[p2][known] != t2[known]).any():
+                return None
+            fresh, t2 = p2[~known], t2[~known]
+            assign[fresh] = t2
+            if (assign[fresh] != t2).any():  # one point reached with two images
+                return None
+            stack.extend(np.unique(fresh).tolist())
+        images = assign[assign >= 0]
+        return assign if len(np.unique(images)) == len(images) else None
 
     def extend(assign):
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
             return INCONCLUSIVE
-        missing = [q for q in order if q not in assign]
-        if not missing:
-            tm = TwoMorphism(dict(assign))
+        missing = np.flatnonzero(assign[:n] < 0)
+        if not len(missing):
+            tm = TwoMorphism({b1.points[i]: b2.points[j] for i, j in enumerate(assign.tolist()) if j >= 0})
             return tm if tm.check(b1, b2) else None
         q0 = missing[0]
-        taken = set(assign.values())
-        for cand in b2.carrier:
-            if cand in taken:
-                continue
-            if b2.rho[cand] != b1.rho[q0] or b2.alpha[cand] != b1.alpha[q0]:
+        taken = set(assign.tolist())
+        for cand in range(n):
+            if cand in taken or anchors2[cand] != anchors1[q0]:
                 continue
             closed = propagate(assign, q0, cand)
             if closed is None:
@@ -578,11 +616,17 @@ def find_two_morphism(b1: Bitorsor, b2: Bitorsor, node_cap: int = 10**6):
                 return res
         return None
 
-    return extend({})
+    return extend(np.full(len(b1.points), -1, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # Cech localization
+
+
+def _cech_parts(C: FiniteGroupoid, G: FiniteGroupoid):
+    """Parent index, target sheet and source sheet of each arrow (s, a, b) of C, the Cech groupoid of G."""
+    index = G.arrow_index
+    return np.array([(index[s], a, b) for s, a, b in C.arrows], dtype=np.int64).reshape(-1, 3).T
 
 
 def localize_cech(b: Bitorsor, cover_x: CechCover, cover_y: CechCover):
@@ -590,43 +634,41 @@ def localize_cech(b: Bitorsor, cover_x: CechCover, cover_y: CechCover):
 
     Carrier points are tagged (q, a, i) with rho(q) in sheet a and
     alpha(q) in sheet i.  Returns (localized bitorsor, cech_x, cech_y).
+    Both actions are gathers from the parent's arrays.
     """
     validate_cover(b.left, cover_x).raise_if_invalid()
     validate_cover(b.right, cover_y).raise_if_invalid()
     cech_x = cech_groupoid(b.left, cover_x)
     cech_y = cech_groupoid(b.right, cover_y)
-    carrier = tuple(
-        (q, a, i)
-        for q in b.carrier
-        for a in cover_x.indices()
-        for i in cover_y.indices()
-        if cover_x.member(a, b.rho[q]) and cover_y.member(i, b.alpha[q])
-    )
-    for q in b.carrier:
-        if not any(c[0] == q for c in carrier):
-            raise CatalogError(f"cover mismatch: carrier point {q!r} lies in no sheet pair")
-    rho = {(q, a, i): (b.rho[q], a) for (q, a, i) in carrier}
-    alpha = {(q, a, i): (b.alpha[q], i) for (q, a, i) in carrier}
-    left_act = {}
-    for (s, a, bb) in cech_x.arrows:
-        for (q, c, i) in carrier:
-            if c == bb and (s, q) in b.left_act:
-                left_act[((s, a, bb), (q, c, i))] = (b.left_act[(s, q)], a, i)
-    right_act = {}
-    for (q, a, i) in carrier:
-        for (t, ii, j) in cech_y.arrows:
-            if ii == i and (q, t) in b.right_act:
-                right_act[((q, a, i), (t, ii, j))] = (b.right_act[(q, t)], a, j)
-    localized = Bitorsor(
-        left=cech_x,
-        right=cech_y,
-        carrier=carrier,
-        rho=rho,
-        alpha=alpha,
-        left_act=left_act,
-        right_act=right_act,
-        name=f"Cech({b.name})",
-    )
+    x_sheets, y_sheets = cache(cover_x.sheets_containing), cache(cover_y.sheets_containing)
+    tags = [(j, a, i) for j, q in enumerate(b.carrier) for a in x_sheets(b.rho[q]) for i in y_sheets(b.alpha[q])]
+    q_of, a_of, i_of = np.array(tags, dtype=np.int64).reshape(-1, 3).T
+    lone = np.flatnonzero(np.bincount(q_of, minlength=len(b.carrier)) == 0)
+    if len(lone):
+        raise CatalogError(f"cover mismatch: carrier point {b.carrier[lone[0]]!r} lies in no sheet pair")
+    carrier = tuple((b.carrier[j], a, i) for j, a, i in tags)
+    rho = {p: (b.rho[p[0]], p[1]) for p in carrier}
+    alpha = {p: (b.alpha[p[0]], p[2]) for p in carrier}
+    # the index of (q, a, i) by the point index of q; a point outside b's carrier has none
+    place = np.full((len(b.points) + 1, len(cover_x.sheets), len(cover_y.sheets)), -1, dtype=np.int64)
+    place[q_of, a_of, i_of] = np.arange(len(carrier))
+    n, extras = len(carrier), {}
+    # (s, a, c) . (q, c, i) = (s . q, a, i)
+    s, a, c = _cech_parts(cech_x, b.left)
+    moved = b.left_ids[s[:, None], q_of]
+    e, p = np.nonzero((moved >= 0) & (c[:, None] == a_of))
+    v = moved[e, p]
+    left = _extra_points(place[v, a[e], i_of[p]],
+                         lambda k: (b.points[v[k]], int(a[e[k]]), int(i_of[p[k]])), n, extras)
+    # (q, a, i) . (t, i, j) = (q . t, a, j)
+    t, i, j = _cech_parts(cech_y, b.right)
+    moved = b.right_ids[q_of[:, None], t]
+    p2, e2 = np.nonzero((moved >= 0) & (i == i_of[:, None]))
+    v2 = moved[p2, e2]
+    right = _extra_points(place[v2, a_of[p2], j[e2]],
+                          lambda k: (b.points[v2[k]], int(a_of[p2[k]]), int(j[e2[k]])), n, extras)
+    localized = Bitorsor.of_entries(cech_x, cech_y, carrier, rho, alpha, (e, p, left), (p2, e2, right),
+                                    f"Cech({b.name})", carrier + tuple(extras))
     return localized, cech_x, cech_y
 
 
@@ -635,32 +677,30 @@ def cech_bitorsor(G: FiniteGroupoid, cover: CechCover) -> Bitorsor:
 
     Carrier: arrows with source inside a sheet, tagged by the sheet; the
     left G-action composes, the right Cech-action composes through the
-    untagged arrow.
+    untagged arrow.  A pair ``G.table`` lacks is read from ``G.cmp``.
     """
     cech = cech_groupoid(G, cover)
-    carrier = tuple(
-        (s, a) for s in G.arrows for a in cover.indices() if cover.member(a, G.src[s])
-    )
+    sheets, k = cache(cover.sheets_containing), len(cover.sheets)
+    tags = [(i, a) for i, s in enumerate(G.arrows) for a in sheets(G.src[s])]
+    s_of, a_of = np.array(tags, dtype=np.int64).reshape(-1, 2).T
+    carrier = tuple((G.arrows[i], a) for i, a in tags)
     rho = {(s, a): G.tgt[s] for (s, a) in carrier}
     alpha = {(s, a): (G.src[s], a) for (s, a) in carrier}
-    left_act = {
-        (r, (s, a)): (G.compose(r, s), a) for (s, a) in carrier for r in G.arrows_from(G.tgt[s])
-    }
-    right_act = {
-        ((s, a), (t, aa, bb)): (G.compose(s, t), bb)
-        for (s, a) in carrier
-        for (t, aa, bb) in cech.arrows_into(alpha[(s, a)])
-    }
-    return Bitorsor(
-        left=G,
-        right=cech,
-        carrier=carrier,
-        rho=rho,
-        alpha=alpha,
-        left_act=left_act,
-        right_act=right_act,
-        name=f"cech-bitorsor({G.name})",
-    )
+    place = np.full((len(G.arrows) + 1, k), -1, dtype=np.int64)
+    place[s_of, a_of] = np.arange(len(carrier))
+    n, extras, arrows = len(carrier), {}, G.arrows
+    _, src, tgt = G.endpoint_ids
+    # r . (s, a) = (r s, a)
+    r, p = composable_index(src, tgt[s_of])
+    left = _extra_points(place[G.compose_ids(r, s_of[p]), a_of[p]],
+                         lambda i: (G.compose(arrows[r[i]], arrows[s_of[p[i]]]), int(a_of[p[i]])), n, extras)
+    # (s, a) . (t, a, b) = (s t, b), over the Cech arrows into (src s, a)
+    t, ta, tb = _cech_parts(cech, G)
+    p2, e = composable_index(src[s_of] * k + a_of, tgt[t] * k + ta)
+    right = _extra_points(place[G.compose_ids(s_of[p2], t[e]), tb[e]],
+                          lambda i: (G.compose(arrows[s_of[p2[i]]], arrows[t[e[i]]]), int(tb[e[i]])), n, extras)
+    return Bitorsor.of_entries(G, cech, carrier, rho, alpha, (r, p, left), (p2, e, right),
+                               f"cech-bitorsor({G.name})", carrier + tuple(extras))
 
 
 # ---------------------------------------------------------------------------
@@ -685,22 +725,23 @@ def lift_bisection(b: Bitorsor, arrow, q, side: str = "left") -> BisectionLift:
     side: domain is the alpha-fibre of tgt(arrow); the inverse of the lift
     pushes alpha forward along the arrow's germ.
     """
-    if side == "left":
-        if b.rho[q] != b.left.src[arrow]:
-            raise CatalogError("anchor mismatch: rho(q) is not the arrow's source")
-        domain = b.rho_fibre(b.left.src[arrow])
-        mapping = {p: b.left_act[(arrow, p)] for p in domain}
-        ok = all(b.rho[mapping[p]] == b.left.tgt[arrow] for p in domain)
-        return BisectionLift("left", arrow, mapping, ok)
-    if side == "right":
-        if b.alpha[q] != b.right.tgt[arrow]:
-            raise CatalogError("anchor mismatch: alpha(q) is not the arrow's target")
-        domain = b.alpha_fibre(b.right.tgt[arrow])
-        mapping = {p: b.right_act[(p, arrow)] for p in domain}
-        # alpha o mapping^-1 sends src(arrow) to tgt(arrow), the arrow's germ
-        ok = all(b.alpha[mapping[p]] == b.right.src[arrow] for p in domain)
-        return BisectionLift("right", arrow, mapping, ok)
-    raise ValueError(f"unknown side {side!r}")
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
+    left = side == "left"
+    G, anchor = (b.left, b.rho) if left else (b.right, b.alpha)
+    start, end = (G.src, G.tgt) if left else (G.tgt, G.src)
+    if anchor[q] != start[arrow]:
+        raise CatalogError("anchor mismatch: rho(q) is not the arrow's source" if left else
+                           "anchor mismatch: alpha(q) is not the arrow's target")
+    domain = b.rho_fibre(start[arrow]) if left else b.alpha_fibre(start[arrow])
+    ids, s = [b.point_index[p] for p in domain], G.arrow_index[arrow]
+    moved = b.left_ids[s, ids] if left else b.right_ids[ids, s]
+    for i in np.flatnonzero(moved < 0)[:1].tolist():
+        raise KeyError((arrow, domain[i]) if left else (domain[i], arrow))
+    mapping = dict(zip(domain, [b.points[v] for v in moved.tolist()]))
+    # on the right, alpha o mapping^-1 sends src(arrow) to tgt(arrow), the arrow's germ
+    ok = all(anchor[mapping[p]] == end[arrow] for p in domain)
+    return BisectionLift(side, arrow, mapping, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +754,9 @@ class StrictMorphism:
     target: FiniteGroupoid
     obj_map: dict
     arr_map: dict
+    # (source, arr_map, target, image) handed over by weak_equivalence_pair;
+    # ``image`` is read only while those three are still the fields
+    given: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def check_functor(self) -> ValidationReport:
         return self._check_functor(*self._images())
@@ -726,11 +770,15 @@ class StrictMorphism:
         ends.  An image that is not a target arrow raises ``KeyError``.
         """
         S, T = self.source, self.target
-        images = list(map(self.arr_map.get, S.arrows))
-        image = np.fromiter(map(T.arrow_index.get, images, repeat(-1)), np.int64, len(images))
-        for i in np.flatnonzero(image < 0).tolist():
-            if images[i] is not None:
-                raise KeyError(images[i])
+        given = self.given
+        if given and all(x is y for x, y in zip(given, (S, self.arr_map, T))):
+            image = given[3]
+        else:
+            images = list(map(self.arr_map.get, S.arrows))
+            image = np.fromiter(map(T.arrow_index.get, images, repeat(-1)), np.int64, len(images))
+            for i in np.flatnonzero(image < 0).tolist():
+                if images[i] is not None:
+                    raise KeyError(images[i])
         obj = label_ids(dict(T.endpoint_ids[0]), S.endpoint_ids[0], self.obj_map)
         _, s_src, s_tgt = S.endpoint_ids
         _, t_src, t_tgt = T.endpoint_ids
@@ -814,14 +862,15 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
     (sigma, q, tau) with src(sigma) == rho(q) and tgt(tau) == alpha(q),
     read as q -> (sigma . q) . tau.  One projection keeps sigma, the other
     keeps tau^-1.  This is one valid realization; nothing downstream may
-    depend on the arrow labels.  The middle is built from the action arrays
-    (``_action_arrays``): its arrows, ends and composition table are index
-    arrays, and its ``cmp`` is a ``TableCmp`` over that table.
+    depend on the arrow labels.  The middle is built from the bitorsor's
+    action arrays: its arrows, ends and composition table are index arrays,
+    and its ``cmp`` is a ``TableCmp`` over that table.  The middle gets its
+    endpoint ids, and each projection its image array, from the same
+    arrays.
     """
     L, R = b.left, b.right
     carrier, n = b.carrier, len(b.carrier)
-    left_act, right_act, index = _action_arrays(b)
-    points = list(index)
+    left_act, right_act, points = b.left_ids, b.right_ids, b.points
     ids, _, r_tgt = R.endpoint_ids
     into, into_start, by_target, slot = R.into_fibres
     alpha = np.fromiter((ids.get(b.alpha[q], -1) for q in carrier), np.int64, n)
@@ -877,9 +926,14 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
     left_inverse = [L.inv[s] for s in L.arrows]
     right_inverse = [R.inv[t] for t in R.arrows]
     tau_inverse = [right_inverse[t] for t in taus.tolist()]
+    # objects are the carrier, so a middle with no end outside it has the ids of its points
+    endpoint_ids = None
+    if len(b.point_index) == len(points) == n and (ends < n).all():
+        endpoint_ids = dict(b.point_index), qs, ends
     middle = table_groupoid(
         arrows,
         np.stack([later, earlier, result], axis=1),
+        endpoint_ids,
         objects=carrier,
         src=dict(zip(arrows, q_of)),
         tgt=dict(zip(arrows, end_of)),
@@ -899,6 +953,10 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
         obj_map={q: b.alpha[q] for q in carrier},
         arr_map=dict(zip(arrows, tau_inverse)),
     )
+    to_left.given = middle, to_left.arr_map, L, sigmas
+    tau_inverse = R.inverse_ids[taus]
+    if (tau_inverse >= 0).all():
+        to_right.given = middle, to_right.arr_map, R, tau_inverse
     return WeakEquivalencePair(middle, to_left, to_right)
 
 
@@ -932,12 +990,14 @@ def fibre_partition_report(b: Bitorsor, y) -> FibrePartition:
     fibre = b.alpha_fibre(y)
     blocks = []
     seen = set()
+    loops = [b.right.arrow_index[t] for t in iso.arrows]
     for q in fibre:
         if q in seen:
             continue
-        block = sorted(
-            {b.right_act[(q, t)] for t in iso.arrows} | {q}, key=repr
-        )
+        moved = b.right_ids[b.point_index[q], loops]
+        for i in np.flatnonzero(moved < 0)[:1].tolist():
+            raise KeyError((q, iso.arrows[i]))
+        block = sorted({b.points[v] for v in moved.tolist()} | {q}, key=repr)
         blocks.append(tuple(block))
         seen.update(block)
     sizes = [len(blk) for blk in blocks]
