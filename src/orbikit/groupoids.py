@@ -238,12 +238,15 @@ def table_groupoid(arrows, table, endpoint_ids=None, **tables) -> FiniteGroupoid
     ``table`` holds sorted ``[later, earlier, result]`` rows of indices into
     ``arrows``; the groupoid's ``cmp`` is a ``TableCmp`` over it, which
     keeps it as the groupoid's table.  ``endpoint_ids``, when given, is the
-    groupoid's ``endpoint_ids``, computed by the caller.  ``tables`` are the
-    other fields.
+    groupoid's ``endpoint_ids``, computed by the caller, whose table rows
+    are then exactly the composable pairs of those ends, in the order of
+    ``composable_index``, each with a composite: its ``composites`` are the
+    table's columns.  ``tables`` are the other fields.
     """
     G = FiniteGroupoid(arrows=arrows, cmp=TableCmp(arrows, table), **tables)
     if endpoint_ids is not None:
         G.__dict__["endpoint_ids"] = endpoint_ids
+        G.__dict__["_composites"] = table, tuple(table.T)
     return G
 
 

@@ -14,6 +14,13 @@ along alpha.  Conventions, matching the composition rule
 The structure is a Morita bitorsor when the right action is free and
 transitive on rho-fibres and the left action is free and transitive on
 alpha-fibres.
+
+A ``Bitorsor`` holds both actions as int arrays of point indices
+(``left_ids``, ``right_ids``), which the constructors here fill directly
+and every check, construction and witness reads.  Labels appear only at
+the boundary: ``left_act`` and ``right_act`` are label views built on
+first read, and label dicts handed in by a caller are converted once, when
+the bitorsor is built.
 """
 
 from __future__ import annotations
@@ -932,7 +939,7 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
         endpoint_ids = dict(b.point_index), qs, ends
     middle = table_groupoid(
         arrows,
-        np.stack([later, earlier, result], axis=1),
+        np.array([later, earlier, result]).T,  # its columns, which are the composites, contiguous
         endpoint_ids,
         objects=carrier,
         src=dict(zip(arrows, q_of)),
@@ -954,9 +961,9 @@ def weak_equivalence_pair(b: Bitorsor) -> WeakEquivalencePair:
         arr_map=dict(zip(arrows, tau_inverse)),
     )
     to_left.given = middle, to_left.arr_map, L, sigmas
-    tau_inverse = R.inverse_ids[taus]
-    if (tau_inverse >= 0).all():
-        to_right.given = middle, to_right.arr_map, R, tau_inverse
+    tau_inverse_ids = R.inverse_ids[taus]
+    if (tau_inverse_ids >= 0).all():
+        to_right.given = middle, to_right.arr_map, R, tau_inverse_ids
     return WeakEquivalencePair(middle, to_left, to_right)
 
 

@@ -259,3 +259,19 @@ def test_the_guard_sees_a_label_read():
 def test_group_groupoid_identity_matches():
     G = group_groupoid(FiniteGroup.cyclic(4))
     assert_same(identity_bitorsor(G), ref_identity_bitorsor(G))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_span_hands_the_middle_what_it_computed(name):
+    """The middle's endpoint ids and composites, and each projection's images,
+    equal what a groupoid and morphisms built afresh from the labels compute."""
+    pair = weak_equivalence_pair(inputs()[name][0])
+    M, fresh = pair.middle, replace(pair.middle)
+    assert "endpoint_ids" in vars(M) and "endpoint_ids" not in vars(fresh)
+    assert M.endpoint_ids[0] == fresh.endpoint_ids[0]
+    for mine, ref in zip((*M.endpoint_ids[1:], *M.composites), (*fresh.endpoint_ids[1:], *fresh.composites)):
+        assert np.array_equal(mine, ref)
+    for mor in (pair.to_left, pair.to_right):
+        assert mor.given is not None and replace(mor).given is None
+        for mine, ref in zip(mor._images(), replace(mor)._images()):
+            assert np.array_equal(mine, ref)
