@@ -363,9 +363,13 @@ def build_free_rotation_circle(m, modes, buffer) -> Scenario:
         drift = max(report.commutator_drift.values())
         frame = max(report.frame_identity_residuals.values())
         ok = worst <= tol and drift <= 1e-9 and frame <= tol and report.representation_residual <= 1e-12
+        # a band narrower than a generator's degree holds no mode pair it couples
+        idle = [name for name, op in report.operators if not op.count_nonzero()]
+        thin = ("; the interior band couples no generator" if len(idle) == len(gens) else
+                f"; the interior band does not couple {', '.join(idle)}" if idle else "")
         return ok, worst, (f"|[D, e^(il.)]| = l on the interior band; drift {drift:.2e}; "
                            f"frame identity residual {frame:.2e}; representation law "
-                           f"residual {report.representation_residual:.2e}")
+                           f"residual {report.representation_residual:.2e}{thin}")
 
     def faithful(tol):
         probe_spec = _rotation_setup(m, 8)[1]

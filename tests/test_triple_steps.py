@@ -127,7 +127,8 @@ def test_only_the_commutator_check_builds_the_doubled_cutoff(monkeypatch):
 
 def test_a_band_of_one_mode_fails_only_what_reads_the_growth_fit():
     """At modes 8, buffer 8 the interior band holds the zero mode alone: too
-    few eigenvalue levels for a growth fit, which only growth-exponent reads."""
+    few eigenvalue levels for a growth fit, which only growth-exponent reads,
+    and no mode pair that a generator couples, which the commutator check says."""
     fit = "CatalogError: not enough distinct eigenvalue levels for a growth fit"
     torus = run_checks("pillowcase-torus", {"modes": 8, "buffer": 8}, ["chirality-package", "growth-exponent"])
     assert torus["chirality-package"]["passed"] and torus["chirality-package"]["value"] == 0.0
@@ -138,4 +139,5 @@ def test_a_band_of_one_mode_fails_only_what_reads_the_growth_fit():
         commutators = circle["convolution-commutators"]
         # no commutator couples the one mode to itself: each norm reads 0, l away from l
         assert not commutators["passed"] and commutators["value"] == 3.0 and "error" not in commutators
+        assert commutators["detail"].endswith("; the interior band couples no generator")
         assert circle["growth-exponent"]["error"] == fit
