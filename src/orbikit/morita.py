@@ -81,11 +81,13 @@ class ActionTable(Mapping):
         points = np.fromiter(self.points, dtype=object, count=len(self.points))
         qs = points[q].tolist()
         arrows = np.fromiter(self.arrows, dtype=object, count=len(self.arrows))[a].tolist()
-        return dict(zip(zip(arrows, qs) if self.side == "left" else zip(qs, arrows), points[by_point[q, a]].tolist()))
+        keys = zip(arrows, qs) if self.side == "left" else zip(qs, arrows)
+        return dict(zip(keys, points[by_point[q, a]].tolist()))
 
     def fits(self, arrows, carrier) -> bool:
         """Whether ``ids`` is laid out over these arrows and this carrier, in this order."""
-        return (self.arrows is arrows or self.arrows == arrows) and (self.carrier is carrier or self.carrier == carrier)
+        return (self.arrows is arrows or self.arrows == arrows) and (
+            self.carrier is carrier or self.carrier == carrier)
 
     def __getitem__(self, key):
         return self._dict[key]

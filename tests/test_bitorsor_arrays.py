@@ -15,8 +15,15 @@ import numpy as np
 import pytest
 
 from orbikit.cocycles import default_sections, induce_cocycle, induced_bundle, reconstruct_bundle, sign_cocycle
-from orbikit.groupoids import CechCover, FiniteGroup, composable_index, cyclic_translation_groupoid, group_groupoid
-from orbikit.groupoids import cech_groupoid, trivial_cover
+from orbikit.groupoids import (
+    CechCover,
+    FiniteGroup,
+    cech_groupoid,
+    composable_index,
+    cyclic_translation_groupoid,
+    group_groupoid,
+    trivial_cover,
+)
 from orbikit.morita import (
     Bitorsor,
     cech_bitorsor,
@@ -111,7 +118,9 @@ def ref_cech_bitorsor(G, cover):
     alpha = {(s, a): (G.src[s], a) for (s, a) in carrier}
     left_act = {(r, (s, a)): (G.compose(r, s), a) for (s, a) in carrier for r in G.arrows_from(G.tgt[s])}
     right_act = {
-        ((s, a), (t, aa, bb)): (G.compose(s, t), bb) for (s, a) in carrier for (t, aa, bb) in cech.arrows_into(alpha[(s, a)])
+        ((s, a), (t, aa, bb)): (G.compose(s, t), bb)
+        for (s, a) in carrier
+        for (t, aa, bb) in cech.arrows_into(alpha[(s, a)])
     }
     return dict(carrier=carrier, rho={(s, a): G.tgt[s] for (s, a) in carrier}, alpha=alpha,
                 left_act=left_act, right_act=right_act)
@@ -134,7 +143,9 @@ def assert_same(b, ref):
 
 def halves(N):
     """Two overlapping sheets over Z_N, or the trivial cover when N is 1."""
-    return CechCover((tuple(range(N)),)) if N == 1 else CechCover((tuple(range(N // 2 + 1)), tuple(range(N // 2, N)) + (0,)))
+    if N == 1:
+        return CechCover((tuple(range(N)),))
+    return CechCover((tuple(range(N // 2 + 1)), tuple(range(N // 2, N)) + (0,)))
 
 
 def inputs():
