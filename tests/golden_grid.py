@@ -30,7 +30,10 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the exact norm to the bound (modes 8, 11, 21, 22), the circle configs
 # whose growth-exponent check fails (modes 8 and 10), and buffers at modes 8
 # that thin or empty the interior band (torus 0, 4, 8; circle 8), so those
-# stay pinned; the finite scenarios also at their floor N = 1, 2 and at N = 24.
+# stay pinned; the finite scenarios also at their floor N = 1, 2 and at N = 24;
+# Fourier rungs whose operators the ladders do not build: the non-effective
+# circle above its floor, the circle m=4 at modes 64, and bands of buffer 0
+# and 1 on the circle and the torus.
 GRID = (
     ("cech-localization", {}),
     ("a2-example", {"N": 3}),
@@ -66,6 +69,11 @@ GRID = (
     ("cocycle-transport", {"N": 1}),
     ("cocycle-transport", {"N": 2}),
     ("cocycle-transport", {"N": 24}),
+    ("noneffective-circle", {"modes": 32}),
+    ("free-rotation-circle", {"m": 4, "modes": 64}),
+    ("free-rotation-circle", {"m": 2, "modes": 32, "buffer": 0}),
+    ("pillowcase-torus", {"modes": 24, "buffer": 1}),
+    ("pillowcase-torus", {"modes": 16, "buffer": 0}),
 )
 
 
