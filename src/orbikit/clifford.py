@@ -128,14 +128,12 @@ def adjoint_condition_holds(G: ActionGroupoid, rep: CliffordRep, g) -> bool:
 
 
 def cocycle_law_holds(lift: SpinLift) -> bool:
-    G = lift.groupoid
-    for g in G.group.elements:
-        for h in G.group.elements:
-            lhs = lift.matrix(G.group.mul(g, h))
-            rhs = lift.matrix(g) @ lift.matrix(h)
-            if not np.allclose(lhs, rhs, atol=1e-14):
-                return False
-    return True
+    """S(gh) = S(g) S(h) on every pair, each S(g) evaluated once."""
+    group = lift.groupoid.group
+    S = {g: lift.matrix(g) for g in group.elements}
+    lhs = [S[group.mul(g, h)] for g in group.elements for h in group.elements]
+    rhs = [S[g] @ S[h] for g in group.elements for h in group.elements]
+    return bool(np.allclose(lhs, rhs, atol=1e-14))
 
 
 def spin_lift_search(G: ActionGroupoid, rep: CliffordRep):

@@ -23,8 +23,10 @@ to one, so kernel elements are exact difference vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,14 +39,13 @@ from .groupoids import ActionGroupoid, FiniteGroupoid, is_effective
 from .spectral import (
     DiracSpec,
     TripleRun,
-    action_mult_entries,
+    _mode_action,
     action_mult_operator,
     chirality_step,
     commutator_step,
     growth_step,
     interior_norm,
     mult_operator,
-    spinor_entries,
     triple_header,
 )
 from .transport import BundleSection
@@ -342,21 +343,35 @@ def _fourier_probe(G: ActionGroupoid, spec: DiracSpec, degree, effective) -> Fai
 def _probe_matrix(spec: DiracSpec, elements, band) -> np.ndarray:
     """Column e: the ``band`` block of pi(elements[e]), flattened.
 
-    Each element has one part, so its block's entries are the mode-level
-    entries of ``action_mult_entries`` inside the band, with the values the
-    whole matrix holds.  Only the rows that are nonzero in some column are
-    kept: a row zero in every column adds exact zeros to A^H A, so the
-    singular values are those of the full matrix of flattened blocks.
+    Each element is one mode of one part f_g, no two alike, and ``band`` is
+    an interior band or None.  The modes of one g land at distinct places
+    of U(g) mult(sum of their parts), so that operator is built once per g:
+    its entry in the row that mode row s feeds and in column k belongs to
+    the element of mode s - k, and holds that element's own value.  Only
+    the rows that are nonzero in some column are kept: a row zero in every
+    column adds exact zeros to A^H A, so the singular values are those of
+    the full matrix of flattened blocks.
     """
     space = spec.space
-    flat, column, values = [], [], []
+    d, modes = space.rep.spinor_dim, space.modes
+    kept = np.arange(len(modes)) if band is None else band[0].kept
+    key = (4 * space.cutoff + 1) ** np.arange(space.n - 1, -1, -1)  # one per mode of [-2M, 2M]^n
+    by_g = {}
     for e, f in enumerate(elements):
         ((g, part),) = f.data.items()
-        rows, cols, S, vals, (_, width) = action_mult_entries(spec, g, part, band)
-        r, c, data = spinor_entries(space, rows, cols, S, vals)
-        flat.append(r.astype(np.int64) * (width * space.rep.spinor_dim) + c)
-        column.append(np.full(len(r), e))
-        values.append(data)
+        by_g.setdefault(g, []).append((e, part))
+    flat, column, values = [], [], []
+    for g, members in by_g.items():
+        op = action_mult_operator(spec, g, functools.reduce(operator.add, [part for _, part in members]), band)
+        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        shift = modes[_mode_action(spec, g)[1][kept[rows // d]]] - modes[kept[op.indices // d]]
+        ids, own = zip(*((e, next(part.nonzero_modes())) for e, part in members))
+        own = np.array(own) @ key
+        order = np.argsort(own)
+        owner = np.array(ids)[order][np.searchsorted(own[order], shift @ key)]
+        flat.append(rows.astype(np.int64) * op.shape[1] + op.indices)
+        column.append(owner)
+        values.append(op.data)
     flat, column, values = (np.concatenate(x) for x in (flat, column, values))
     nonzero = values != 0
     rows, row_of = np.unique(flat[nonzero], return_inverse=True)
@@ -396,10 +411,11 @@ def law_step(run: TripleRun) -> None:
     # rows of pi(f1), all columns, times pi(f2) on the band's columns
     left = [representation_matrix(spec, f, (band[0], None)) for _, f in elements]
     right = [representation_matrix(spec, f, (None, band[1])) for _, f in elements]
+    degrees = [f.degree() for _, f in elements]
     worst = 0.0
-    for (_, f1), r1 in zip(elements, left):
-        for (_, f2), r2 in zip(elements, right):
-            if f1.degree() + f2.degree() > spec.cutoff:
+    for (_, f1), r1, deg1 in zip(elements, left, degrees):
+        for (_, f2), r2, deg2 in zip(elements, right, degrees):
+            if deg1 + deg2 > spec.cutoff:
                 continue
             lhs = representation_matrix(spec, convolve(f1, f2), band)
             worst = max(worst, interior_norm(spec.space, lhs - r1 @ r2, run.buffer))

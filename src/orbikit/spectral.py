@@ -2,7 +2,10 @@
 
 Operators act on the spinor-mode basis {modes |k| <= M} x spinor module,
 as sparse matrices; eigenvalues come from the per-mode blocks
-analytically.
+analytically.  Every Fourier operator but the Dirac itself is U mult(f),
+written by one builder (``_operator``) straight into canonical CSR: the
+multiplications, the lifted unitaries, pi(f) = sum_g U(g) mult(f_g), the
+chirality and the frame identity's right-hand side.
 
 Operator-norm and spectrum statements are restricted to the interior band
 |k| <= M - B: multiplication operators couple modes across the cutoff, and
@@ -27,10 +30,10 @@ the growth; ``divergence-symmetry`` the header and the symmetry.  So only
 a check that reports drift builds the doubled cutoff.
 
 Each operator is built once per ``DiracSpec``: the spec keeps its assembled
-Dirac matrix with its Hermiticity residual, the mode permutation, phase
-and spin values of each lifted group element and its specs at other
-cutoffs.  These caches assume that a spec is not mutated after
-construction; build a new spec to change one.
+Dirac matrix with its Hermiticity residual, the mode permutation, its
+inverse, the spin block and the spin-value levels of each lifted group
+element and its specs at other cutoffs.  These caches assume that a spec
+is not mutated after construction; build a new spec to change one.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +74,21 @@ DENSE_NORM_ROWS = 4000  # interior_norm is exact up to this many rows, a bound a
 
 # ---------------------------------------------------------------------------
 # spinor mode spaces
+
+
+@dataclass(frozen=True, eq=False)
+class KeptModes:
+    """One side of a builder's band: the kept mode rows, ascending, and the
+    place ``rank[r]`` of each mode row r among them, -1 where not kept."""
+
+    kept: np.ndarray
+    rank: np.ndarray
+
+    @classmethod
+    def of(cls, mask) -> "KeptModes":
+        rank = np.cumsum(mask, dtype=np.int32) - 1
+        rank[~mask] = -1
+        return cls(np.flatnonzero(mask).astype(np.int32), rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +138,16 @@ class SpinorModeSpace:
         return np.abs(self.modes).max(axis=1) <= self.cutoff - buffer
 
     def band(self, buffer) -> tuple:
-        """The interior band as the ``band`` of the operator builders."""
-        keep = self.interior(buffer)
-        return keep, keep
+        """The interior band as the ``band`` of the operator builders: the
+        same ``KeptModes`` for rows and columns, made once per buffer."""
+        if buffer not in self._bands:
+            keep = KeptModes.of(self.interior(buffer))
+            self._bands[buffer] = (keep, keep)
+        return self._bands[buffer]
+
+    @cached_property
+    def _bands(self) -> dict:
+        return {}  # buffer -> band
 
     def interior_indices(self, buffer) -> np.ndarray:
         d = self.rep.spinor_dim
@@ -139,8 +165,9 @@ class DiracSpec:
 
     A spec is not mutated after construction: it caches what is built from
     it on itself, and those caches live and die with it.  They hold the mode
-    space, the mode permutation and phase of each lifted group element, the
-    assembled Dirac matrix and the specs at other cutoffs.
+    space, the mode permutation, its inverse and the spin values of each
+    lifted group element, the assembled Dirac matrix and the specs at other
+    cutoffs.
     """
 
     groupoid: ActionGroupoid
@@ -159,7 +186,7 @@ class DiracSpec:
             raise CatalogError("twist/representation dimension mismatch")
         if self.lift.groupoid is not self.groupoid:
             raise CatalogError("lift was built for a different groupoid")
-        self._action_cache = {}  # group element -> (target mode rows, phases, spin values)
+        self._action_cache = {}  # group element -> (target, inverse, S, SpinBlock of phase S)
         self._dirac = None  # (matrix, Hermiticity residual): a TruncatedDirac would point back here
         self._cutoff_cache = {}  # cutoff -> DiracSpec
 
@@ -180,106 +207,141 @@ class DiracSpec:
 # ---------------------------------------------------------------------------
 # operator builders
 #
-# Every operator is built as mode-level (row, column, value) arrays, expanded
-# over the spinor block by index arithmetic into one CSR matrix.  The values
-# keep the rounding of the Kronecker and sparse products they replace.
+# Every builder is one call of ``_operator``, which writes U mult(f) on the
+# spinor modes straight into canonical CSR, with no COO matrix in between:
+# rows in order, each row's columns ascending, the arrays a COO -> CSR sort
+# of the same entries gives.  mult(f) sends mode k to mode k + l with the
+# coefficient of mode l of f; U sends mode row s to row target[s] times a
+# spinor block.  ``mult_operator`` has U = 1 on the identity block;
+# ``action_matrix`` f = 1 and U(g) (its mode permutation, inverse and spin
+# values phase[s] S come from ``_mode_action``, cached per spec);
+# ``action_mult_operator`` both; ``chirality_matrix`` f = 1 on the
+# chirality block, and ``_frame_identity_rhs`` mult(-i d_a f) on gamma_a.
+#
+# A value that is a product, (phase[s] S[i, j]) c_l or c_l gamma_a[i, j],
+# is the textbook complex product that the sparse product rounds, taken
+# once per distinct (spin value, coefficient) pair and gathered.
 #
 # A builder's ``band`` is None for the whole space, or a (row, column) pair
-# of masks over the mode rows, either of them None for every mode.  Only the
-# entries inside both masks are built, with the kept modes numbered in
-# order: the result is that block of the whole operator, with the same
-# entries in the same order.  ``SpinorModeSpace.band`` gives the interior
-# band's pair.
+# of ``KeptModes``, either of them None for every mode.  Only the entries
+# inside both are built, with the kept modes numbered in order: the result
+# is that block of the whole operator, with the same entries in the same
+# order.  ``SpinorModeSpace.band`` gives the interior band's pair.
+
+
+class SpinBlock(NamedTuple):
+    """A spinor block as ``_operator`` reads it, per mode row.
+
+    ``values`` are the bitwise distinct values its entries take;
+    ``level[s, i, q]`` indexes the value of the q-th nonzero of block row i
+    on mode row s (one row of ``level`` serves every mode row of a block
+    that does not vary); ``column[i, q]`` is that nonzero's column, or -1
+    past the last nonzero of a row shorter than the longest.
+    """
+
+    values: np.ndarray
+    level: np.ndarray
+    column: np.ndarray
+
+
+def _spin_block(block, values) -> SpinBlock:
+    """``values[p, s]`` is the p-th nonzero of ``block`` (row-major) on mode
+    row s; a single column serves every mode row, and so does the first
+    column when each row's bits are all the same."""
+    i, j = np.nonzero(block)
+    per_row = np.bincount(i, minlength=len(block))
+    q = np.arange(len(i)) - (np.cumsum(per_row) - per_row)[i]
+    column = np.full((len(block), per_row.max()), -1, dtype=np.int32)
+    column[i, q] = j
+    values = np.asarray(values, dtype=complex)
+    bits = values.view(np.uint64).reshape(len(values), -1, 2)
+    if (bits == bits[:, :1]).all():
+        values = values[:, :1]
+    distinct, index = np.unique(values.reshape(-1).view("V16"), return_inverse=True)
+    level = np.zeros((values.shape[1],) + column.shape, dtype=np.intp)
+    level[:, i, q] = index.reshape(values.shape).T
+    return SpinBlock(distinct.view(complex), level, column)
+
+
+def _constant_block(block) -> SpinBlock:
+    """A spinor block that is the same on every mode row."""
+    return _spin_block(block, block[np.nonzero(block)][:, None])
 
 
 def _mode_action(spec: DiracSpec, g):
-    """U(g) on modes: mode row r goes to row ``target[r]`` times ``phase[r]`` S.
+    """U(g) on modes: mode row s goes to row ``target[s]`` times ``phase[s]`` S.
 
     U(g) is the pullback psi -> psi o iso^{-1} of ``bases.mode_map`` with
     the spin block S of the lift; every mode must stay in the window.
-    Returns (target, phase, spin), where ``spin[p, r]`` is phase[r] S[i, j]
-    for the p-th nonzero S[i, j].  Cached per spec.
+    Returns (target, inverse, S, spin): ``inverse[R]`` is the row that goes
+    to row R, and ``spin`` the ``SpinBlock`` of the values phase[s] S[i, j].
+    Cached per spec.
     """
     if g not in spec._action_cache:
         target, phase = mode_map(spec.cutoff, spec.twist, spec.groupoid.iso[g].inverse())
         if (target < 0).any():
             raise CatalogError("pullback leaves the truncation window")
+        inverse = np.empty_like(target)
+        inverse[target] = np.arange(len(target), dtype=target.dtype)
         S = spec.lift.matrix(g)
-        spec._action_cache[g] = (target, phase, phase * S[np.nonzero(S)][:, None])
+        spec._action_cache[g] = (target, inverse, S, _spin_block(S, phase * S[np.nonzero(S)][:, None]))
     return spec._action_cache[g]
 
 
-def _mult_entries(space: SpinorModeSpace, f):
-    """Mode-level entries (rows, cols, values) of multiplication by ``f``.
+def _shifts(space: SpinorModeSpace, f):
+    """The shifts l of ``f``'s nonzero modes, in descending row-major order,
+    and their coefficients.
 
-    Mode l of ``f`` sends mode k to mode k + l.  The shifts come one after
-    another in descending row-major order, so within each row the columns
-    ascend.
+    Mode l of ``f`` sends mode k to mode k + l, so within a row the columns
+    k ascend as the shifts descend.  ``f`` must be a plain function of the
+    space's base: no fibre, no twist.
     """
     kind = mode_class(space.base)
     if not isinstance(f, kind):
         raise CatalogError(f"{type(space.base).__name__} space needs {kind.__name__} data")
-    M = space.cutoff
-    ks = np.arange(-M, M + 1, dtype=np.int32)
-    strides = (2 * M + 1) ** np.arange(space.n - 1, -1, -1)  # of the row-major mode index
-    rows, cols, vals = [np.zeros(0, np.int32)], [np.zeros(0, np.int32)], [np.zeros(0, complex)]
-    for pos in np.argwhere(np.abs(f.coeffs) > 0)[::-1]:
-        shift = pos - f.cutoff
-        # the modes k whose k + l stays inside the window
-        inside = reduce(np.logical_and.outer, [np.abs(ks + l) <= M for l in shift])
-        c = np.flatnonzero(inside).astype(np.int32)
-        rows.append(c + int(shift @ strides))
-        cols.append(c)
-        vals.append(np.full(len(c), f.coeffs[tuple(pos)]))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if f.fibre_shape or any(f.twists):
+        raise CatalogError("multiplier is not a scalar function on the base")
+    pos = np.argwhere(np.abs(f.coeffs) > 0)[::-1]
+    return pos - f.cutoff, f.coeffs[tuple(pos.T)]
 
 
-def _in_band(space: SpinorModeSpace, rows, cols, band):
-    """The mode entries inside ``band``, renumbered over the kept modes.
+def _operator(space: SpinorModeSpace, shifts, table, spin: SpinBlock, band=None, inverse=None) -> sp.csr_matrix:
+    """U mult(f) on ``band`` in canonical CSR.
 
-    Returns (hit, rows, cols, shape): ``hit`` indexes the kept entries (a
-    full slice when there is no band), and ``shape`` is the operator's size
-    in mode rows and columns.
+    Output mode row R takes the row s = ``inverse[R]`` of mult(f) (s = R
+    when ``inverse`` is None): the ``shifts`` l_t with k = s - l_t in the
+    window, columns ascending.  Each of them expands over the nonzeros of
+    ``spin``'s block, and nonzero q of block row i, at column j, puts
+    ``table[spin.level[s, i, q], t]`` at row R d + i, column k d + j.  The
+    rows come in order and each row's columns ascend, the order a
+    COO -> CSR sort leaves.
     """
-    n = len(space.modes)
-    if band is None:
-        return slice(None), rows, cols, (n, n)
-    hit = np.ones(len(rows), dtype=bool)
-    for index, keep in zip((rows, cols), band):
-        if keep is not None:
-            hit &= keep[index]
-    out, shape = [], []
-    for index, keep in zip((rows, cols), band):
-        if keep is None:
-            out.append(index[hit])
-            shape.append(n)
-        else:
-            out.append((np.cumsum(keep, dtype=np.int32) - 1)[index[hit]])
-            shape.append(int(np.count_nonzero(keep)))
-    return hit, out[0], out[1], tuple(shape)
-
-
-def spinor_entries(space: SpinorModeSpace, rows, cols, block, values):
-    """Spinor-level (rows, cols, values) of mode-level entries and a spinor block.
-
-    Nonzero block entry p = (i, j) and mode entry e put ``values[p, e]``
-    (broadcast) at row ``rows[e] d + i`` and column ``cols[e] d + j``.  The
-    entries come block entry by block entry, each run contiguous over the
-    mode entries; the CSR matrix built from them sorts each row, so their
-    order does not reach it.
-    """
-    d = space.rep.spinor_dim
-    i, j = (x.astype(np.int32)[:, None] for x in np.nonzero(block))
-    r = (np.asarray(rows, dtype=np.int32) * d + i).reshape(-1)
-    c = (np.asarray(cols, dtype=np.int32) * d + j).reshape(-1)
-    return r, c, np.broadcast_to(values, (len(i), len(rows))).reshape(-1)
-
-
-def _spinor_operator(space: SpinorModeSpace, rows, cols, block, values, shape) -> sp.csr_matrix:
-    """One CSR operator of ``shape`` mode rows and columns from ``spinor_entries``."""
-    d = space.rep.spinor_dim
-    r, c, data = spinor_entries(space, rows, cols, block, values)
-    return sp.csr_matrix((data, (r, c)), shape=(shape[0] * d, shape[1] * d))
+    d, n_modes, M = space.rep.spinor_dim, len(space.modes), space.cutoff
+    rows, cols = (None, None) if band is None else band
+    kept = np.arange(n_modes, dtype=np.int32) if rows is None else rows.kept
+    src = kept if inverse is None else inverse[kept]
+    # mode entry (r, t): output row r and shift t, at column k = src[r] - l_t
+    # while k stays in the window, decided for every mode row one axis at a time
+    inside = np.ones((1, len(shifts)), dtype=bool)
+    for l in shifts.T:
+        stays = np.abs(np.arange(-M, M + 1)[:, None] - l) <= M
+        inside = (inside[:, None] & stays).reshape(len(inside) * (2 * M + 1), len(shifts))
+    inside = inside[src]
+    col = src[:, None] - (shifts @ (2 * M + 1) ** np.arange(space.n - 1, -1, -1)).astype(np.int32)
+    width = n_modes
+    if cols is not None:
+        col = cols.rank.take(col, mode="clip")
+        inside &= col >= 0
+        width = len(cols.kept)
+    # entries (r, i, t, q) in C order are the CSR order
+    nonzero = spin.column >= 0
+    keep = inside[:, None, :, None] & nonzero[:, None, :]
+    level = np.broadcast_to(spin.level, (n_modes,) + spin.column.shape)[src]
+    data = table[level].transpose(0, 1, 3, 2)[keep]
+    indices = (col[:, None, :, None] * d + spin.column[:, None, :])[keep]
+    indptr = np.zeros(len(kept) * d + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1)[:, None] * nonzero.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(len(kept) * d, width * d))
 
 
 def _product(a, b) -> np.ndarray:
@@ -295,12 +357,15 @@ def _product(a, b) -> np.ndarray:
     return out
 
 
+def _no_shift(space: SpinorModeSpace):
+    """The shifts of the constant function 1."""
+    return np.zeros((1, space.n), dtype=int)
+
+
 def action_matrix(spec: DiracSpec, g) -> sp.csr_matrix:
     """The lifted unitary of one group element on the truncated spinors."""
-    target, _, spin = _mode_action(spec, g)
-    cols = np.arange(len(target), dtype=np.int32)
-    # the mode phase times the spin block, rounded as the Kronecker product
-    return _spinor_operator(spec.space, target, cols, spec.lift.matrix(g), spin, (len(target), len(target)))
+    _, inverse, _, spin = _mode_action(spec, g)
+    return _operator(spec.space, _no_shift(spec.space), spin.values[:, None], spin, None, inverse)
 
 
 def mult_operator(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
@@ -311,38 +376,25 @@ def mult_operator(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
     derived operator stays exact as long as the buffer covers the
     generator degree.
     """
-    rows, cols, vals = _mult_entries(space, f)
-    hit, rows, cols, shape = _in_band(space, rows, cols, band)
-    return _spinor_operator(space, rows, cols, np.eye(space.rep.spinor_dim), vals[hit], shape)
-
-
-def action_mult_entries(spec: DiracSpec, g, part, band=None):
-    """U(g) mult(part) as mode-level (rows, cols, spin block, values, shape).
-
-    Mode entry (r, c, a) of the multiplication moves to row target[r] with
-    value (phase[r] S[i, j]) a, one row of ``values`` per nonzero S[i, j];
-    the values are computed only for the entries inside ``band``.
-    """
-    rows, cols, vals = _mult_entries(spec.space, part)
-    target, _, spin = _mode_action(spec, g)
-    hit, out_rows, out_cols, shape = _in_band(spec.space, target[rows], cols, band)
-    values = _product(spin[:, rows[hit]], vals[hit])
-    return out_rows, out_cols, spec.lift.matrix(g), values, shape
+    shifts, coeffs = _shifts(space, f)
+    # the coefficients themselves, on the identity block
+    one = _constant_block(np.eye(space.rep.spinor_dim))
+    return _operator(space, shifts, coeffs[None, :], one, band)
 
 
 def action_mult_operator(spec: DiracSpec, g, part, band=None) -> sp.csr_matrix:
-    """U(g) mult(part) in one step."""
-    rows, cols, S, values, shape = action_mult_entries(spec, g, part, band)
-    return _spinor_operator(spec.space, rows, cols, S, values, shape)
+    """U(g) mult(part): mode entry (s, k) of the multiplication, with
+    coefficient c_l, goes to row target[s] with value (phase[s] S[i, j]) c_l."""
+    shifts, coeffs = _shifts(spec.space, part)
+    _, inverse, _, spin = _mode_action(spec, g)
+    return _operator(spec.space, shifts, _product(spin.values[:, None], coeffs), spin, band, inverse)
 
 
 def chirality_matrix(space: SpinorModeSpace, band=None) -> sp.csr_matrix:
     if space.rep.chirality is None:
         raise CatalogError("chirality needs an even-dimensional base")
-    chi = space.rep.chirality
-    modes = np.arange(len(space.modes), dtype=np.int32)
-    _, rows, cols, shape = _in_band(space, modes, modes, band)
-    return _spinor_operator(space, rows, cols, chi, chi[np.nonzero(chi)][:, None], shape)
+    spin = _constant_block(space.rep.chirality)
+    return _operator(space, _no_shift(space), spin.values[:, None], spin, band)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +431,13 @@ class TruncatedDirac:
 def _dirac_operator(space: SpinorModeSpace, keep=None) -> sp.csr_matrix:
     """Sum of gamma(frame) x mode frequency, one block per mode.
 
-    D is block-diagonal over modes, so its block on the modes of the mask
+    D is block-diagonal over modes, so its block on the ``KeptModes``
     ``keep`` (None for every mode) is built from those modes alone, with
     the same entries as the matching block of the whole matrix.
     """
     d = space.rep.spinor_dim
     gammas = space.rep.gammas
-    freqs = space.freqs if keep is None else space.freqs[keep]
+    freqs = space.freqs if keep is None else space.freqs[keep.kept]
     # the block entries some gamma reaches, in row-major order
     i, j = np.nonzero(sum(np.abs(gamma) for gamma in gammas))
     values = sum(freqs[:, a] * gamma[i, j][:, None] for a, gamma in enumerate(gammas))  # (entries, modes)
@@ -411,8 +463,7 @@ def assemble_dirac(spec: DiracSpec) -> TruncatedDirac:
         for g in spec.groupoid.group.elements:
             # [D, U(g)] block by block: U(g) maps mode r to mode target[r] by
             # phase[r] S, a phase of modulus one, and D is w(r).gamma on mode r
-            target, _, _ = _mode_action(spec, g)
-            S = spec.lift.matrix(g)
+            target, _, S, _ = _mode_action(spec, g)
             gamma_S = np.array([(gamma @ S).reshape(-1) for gamma in space.rep.gammas])
             S_gamma = np.array([(S @ gamma).reshape(-1) for gamma in space.rep.gammas])
             res = float(np.abs(space.freqs[target] @ gamma_S - space.freqs @ S_gamma).max())
@@ -832,11 +883,9 @@ def _frame_identity_rhs(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
     """sum_i  mult(-i d_i f) x gamma_i, the flat-space commutator value."""
     total = None
     for axis in range(space.n):
-        rows, cols, vals = _mult_entries(space, f.derivative(axis) * -1j)
-        hit, rows, cols, shape = _in_band(space, rows, cols, band)
-        gamma = space.rep.gammas[axis]
-        values = _product(vals[hit], gamma[np.nonzero(gamma)][:, None])
-        term = _spinor_operator(space, rows, cols, gamma, values, shape)
+        shifts, coeffs = _shifts(space, f.derivative(axis) * -1j)
+        spin = _constant_block(space.rep.gammas[axis])
+        term = _operator(space, shifts, _product(coeffs, spin.values[:, None]), spin, band)
         total = term if total is None else total + term
     return total
 
