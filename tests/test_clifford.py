@@ -110,3 +110,15 @@ def test_rotation_lifts_commute_with_chirality():
     for turns in (Fraction(0), Fraction(1, 2)):
         S = spin_element(rep, turns)
         assert np.allclose(rep.chirality @ S, S @ rep.chirality)
+
+
+def test_cocycle_law_evaluates_each_element_matrix_once(monkeypatch):
+    from orbikit.clifford import SpinLift
+
+    G = rotation_groupoid(4, FourierCircle())
+    calls = []
+    matrix = SpinLift.matrix
+    monkeypatch.setattr(SpinLift, "matrix", lambda lift, g: calls.append(g) or matrix(lift, g))
+    lifts = spin_lift_search(G, build_clifford(1))
+    assert len(lifts) == 2
+    assert len(calls) == 2 ** 3 * G.group.order  # each of the 8 sign cochains, once per element

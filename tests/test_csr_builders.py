@@ -282,6 +282,47 @@ def test_representation_matrix_matches_the_coo_route(name):
             assert_same_csr(representation_matrix(spec, f, band), want, f"{what} {shape}")
 
 
+class BlockLift(SpinLift):
+    """A lift whose spin blocks have rows of two, one and no nonzeros: not a
+    lift of the action, but the builders only read its blocks."""
+
+    BLOCKS = {
+        0: np.array([[0.6, 0.8j], [-1.0 + 0.25j, 0.0]]),
+        1: np.array([[0.0, 0.0], [0.3 - 0.1j, 1.0 / 3.0]]),
+    }
+
+    def matrix(self, g):
+        return self.BLOCKS[g].astype(complex)
+
+
+@pytest.mark.parametrize("g", [0, 1])
+def test_blocks_with_several_nonzeros_per_row_match_the_coo_route(g):
+    G = negation_torus_groupoid(FourierTorus((2 * np.pi, 3.5), 9))
+    spec = DiracSpec(G, BlockLift(G, build_clifford(2), {0: 1, 1: 1}, False), (Fraction(0), Fraction(0)), 9)
+    assert_same_csr(action_matrix(spec, g), ref_action_matrix(spec, g), f"U({g})")
+    for what, part in random_parts(spec, seed=11):
+        for shape, band, masks in bands(spec.space):
+            got = action_mult_operator(spec, g, part, band)
+            assert_same_csr(got, ref_action_mult_operator(spec, g, part, masks), f"U({g}) mult {what} {shape}")
+
+
+def test_builders_read_each_spin_block_from_the_spec(monkeypatch):
+    spec = torus_spec(9)
+    G = spec.groupoid
+    part = random_parts(spec, seed=5)[0][1]
+    for g in G.group.elements:
+        action_mult_operator(spec, g, part)
+    calls = []
+    matrix = type(spec.lift).matrix
+    monkeypatch.setattr(type(spec.lift), "matrix", lambda lift, g: calls.append(g) or matrix(lift, g))
+    for g in G.group.elements:
+        action_matrix(spec, g)
+        action_mult_operator(spec, g, part, spec.space.band(2))
+    representation_matrix(spec, fourier_element(G, {g: part for g in G.group.elements}))
+    convolution._probe_matrix(spec, [fourier_element(G, {1: TorusModes.mode(G.base, 9, (1, 0))})], None)
+    assert calls == []
+
+
 def test_chirality_matrix_matches_the_coo_route():
     space = torus_spec(9).space
     for shape, band, masks in bands(space):

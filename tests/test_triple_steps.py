@@ -141,3 +141,28 @@ def test_a_band_of_one_mode_fails_only_what_reads_the_growth_fit():
         assert not commutators["passed"] and commutators["value"] == 3.0 and "error" not in commutators
         assert commutators["detail"].endswith("; the interior band couples no generator")
         assert circle["growth-exponent"]["error"] == fit
+
+
+def test_law_step_reads_each_generator_degree_once(monkeypatch):
+    """law_step's own pair filter takes each degree once; ``convolve`` still
+    checks its factors' degrees itself."""
+    import sys
+
+    from orbikit.convolution import ConvolutionElement
+
+    spec = torus_spec(12)
+    run = convolution_header(spec, torus_generators(spec))
+    seen = []
+    degree = ConvolutionElement.degree
+
+    def counted(f):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            caller = caller.f_back
+        if caller.f_code is law_step.__code__:
+            seen.append(f)
+        return degree(f)
+
+    monkeypatch.setattr(ConvolutionElement, "degree", counted)
+    law_step(run)
+    assert [id(f) for f in seen] == [id(f) for _, f in run.generators]
