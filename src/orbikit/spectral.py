@@ -319,14 +319,14 @@ def _operator(space: SpinorModeSpace, shifts, table, spin: SpinBlock, band=None,
     d, n_modes, M = space.rep.spinor_dim, len(space.modes), space.cutoff
     rows, cols = (None, None) if band is None else band
     kept = np.arange(n_modes, dtype=np.int32) if rows is None else rows.kept
-    src = kept if inverse is None else inverse[kept]
+    src = kept if inverse is None else inverse.take(kept)
     # mode entry (r, t): output row r and shift t, at column k = src[r] - l_t
     # while k stays in the window, decided for every mode row one axis at a time
     inside = np.ones((1, len(shifts)), dtype=bool)
     for l in shifts.T:
         stays = np.abs(np.arange(-M, M + 1)[:, None] - l) <= M
         inside = (inside[:, None] & stays).reshape(len(inside) * (2 * M + 1), len(shifts))
-    inside = inside[src]
+    inside = inside.take(src, axis=0)
     col = src[:, None] - (shifts @ (2 * M + 1) ** np.arange(space.n - 1, -1, -1)).astype(np.int32)
     width = n_modes
     if cols is not None:
@@ -336,11 +336,11 @@ def _operator(space: SpinorModeSpace, shifts, table, spin: SpinBlock, band=None,
     # entries (r, i, t, q) in C order are the CSR order
     nonzero = spin.column >= 0
     keep = inside[:, None, :, None] & nonzero[:, None, :]
-    level = np.broadcast_to(spin.level, (n_modes,) + spin.column.shape)[src]
-    data = table[level].transpose(0, 1, 3, 2)[keep]
+    level = spin.level.take(src, axis=0, mode="clip")  # "clip": a one-row level serves every row
+    data = table.take(level, axis=0).transpose(0, 1, 3, 2)[keep]
     indices = (col[:, None, :, None] * d + spin.column[:, None, :])[keep]
     indptr = np.zeros(len(kept) * d + 1, dtype=np.int32)
-    np.cumsum(inside.sum(axis=1)[:, None] * nonzero.sum(axis=1), out=indptr[1:])
+    np.cumsum(keep.reshape(len(indptr) - 1, -1).sum(axis=1), out=indptr[1:])
     return sp.csr_matrix((data, indices, indptr), shape=(len(kept) * d, width * d))
 
 
