@@ -23,10 +23,8 @@ to one, so kernel elements are exact difference vectors.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -362,7 +360,7 @@ def _probe_matrix(spec: DiracSpec, elements, band) -> np.ndarray:
         by_g.setdefault(g, []).append((e, part))
     flat, column, values = [], [], []
     for g, members in by_g.items():
-        op = action_mult_operator(spec, g, functools.reduce(operator.add, [part for _, part in members]), band)
+        op = action_mult_operator(spec, g, sum((part for _, part in members[1:]), members[0][1]), band)
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
         shift = modes[_mode_action(spec, g)[1][kept[rows // d]]] - modes[kept[op.indices // d]]
         ids, own = zip(*((e, next(part.nonzero_modes())) for e, part in members))
