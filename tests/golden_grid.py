@@ -29,8 +29,8 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # benchmark workloads, the torus on both sides of interior_norm's switch from
 # the exact norm to the bound (modes 8, 11, 21, 22), the circle configs
 # whose growth-exponent check fails (modes 8 and 10), and buffers at modes 8
-# that thin or empty the interior band (torus 0, 4, 8, 16; circle 8), so
-# those stay pinned; the finite scenarios also at their floor N = 1, 2 and at N = 24;
+# that thin or empty the interior band (torus 0, 4, 8, 16; circle 8, 16),
+# so those stay pinned; the finite scenarios also at their floor N = 1, 2 and at N = 24;
 # Fourier rungs whose operators the ladders do not build: the non-effective
 # circle above its floor, the circle m=4 at modes 64, and bands of buffer 0
 # and 1 on the circle and the torus.
@@ -75,6 +75,7 @@ GRID = (
     ("pillowcase-torus", {"modes": 24, "buffer": 1}),
     ("pillowcase-torus", {"modes": 16, "buffer": 0}),
     ("pillowcase-torus", {"modes": 8, "buffer": 16}),
+    ("free-rotation-circle", {"m": 2, "modes": 8, "buffer": 16}),
 )
 
 
