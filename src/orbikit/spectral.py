@@ -340,7 +340,7 @@ def _operator(space: SpinorModeSpace, shifts, table, spin: SpinBlock, band=None,
     data = table.take(level, axis=0).transpose(0, 1, 3, 2)[keep]
     indices = (col[:, None, :, None] * d + spin.column[:, None, :])[keep]
     indptr = np.zeros(len(kept) * d + 1, dtype=np.int32)
-    np.cumsum(keep.reshape(len(indptr) - 1, -1).sum(axis=1), out=indptr[1:])
+    np.cumsum(keep.sum(axis=(2, 3)).ravel(), out=indptr[1:])
     return sp.csr_matrix((data, indices, indptr), shape=(len(kept) * d, width * d))
 
 

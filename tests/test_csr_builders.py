@@ -218,9 +218,10 @@ def random_parts(spec, seed):
 
 
 def bands(space):
-    """Every band shape at buffers 0, 1 and 2, with the masks of the reference."""
+    """Every band shape at buffers 0, 1 and 2, and at a buffer past the
+    cutoff, whose band keeps no mode, with the masks of the reference."""
     out = [("whole", None, None)]
-    for buffer in (0, 1, 2):
+    for buffer in (0, 1, 2, space.cutoff + 1):
         new, mask = space.band(buffer), space.interior(buffer)
         out += [
             (f"both-b{buffer}", new, (mask, mask)),

@@ -283,6 +283,11 @@ def test_raising_check_becomes_failed_record(tmp_path):
     spectra = next(c for c in report["checks"] if c["name"] == "spectra-match")
     assert not spectra["passed"] and "value" not in spectra
     assert spectra["error"] == "non-finite value: inf"
+    # the operators on the empty band are empty matrices, not a raise
+    comm = next(c for c in report["checks"] if c["name"] == "convolution-commutators")
+    assert not comm["passed"] and "error" not in comm
+    assert comm["value"] == 3.0
+    assert comm["detail"].endswith("the interior band couples no generator")
 
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
