@@ -27,9 +27,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bases import BandLimitError, CatalogError, mode_class
 from .cocycles import ReconstructedBundle, trivial_bundle
@@ -47,6 +47,9 @@ from .spectral import (
     triple_header,
 )
 from .transport import BundleSection
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(eq=False)

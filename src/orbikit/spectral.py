@@ -34,6 +34,11 @@ Dirac matrix with its Hermiticity residual, the mode permutation, its
 inverse, the spin block and the spin-value levels of each lifted group
 element and its specs at other cutoffs.  These caches assume that a spec
 is not mutated after construction; build a new spec to change one.
+
+The finite layers need only numpy.  scipy loads with the first Fourier
+operator: each function here that makes a sparse matrix imports
+``scipy.sparse`` (or ``scipy.sparse.csgraph``) in its body, so ``import
+orbikit`` loads no scipy module, and a run of a finite scenario none.
 """
 
 from __future__ import annotations
@@ -42,10 +47,9 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bases import (
     CatalogError,
@@ -66,6 +70,9 @@ from .transport import (
     solve_downstairs_twist,
     twist_of_modes,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_BUFFER = 2
 MIN_CUTOFF = 8  # the smallest mode cutoff a DiracSpec accepts
@@ -316,6 +323,8 @@ def _operator(space: SpinorModeSpace, shifts, table, spin: SpinBlock, band=None,
     rows come in order and each row's columns ascend, the order a
     COO -> CSR sort leaves.
     """
+    import scipy.sparse as sp
+
     d, n_modes, M = space.rep.spinor_dim, len(space.modes), space.cutoff
     rows, cols = (None, None) if band is None else band
     kept = np.arange(n_modes, dtype=np.int32) if rows is None else rows.kept
@@ -435,6 +444,8 @@ def _dirac_operator(space: SpinorModeSpace, keep=None) -> sp.csr_matrix:
     ``keep`` (None for every mode) is built from those modes alone, with
     the same entries as the matching block of the whole matrix.
     """
+    import scipy.sparse as sp
+
     d = space.rep.spinor_dim
     gammas = space.rep.gammas
     freqs = space.freqs if keep is None else space.freqs[keep.kept]
@@ -474,8 +485,8 @@ def assemble_dirac(spec: DiracSpec) -> TruncatedDirac:
 
 
 def _max_abs(mat) -> float:
-    coo = sp.coo_matrix(mat)
-    return float(np.max(np.abs(coo.data))) if coo.nnz else 0.0
+    """The largest |entry| a sparse matrix stores; 0.0 when it stores none."""
+    return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
 
 
 def invariant_projector(spec: DiracSpec) -> sp.csr_matrix:
@@ -490,7 +501,7 @@ def invariant_projector(spec: DiracSpec) -> sp.csr_matrix:
     P = P * (1.0 / G.order)
     if _max_abs(P @ P - P) > 1e-12:
         raise CatalogError("projector does not square to itself")
-    return sp.csr_matrix(P)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +812,8 @@ def interior_norm(space: SpinorModeSpace, mat, buffer) -> float:
       rounding, so only the last bits can differ;
     - above that, the upper bound sqrt(||A||_1 ||A||_inf).
     """
+    import scipy.sparse as sp
+
     block = sp.csr_matrix(mat)
     if block.shape[0] == space.dim:  # an operator on the whole space
         idx = space.interior_indices(buffer)
@@ -824,7 +837,6 @@ def _component_norm(block: sp.csr_matrix) -> float:
     largest 2-norm of its blocks.  Components of equal size go through
     one batched SVD; a single component costs one SVD of the whole block.
     """
-    # imported here: loading csgraph is a noticeable share of `import orbikit`
     from scipy.sparse.csgraph import connected_components
 
     _, labels = connected_components(abs(block), directed=False)
@@ -997,6 +1009,8 @@ def growth_step(run: TripleRun, window=None) -> None:
 def chirality_step(run: TripleRun) -> None:
     """omega^2 = 1, {D, omega} = 0 and [omega, pi(f)] = 0 on the interior
     band; nothing on an odd-dimensional base, which has no chirality."""
+    import scipy.sparse as sp
+
     space, buffer, report = run.space, run.buffer, run.report
     if space.rep.chirality is None:
         return

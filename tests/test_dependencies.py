@@ -1,5 +1,5 @@
-"""Every third-party module the package imports is a declared dependency, and back; and importing
-the package leaves the modules it loads lazily unloaded."""
+"""Every third-party module the package imports is a declared dependency, and back; and neither
+importing the package nor running a finite scenario loads scipy or sympy."""
 
 import ast
 import os
@@ -38,9 +38,27 @@ def test_imports_match_declared_dependencies():
     assert third_party == declared_dependencies()
 
 
-def test_import_does_not_load_csgraph():
-    """``scipy.sparse.csgraph`` is imported inside the functions that use it, not with the package."""
-    code = "import sys, orbikit; print('scipy.sparse.csgraph' in sys.modules)"
+def loaded_after(code):
+    """The ``scipy`` and ``sympy`` modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'sympy')))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy_and_no_sympy():
+    """scipy loads with the first Fourier operator, and the package needs no sympy; either
+    with the package would be most of the import time."""
+    assert loaded_after("import orbikit") == "[]"
+
+
+@pytest.mark.parametrize("scenario", ["a2-example", "cech-localization", "cocycle-transport"])
+def test_finite_scenario_loads_no_scipy(scenario, tmp_path):
+    """The finite layers need only numpy: a finite built-in runs without loading scipy."""
+    code = (
+        "from orbikit.harness import SCHEMA_VERSION, run_scenario\n"
+        f"config = {{'schema_version': SCHEMA_VERSION, 'scenario': {scenario!r}, 'params': {{}}}}\n"
+        f"assert run_scenario(config, out_dir={str(tmp_path)!r})[0] == 0"
+    )
+    assert loaded_after(code) == "[]"
