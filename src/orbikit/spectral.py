@@ -156,6 +156,19 @@ class SpinorModeSpace:
     def _bands(self) -> dict:
         return {}  # buffer -> band
 
+    # the SpinBlock of each constant spinor block, made on first read
+    @cached_property
+    def _one_block(self) -> SpinBlock:
+        return _constant_block(np.eye(self.rep.spinor_dim))
+
+    @cached_property
+    def _chirality_block(self) -> SpinBlock:
+        return _constant_block(self.rep.chirality)
+
+    @cached_property
+    def _gamma_blocks(self) -> tuple:
+        return tuple(_constant_block(gamma) for gamma in self.rep.gammas)
+
     def interior_indices(self, buffer) -> np.ndarray:
         d = self.rep.spinor_dim
         rows = np.flatnonzero(self.interior(buffer))
@@ -224,6 +237,7 @@ class DiracSpec:
 # values phase[s] S come from ``_mode_action``, cached per spec);
 # ``action_mult_operator`` both; ``chirality_matrix`` f = 1 on the
 # chirality block, and ``_frame_identity_rhs`` mult(-i d_a f) on gamma_a.
+# The identity, chirality and gamma blocks are made once per space.
 #
 # A value that is a product, (phase[s] S[i, j]) c_l or c_l gamma_a[i, j],
 # is the textbook complex product that the sparse product rounds, taken
@@ -387,8 +401,7 @@ def mult_operator(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
     """
     shifts, coeffs = _shifts(space, f)
     # the coefficients themselves, on the identity block
-    one = _constant_block(np.eye(space.rep.spinor_dim))
-    return _operator(space, shifts, coeffs[None, :], one, band)
+    return _operator(space, shifts, coeffs[None, :], space._one_block, band)
 
 
 def action_mult_operator(spec: DiracSpec, g, part, band=None) -> sp.csr_matrix:
@@ -402,7 +415,7 @@ def action_mult_operator(spec: DiracSpec, g, part, band=None) -> sp.csr_matrix:
 def chirality_matrix(space: SpinorModeSpace, band=None) -> sp.csr_matrix:
     if space.rep.chirality is None:
         raise CatalogError("chirality needs an even-dimensional base")
-    spin = _constant_block(space.rep.chirality)
+    spin = space._chirality_block
     return _operator(space, _no_shift(space), spin.values[:, None], spin, band)
 
 
@@ -896,7 +909,7 @@ def _frame_identity_rhs(space: SpinorModeSpace, f, band=None) -> sp.csr_matrix:
     total = None
     for axis in range(space.n):
         shifts, coeffs = _shifts(space, f.derivative(axis) * -1j)
-        spin = _constant_block(space.rep.gammas[axis])
+        spin = space._gamma_blocks[axis]
         term = _operator(space, shifts, _product(coeffs, spin.values[:, None]), spin, band)
         total = term if total is None else total + term
     return total
@@ -907,8 +920,9 @@ class TripleRun:
     """What the steps of one spectral-triple check share; ``triple_header``
     makes it, and every step fills ``report``.
 
-    ``D`` and each generator's operator (``report.operators``) are built on
-    the interior ``band`` at the spec cutoff, once for every step.
+    Each generator's operator (``report.operators``) is built on the
+    interior ``band`` at the spec cutoff, once for every step; ``D`` on
+    that band when a step first reads it.
     """
 
     spec: DiracSpec
@@ -917,11 +931,15 @@ class TripleRun:
     report: SpectralTripleReport
     dirac: TruncatedDirac
     band: tuple
-    D: sp.csr_matrix  # the interior block of the Dirac
 
     @property
     def space(self):
         return self.spec.space
+
+    @cached_property
+    def D(self) -> sp.csr_matrix:
+        """The interior block of the Dirac."""
+        return _dirac_operator(self.space, self.band[0])
 
     @property
     def buffer(self):
@@ -941,8 +959,8 @@ def triple_header(
     (the larger of ``DEFAULT_BUFFER`` and the generator degree unless
     given), assembles the Dirac (``assemble_dirac`` validates Hermiticity
     and [D, U(g)] = 0) and reports its Hermiticity residual and the
-    interior-band eigenvalues.  It builds D and every generator's operator
-    on the interior band for the steps that follow.
+    interior-band eigenvalues.  It builds every generator's operator on the
+    interior band for the steps that follow.
     """
     gens = list(generators)
     max_deg = max([f.degree() for _, f in gens], default=0)
@@ -963,7 +981,7 @@ def triple_header(
         eigenvalues=dirac.eigenvalues(buffer),
     )
     report.operators = [(name, build(spec, f, band)) for name, f in gens]
-    return TripleRun(spec, gens, build, report, dirac, band, _dirac_operator(space, band[0]))
+    return TripleRun(spec, gens, build, report, dirac, band)
 
 
 def commutator_step(run: TripleRun) -> None:

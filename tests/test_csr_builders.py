@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from orbikit import convolution
+from orbikit import convolution, spectral
 from orbikit.bases import CatalogError, CircleModes, FourierCircle, FourierTorus, TorusModes, mode_class, mode_map
 from orbikit.clifford import SpinLift, build_clifford, projective_lift, trivial_lift
 from orbikit.convolution import fourier_element, representation_matrix
@@ -322,6 +322,20 @@ def test_builders_read_each_spin_block_from_the_spec(monkeypatch):
     representation_matrix(spec, fourier_element(G, {g: part for g in G.group.elements}))
     convolution._probe_matrix(spec, [fourier_element(G, {1: TorusModes.mode(G.base, 9, (1, 0))})], None)
     assert calls == []
+
+
+def test_constant_spin_blocks_are_built_once_per_space(monkeypatch):
+    spec = torus_spec(9)
+    space, part = spec.space, random_parts(spec, seed=5)[0][1]
+    calls = []
+    spin_block = spectral._spin_block
+    monkeypatch.setattr(spectral, "_spin_block", lambda *args: calls.append(args) or spin_block(*args))
+    for _ in range(2):
+        mult_operator(space, part)
+        chirality_matrix(space, space.band(2))
+        _frame_identity_rhs(space, part)
+    # the identity, the chirality and the two gammas
+    assert len(calls) == 4
 
 
 def test_chirality_matrix_matches_the_coo_route():

@@ -125,6 +125,28 @@ def test_only_the_commutator_check_builds_the_doubled_cutoff(monkeypatch):
     assert circle["convolution-commutators"]["error"] == "RuntimeError: doubled cutoff 32 built"
 
 
+def test_only_the_steps_that_read_d_build_it(monkeypatch):
+    """The growth and symmetry checks never read the interior Dirac, so they
+    do not build it; the chirality check builds it once for its two reads."""
+    from orbikit import spectral
+
+    built = []
+    dirac_operator = spectral._dirac_operator
+
+    def counted(space, keep=None):
+        if keep is not None:
+            built.append(space.cutoff)
+        return dirac_operator(space, keep)
+
+    monkeypatch.setattr(spectral, "_dirac_operator", counted)
+    torus = run_checks("pillowcase-torus", {"modes": 12}, ["growth-exponent"])
+    circle = run_checks("free-rotation-circle", {"m": 2, "modes": 16}, ["divergence-symmetry", "growth-exponent"])
+    assert torus["growth-exponent"]["passed"] and circle["divergence-symmetry"]["passed"]
+    assert built == []
+    assert run_checks("pillowcase-torus", {"modes": 12}, ["chirality-package"])["chirality-package"]["passed"]
+    assert built == [12]
+
+
 def test_a_band_of_one_mode_fails_only_what_reads_the_growth_fit():
     """At modes 8, buffer 8 the interior band holds the zero mode alone: too
     few eigenvalue levels for a growth fit, which only growth-exponent reads,
