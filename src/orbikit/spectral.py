@@ -36,9 +36,9 @@ element and its specs at other cutoffs.  These caches assume that a spec
 is not mutated after construction; build a new spec to change one.
 
 The finite layers need only numpy.  scipy loads with the first Fourier
-operator: each function here that makes a sparse matrix imports
-``scipy.sparse`` (or ``scipy.sparse.csgraph``) in its body, so ``import
-orbikit`` loads no scipy module, and a run of a finite scenario none.
+operator: each function here that calls scipy imports ``scipy.sparse``
+(or ``scipy.sparse.csgraph``) in its body, so ``import orbikit`` loads no
+scipy module, and a run of a finite scenario none.
 """
 
 from __future__ import annotations

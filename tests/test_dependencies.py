@@ -41,7 +41,7 @@ def test_imports_match_declared_dependencies():
 def loaded_after(code):
     """The ``scipy`` and ``sympy`` modules loaded once ``code`` has run in a fresh interpreter."""
     probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'sympy')))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     return done.stdout.strip().splitlines()[-1]

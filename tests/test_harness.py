@@ -295,3 +295,18 @@ def test_raising_check_becomes_failed_record(tmp_path):
     text = (tmp_path / "report.json").read_text()
     assert json.loads(text, parse_constant=reject) == report
     assert "growth-exponent: error CatalogError" in (tmp_path / "summary.md").read_text()
+
+
+@pytest.mark.parametrize("scenario, extra", [("free-rotation-circle", {"m": 2}), ("free-rotation-circle", {"m": 4}),
+                                             ("pillowcase-torus", {})])
+def test_thin_and_empty_bands_give_no_bare_exception(scenario, extra, tmp_path):
+    """At every buffer from a full band to an empty one, a check that cannot
+    be computed records a CatalogError or a non-finite value, never a numpy
+    or Python exception of the code."""
+    for modes in (8, 9, 10):
+        for buffer in (0, modes - 1, modes, modes + 1, 2 * modes):
+            params = dict(extra, modes=modes, buffer=buffer)
+            _, report = run_scenario(cfg(scenario, params=params), out_dir=str(tmp_path / f"{modes}-{buffer}"))
+            for check in report["checks"]:
+                error = check.get("error", "")
+                assert not error or error.startswith(("CatalogError: ", "non-finite value")), (params, error)
