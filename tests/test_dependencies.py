@@ -48,8 +48,8 @@ def loaded_after(code):
 
 
 def test_import_loads_no_scipy_and_no_sympy():
-    """scipy loads with the first Fourier operator, and the package needs no sympy; either
-    with the package would be most of the import time."""
+    """scipy loads with the first Fourier operator, and the package needs no sympy; loading
+    either with the package would be a large share of the import time."""
     assert loaded_after("import orbikit") == "[]"
 
 
