@@ -47,6 +47,11 @@ def loaded_after(code):
     return done.stdout.strip().splitlines()[-1]
 
 
+def test_import_does_not_load_csgraph():
+    """``scipy.sparse.csgraph`` is imported inside the functions that use it, not with the package."""
+    assert "'scipy.sparse.csgraph'" not in loaded_after("import orbikit")
+
+
 def test_import_loads_no_scipy_and_no_sympy():
     """scipy loads with the first Fourier operator, and the package needs no sympy; loading
     either with the package would be a large share of the import time."""

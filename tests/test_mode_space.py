@@ -6,8 +6,12 @@ time.  Operators are compared entry by entry, exactly.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +482,18 @@ def test_dense_norms_never_exceed_the_largest_coupling_component(monkeypatch, tm
     code, _ = run_scenario(config, out_dir=str(tmp_path))
     assert code == 0
     assert rows and max(rows) <= 21
+
+
+@pytest.mark.parametrize("module", ["scipy.sparse.csgraph", "sympy"])
+def test_import_does_not_load(module):
+    # interior_norm imports csgraph on first use, and the package needs no sympy;
+    # loading either with the package is a measurable share of the import time
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, orbikit; "
+        f"print(sorted(m for m in sys.modules if m == {module!r} or m.startswith({module + '.'!r})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
