@@ -33,7 +33,8 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # so those stay pinned; the finite scenarios also at their floor N = 1, 2 and at N = 24;
 # Fourier rungs whose operators the ladders do not build: the non-effective
 # circle above its floor, the circle m=4 at modes 64, and bands of buffer 0
-# and 1 on the circle and the torus.
+# and 1 on the circle and the torus; the circle m=2 at modes 128 and 256,
+# whose commutators have coupling components of up to 509 and 1021 rows.
 GRID = (
     ("cech-localization", {}),
     ("a2-example", {"N": 3}),
@@ -76,6 +77,8 @@ GRID = (
     ("pillowcase-torus", {"modes": 16, "buffer": 0}),
     ("pillowcase-torus", {"modes": 8, "buffer": 16}),
     ("free-rotation-circle", {"m": 2, "modes": 8, "buffer": 16}),
+    ("free-rotation-circle", {"m": 2, "modes": 128}),
+    ("free-rotation-circle", {"m": 2, "modes": 256}),
 )
 
 
