@@ -638,9 +638,10 @@ BUILTIN_SCENARIOS = {
 }
 
 BUFFER = Param(int, DEFAULT_BUFFER, low=0)  # 0 already puts every mode in the interior band
-# The largest cutoffs accepted.  At the cap (2 cores, BLAS at one thread) a
-# free-rotation-circle run takes 3.6 s and 107 MB, noneffective-circle 0.06 s,
-# and pillowcase-torus 2.6 s and 323 MB; the torus grows with modes squared.
+# The largest cutoffs accepted.  At the cap (2 cores, BLAS at one thread, a
+# fresh interpreter, import included) a free-rotation-circle run takes 0.4 s
+# and 77 MB, noneffective-circle 0.25 s and 55 MB, and pillowcase-torus 0.7 s
+# and 146 MB; the torus grows with modes squared.
 CIRCLE_MAX_MODES, TORUS_MAX_MODES = 256, 128
 PARAMS = {
     "a2-example": {"N": Param(int, 3, low=1)},

@@ -13,8 +13,7 @@ the interior block is exact for band-limited generators.  The checks build
 each operator on that band only (the builders' ``band``), never whole and
 then sliced: D and the chirality are block-diagonal over modes, so the
 interior block of a commutator with either is the commutator of the
-interior blocks.  ``interior_norm`` picks its method by the size of the
-whole space, whichever of the two it is handed.
+interior blocks.  ``interior_norm`` gives the exact 2-norm of either.
 
 The spectral-triple checks are steps that fill one report:
 ``triple_header`` (the assembled Dirac, its Hermiticity residual and
@@ -37,8 +36,9 @@ is not mutated after construction; build a new spec to change one.
 
 The finite layers need only numpy.  scipy loads with the first Fourier
 operator: each function here that calls scipy imports ``scipy.sparse``
-(or ``scipy.sparse.csgraph``) in its body, so ``import orbikit`` loads no
-scipy module, and a run of a finite scenario none.
+(or ``scipy.sparse.csgraph`` and ``scipy.sparse.linalg``) in its body, so
+``import orbikit`` loads no scipy module, and a run of a finite scenario
+none.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ if TYPE_CHECKING:
 
 DEFAULT_BUFFER = 2
 MIN_CUTOFF = 8  # the smallest mode cutoff a DiracSpec accepts
-DENSE_NORM_ROWS = 4000  # interior_norm is exact up to this many rows, a bound above
+LANCZOS_ROWS = 500  # a coupling component above this many rows takes svds, not a dense SVD
 
 
 # ---------------------------------------------------------------------------
@@ -816,14 +816,11 @@ def interior_norm(space: SpinorModeSpace, mat, buffer) -> float:
     ``mat`` is either an operator on the whole of ``space``, whose interior
     block is taken here, or that block already, as the operator builders
     make it with ``band=space.band(buffer)``; both give the same value.
-    The method depends only on the block and the size of ``space``:
-    - exactly 0.0 when the block has no nonzero entry (this includes an
-      empty interior band);
-    - the exact 2-norm when ``space`` has at most ``DENSE_NORM_ROWS`` rows,
-      taken as the largest dense 2-norm over the coupling components (see
-      ``_component_norm``); it equals the 2-norm of the whole block up to
-      rounding, so only the last bits can differ;
-    - above that, the upper bound sqrt(||A||_1 ||A||_inf).
+    It is exactly 0.0 when the block has no nonzero entry (this includes an
+    empty interior band), and otherwise the exact 2-norm, taken as the
+    largest 2-norm over the coupling components (see ``_component_norm``);
+    it equals the 2-norm of the whole block up to rounding, so only the
+    last bits can differ.
     """
     import scipy.sparse as sp
 
@@ -833,12 +830,7 @@ def interior_norm(space: SpinorModeSpace, mat, buffer) -> float:
         block = block[idx][:, idx]
     if block.count_nonzero() == 0:
         return 0.0
-    if space.dim <= DENSE_NORM_ROWS:
-        return _component_norm(block)
-    magnitudes = abs(block)
-    one = float(np.max(magnitudes.sum(axis=0)))
-    inf = float(np.max(magnitudes.sum(axis=1)))
-    return float(np.sqrt(one * inf))
+    return _component_norm(block)
 
 
 def _component_norm(block: sp.csr_matrix) -> float:
@@ -847,10 +839,16 @@ def _component_norm(block: sp.csr_matrix) -> float:
     The components are those of the symmetric pattern |A| + |A^T|.  One
     shared row and column permutation makes A block-diagonal with one
     block per component, and the 2-norm of a block-diagonal matrix is the
-    largest 2-norm of its blocks.  Components of equal size go through
-    one batched SVD; a single component costs one SVD of the whole block.
+    largest 2-norm of its blocks.  A 1x1 block's 2-norm is its modulus.
+    Components of equal size up to ``LANCZOS_ROWS`` go through one batched
+    dense SVD; a larger one takes ARPACK's largest singular value (``svds``
+    at full precision, from a fixed start vector, so the bits do not hang
+    on the thread count), whose cost grows with its entries, not with the
+    cube of its rows.
     """
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import svds
 
     _, labels = connected_components(abs(block), directed=False)
     sizes = np.bincount(labels)
@@ -866,10 +864,20 @@ def _component_norm(block: sp.csr_matrix) -> float:
     for size, count in zip(*np.unique(sizes, return_counts=True)):
         end = start + count * size
         hit = (row >= start) & (row < end)
-        r, c = row[hit] - start, col[hit] - start
-        stack = np.zeros((count, size, size), dtype=block.dtype)
-        stack[r // size, r % size, c % size] = coo.data[hit]
-        best = max(best, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
+        r, c, data = row[hit] - start, col[hit] - start, coo.data[hit]
+        if size == 1:
+            norm = np.abs(data).max(initial=0.0)
+        elif size > LANCZOS_ROWS:
+            group = sp.csr_matrix((data, (r, c)), shape=(end - start,) * 2)
+            norm = max(
+                svds(group[i : i + size, i : i + size], k=1, tol=0, rng=0, return_singular_vectors=False)[0]
+                for i in range(0, end - start, size)
+            )
+        else:
+            stack = np.zeros((count, size, size), dtype=block.dtype)
+            stack[r // size, r % size, c % size] = data
+            norm = np.linalg.norm(stack, 2, axis=(1, 2)).max()
+        best = max(best, float(norm))
         start = end
     return best
 

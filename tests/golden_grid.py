@@ -26,15 +26,15 @@ FILES = ("report.json", "summary.md", "spectra.csv")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # (scenario, params): every instance of the finite-ladder and fourier-ladder
-# benchmark workloads, the torus on both sides of interior_norm's switch from
-# the exact norm to the bound (modes 8, 11, 21, 22), the circle configs
+# benchmark workloads, the torus at modes 8, 11, 21 and 22, the circle configs
 # whose growth-exponent check fails (modes 8 and 10), and buffers at modes 8
 # that thin or empty the interior band (torus 0, 4, 8, 16; circle 8, 16),
 # so those stay pinned; the finite scenarios also at their floor N = 1, 2 and at N = 24;
 # Fourier rungs whose operators the ladders do not build: the non-effective
 # circle above its floor, the circle m=4 at modes 64, and bands of buffer 0
 # and 1 on the circle and the torus; the circle m=2 at modes 128 and 256,
-# whose commutators have coupling components of up to 509 and 1021 rows.
+# whose commutators have coupling components of up to 509 and 1021 rows,
+# above the 500 at which interior_norm turns from a dense SVD to ARPACK.
 GRID = (
     ("cech-localization", {}),
     ("a2-example", {"N": 3}),

@@ -27,7 +27,6 @@ from orbikit.convolution import (
 )
 from orbikit.groupoids import is_effective, negation_torus_groupoid, rotation_groupoid
 from orbikit.spectral import (
-    DENSE_NORM_ROWS,
     DiracSpec,
     _frame_identity_rhs,
     _regrade,
@@ -233,27 +232,18 @@ def test_interior_norm_reads_the_same_from_whole_and_band(M):
         assert value == interior_norm(spec.space, D_band @ block - block @ D_band, 2)
 
 
-def test_small_block_of_a_large_space_takes_the_bound(monkeypatch):
+def test_small_block_of_a_large_space_is_the_two_norm():
     spec = torus_spec(24)
     space = spec.space
-    assert space.dim > DENSE_NORM_ROWS
-    buffer = 20  # |k| <= 4: a 162-row block
+    buffer = 20  # |k| <= 4: a 162-row block of a 4802-row space
     band = space.band(buffer)
     _, f, _ = (f for _, f in torus_generators(spec))
     D = spectral._dirac_operator(space, band[0])
     op = representation_matrix(spec, f, band)
     block = D @ op - op @ D
-    assert block.shape[0] == space.interior_indices(buffer).size < DENSE_NORM_ROWS
-
-    def refuse(*args):
-        raise AssertionError("exact norm taken for a block of a space above DENSE_NORM_ROWS")
-
-    monkeypatch.setattr(spectral, "_component_norm", refuse)
-    magnitudes = abs(block).toarray()
-    bound = float(np.sqrt(magnitudes.sum(axis=0).max() * magnitudes.sum(axis=1).max()))
-    value = interior_norm(space, block, buffer)
-    assert value == pytest.approx(bound, rel=1e-15)
-    assert value > np.linalg.norm(block.toarray(), 2) + 1e-6
+    assert block.shape[0] == space.interior_indices(buffer).size == 162
+    want = np.linalg.norm(block.toarray(), 2)
+    assert interior_norm(space, block, buffer) == pytest.approx(want, rel=1e-12)
 
 
 # -- spectra.csv rows from arrays

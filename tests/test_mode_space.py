@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbikit.bases import (
@@ -35,9 +35,7 @@ from orbikit.bases import (
 )
 from orbikit.clifford import build_clifford, projective_lift, trivial_lift
 from orbikit.groupoids import negation_torus_groupoid, rotation_groupoid, trivial_groupoid
-from orbikit.harness import SCHEMA_VERSION, run_scenario
 from orbikit.spectral import (
-    DENSE_NORM_ROWS,
     DiracSpec,
     assemble_dirac,
     check_spectral_triple,
@@ -372,7 +370,6 @@ def no_dense_norm(monkeypatch):
 
 def test_interior_norm_of_all_zero_block_is_zero(no_dense_norm):
     space = unit_spec(2, 10).space
-    assert space.dim <= DENSE_NORM_ROWS
     assert interior_norm(space, sp.csr_matrix((space.dim, space.dim), dtype=complex), 2) == 0.0
 
 
@@ -386,7 +383,7 @@ def test_interior_norm_of_explicit_zeros_is_zero(no_dense_norm):
 
 @pytest.mark.parametrize("n, M", [(1, 8), (2, 8), (2, 46)])
 def test_interior_norm_of_empty_interior_is_zero(n, M):
-    # buffer >= cutoff leaves no interior mode; (2, 46) is above DENSE_NORM_ROWS
+    # buffer >= cutoff leaves no interior mode
     space = unit_spec(n, M).space
     mat = sp.identity(space.dim, dtype=complex, format="csr")
     for buffer in (M + 1, M + 5):
@@ -456,6 +453,11 @@ def permuted_direct_sum(n, layout, empty, stored_zeros, seed):
     stored_zeros=st.booleans(),
     seed=st.integers(0, 2**16),
 )
+# single components of 515 to 801 rows, above LANCZOS_ROWS: they take svds
+@example(M=300, layout="single", empty=0, stored_zeros=False, seed=0)
+@example(M=300, layout="single", empty=0, stored_zeros=True, seed=1)
+@example(M=260, layout="single", empty=6, stored_zeros=True, seed=2)
+@example(M=400, layout="single", empty=1, stored_zeros=False, seed=3)
 def test_interior_norm_of_permuted_direct_sums_is_the_dense_two_norm(M, layout, empty, stored_zeros, seed):
     space = unit_spec(1, M).space  # buffer 0: the interior block is the whole matrix
     mat = permuted_direct_sum(space.dim, layout, empty, stored_zeros, seed)
@@ -466,9 +468,11 @@ def test_interior_norm_of_permuted_direct_sums_is_the_dense_two_norm(M, layout, 
     assert abs(interior_norm(space, mat, 0) - want) <= 1e-12 * want
 
 
-def test_dense_norms_never_exceed_the_largest_coupling_component(monkeypatch, tmp_path):
-    """At pillowcase-torus modes=12 the interior blocks have 882 rows, but
-    no coupling component of any of them has more than 21."""
+def test_dense_norms_never_exceed_the_largest_coupling_component(monkeypatch):
+    """At torus modes=12 the commutators with cos(x1) and cos(x1 + x2) have
+    interior blocks of 882 rows, and of 4050 at the doubled cutoff, but no
+    coupling component has more than 21 rows at the cutoff or 45 at the
+    doubled one."""
     rows = []
     norm = np.linalg.norm
 
@@ -478,10 +482,14 @@ def test_dense_norms_never_exceed_the_largest_coupling_component(monkeypatch, tm
         return norm(x, ord, axis, keepdims)
 
     monkeypatch.setattr(np.linalg, "norm", spy)
-    config = {"schema_version": SCHEMA_VERSION, "scenario": "pillowcase-torus", "params": {"modes": 12}}
-    code, _ = run_scenario(config, out_dir=str(tmp_path))
-    assert code == 0
-    assert rows and max(rows) <= 21
+    spec = unit_spec(2, 12)
+    torus = spec.groupoid.base
+    cos10, cos11 = TorusModes.zero(torus, 12), TorusModes.zero(torus, 12)
+    cos10.coeffs[13, 12] = cos10.coeffs[11, 12] = 0.5
+    cos11.coeffs[13, 13] = cos11.coeffs[11, 11] = 0.5
+    report = check_spectral_triple(spec, [("cos10", cos10), ("cos11", cos11)], buffer=2)
+    assert min(report.commutator_norms.values()) > 0.5
+    assert rows and max(rows) <= 45
 
 
 @pytest.mark.parametrize("module", ["scipy.sparse.csgraph", "sympy"])
