@@ -453,7 +453,7 @@ def permuted_direct_sum(n, layout, empty, stored_zeros, seed):
     stored_zeros=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-# single components of 515 to 801 rows, above LANCZOS_ROWS: they take svds
+# single components of 515 to 800 rows, above LANCZOS_ROWS: they take svds
 @example(M=300, layout="single", empty=0, stored_zeros=False, seed=0)
 @example(M=300, layout="single", empty=0, stored_zeros=True, seed=1)
 @example(M=260, layout="single", empty=6, stored_zeros=True, seed=2)
