@@ -4,12 +4,20 @@ Conventions: complex numbers are [re, im] pairs, exact fractions are
 "p/q" strings, tuples become JSON arrays and are restored as tuples on
 load.  Labels must be built from strings, integers and tuples thereof;
 within that family round-trips are lossless.
+
+A finite groupoid document (``orbikit/groupoid/3``) keeps its labels as
+JSON and writes each index column (``src``, ``tgt``, ``result``,
+``inverse``, ``unit``) as one base64 string of little-endian unsigned
+integers, all of the width ``index_dtype`` gives for the arrow count.
+Schemas 1 and 2, whose columns are JSON lists, are still read.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -38,7 +46,7 @@ from .groupoids import (
 from .morita import Bitorsor
 
 SCHEMAS = {
-    "groupoid": "orbikit/groupoid/2",
+    "groupoid": "orbikit/groupoid/3",
     "bitorsor": "orbikit/bitorsor/1",
     "cocycle": "orbikit/cocycle/1",
     "modes": "orbikit/modes/1",
@@ -47,6 +55,8 @@ SCHEMAS = {
 }
 # read, never written: finite documents that list every composition as a row
 GROUPOID_SCHEMA_1 = "orbikit/groupoid/1"
+# read, never written: finite documents whose index columns are JSON lists
+GROUPOID_SCHEMA_2 = "orbikit/groupoid/2"
 
 
 def _freeze(value):
@@ -102,17 +112,18 @@ def _groupoid_body(G) -> dict:
             raise ValueError(f"cannot serialize {G.name!r}: cmp names a label outside its arrows")
         src, tgt = _endpoint_ids(G)
         _check_composable_rows(G, table, *composable_index(src, tgt))
+        dtype = index_dtype(len(G.arrows))
         return {
             "schema": SCHEMAS["groupoid"],
             "flavor": "finite",
             "name": G.name,
             "objects": [_thaw(x) for x in G.objects],
             "arrows": [_thaw(a) for a in G.arrows],
-            "src": src.tolist(),
-            "tgt": tgt.tolist(),
-            "result": table[:, 2].tolist(),
-            "inverse": [index[G.inv[a]] for a in G.arrows],
-            "unit": [index[G.unit[x]] for x in G.objects],
+            "src": pack_indices(src, dtype, "src"),
+            "tgt": pack_indices(tgt, dtype, "tgt"),
+            "result": pack_indices(table[:, 2], dtype, "result"),
+            "inverse": pack_indices([index[G.inv[a]] for a in G.arrows], dtype, "inverse"),
+            "unit": pack_indices([index[G.unit[x]] for x in G.objects], dtype, "unit"),
         }
     if isinstance(G, ActionGroupoid):
         base = G.base
@@ -186,7 +197,7 @@ def _endpoint_ids(G):
 def _check_composable_rows(G, table, later, earlier):
     """Raise ``ValueError`` unless the table's pairs are exactly ``(later, earlier)``.
 
-    A schema-2 document stores only the results, in the order of the
+    A groupoid document stores only the results, in the order of the
     composable pairs, so a missing or an extra pair cannot be written; the
     error names the first one.
     """
@@ -203,6 +214,55 @@ def _check_composable_rows(G, table, later, earlier):
         raise ValueError(f"cannot serialize {G.name!r}: cmp composes {tau!r} after {sigma!r}, which are not composable")
     tau, sigma = (G.arrows[j] for j in pair)
     raise ValueError(f"cannot serialize {G.name!r}: cmp has no composite of {tau!r} after {sigma!r}")
+
+
+def index_dtype(arrows: int) -> str:
+    """The dtype of every index column of a schema-3 document over ``arrows`` arrows.
+
+    Two bytes hold every arrow index up to 65 536 arrows, four above that.
+    """
+    return "<u2" if arrows <= 1 << 16 else "<u4"
+
+
+def pack_indices(ids, dtype, field) -> str:
+    """A schema-3 index column: the indices as ``dtype`` bytes, in base64.
+
+    An index that does not fit ``dtype`` raises ``ValueError``; that needs
+    more objects than the width of the arrows allows, so only a groupoid
+    whose objects share unit arrows can hit it.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if len(ids) and ids.max() > np.iinfo(dtype).max:
+        raise ValueError(f"cannot serialize: {field} holds {ids.max()}, past the {dtype} indices")
+    return binascii.b2a_base64(ids.astype(dtype).tobytes(), newline=False).decode("ascii")
+
+
+def packed_index_array(text, n, length, field, dtype) -> np.ndarray:
+    """A schema-3 index column as ints: ``length`` entries, each in ``0 <= i < n``.
+
+    The error contract is that of ``index_array``: a value that is not a
+    string raises ``TypeError``; text that is not the canonical base64 of
+    some bytes (bad characters, padding or trailing bits), or bytes that are
+    not ``length`` entries of ``dtype``, ``ValueError``; an index outside
+    the range ``IndexError``.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"{field} must be a base64 string of indices, not {type(text).__name__}")
+    try:
+        raw = binascii.a2b_base64(text)
+        canonical = binascii.b2a_base64(raw, newline=False) == text.encode("ascii")
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        canonical = False
+    if not canonical:
+        raise ValueError(f"{field} is not canonical base64")
+    width = np.dtype(dtype).itemsize
+    if len(raw) != length * width:
+        raise ValueError(f"{field} holds {len(raw)} bytes where {length} indices of {width} bytes are needed")
+    ids = np.frombuffer(raw, dtype=dtype).astype(np.int64)
+    outside = np.flatnonzero(ids >= n)
+    if len(outside):
+        raise IndexError(f"{field} holds {ids[outside[0]]}, outside 0 <= i < {n}")
+    return ids
 
 
 def index_array(values, n, length, field) -> np.ndarray:
@@ -271,17 +331,21 @@ def _finite_tables_1(doc, objects, arrows):
     )
 
 
-def _finite_tables_2(doc, objects, arrows):
-    """The table and the label dicts of a schema-2 finite document."""
+def _finite_tables(doc, objects, arrows, column):
+    """The table and the label dicts of a schema-2 or schema-3 finite document.
+
+    ``column(value, n, length, field)`` reads one index column:
+    ``index_array`` for schema 2, ``packed_index_array`` for schema 3.
+    """
 
     def lookup(field, labels, keys):
-        ids = index_array(doc[field], len(labels), len(keys), field)
+        ids = column(doc[field], len(labels), len(keys), field)
         return ids, dict(zip(keys, map(labels.__getitem__, ids.tolist())))
 
     src, src_of = lookup("src", objects, arrows)
     tgt, tgt_of = lookup("tgt", objects, arrows)
     later, earlier = composable_index(src, tgt)  # the pairs in table order
-    result = index_array(doc["result"], len(arrows), len(later), "result")
+    result = column(doc["result"], len(arrows), len(later), "result")
     return np.column_stack((later, earlier, result)), dict(
         src=src_of,
         tgt=tgt_of,
@@ -292,13 +356,18 @@ def _finite_tables_2(doc, objects, arrows):
 
 def groupoid_from_dict(doc: dict):
     schema = doc.get("schema")
-    if schema not in (SCHEMAS["groupoid"], GROUPOID_SCHEMA_1):
+    if schema not in (SCHEMAS["groupoid"], GROUPOID_SCHEMA_2, GROUPOID_SCHEMA_1):
         raise ValueError(f"not a groupoid document: schema {schema!r}")
     if doc["flavor"] == "finite":
         objects = tuple(_freeze(x) for x in doc["objects"])
         arrows = tuple(_freeze(a) for a in doc["arrows"])
-        read = _finite_tables_1 if schema == GROUPOID_SCHEMA_1 else _finite_tables_2
-        table, tables = read(doc, objects, arrows)
+        if schema == GROUPOID_SCHEMA_1:
+            table, tables = _finite_tables_1(doc, objects, arrows)
+        elif schema == GROUPOID_SCHEMA_2:
+            table, tables = _finite_tables(doc, objects, arrows, index_array)
+        else:
+            column = partial(packed_index_array, dtype=index_dtype(len(arrows)))
+            table, tables = _finite_tables(doc, objects, arrows, column)
         return table_groupoid(
             arrows,
             table,

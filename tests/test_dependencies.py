@@ -38,9 +38,9 @@ def test_imports_match_declared_dependencies():
     assert third_party == declared_dependencies()
 
 
-def loaded_after(code):
-    """The ``scipy`` and ``sympy`` modules loaded once ``code`` has run in a fresh interpreter."""
-    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'sympy')))"
+def loaded_after(code, roots=("scipy", "sympy")):
+    """The modules under ``roots`` loaded once ``code`` has run in a fresh interpreter."""
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.partition('.')[0] in {roots!r}))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
@@ -56,6 +56,13 @@ def test_import_loads_no_scipy_and_no_sympy():
     """scipy loads with the first Fourier operator, and the package needs no sympy; loading
     either with the package would be a large share of the import time."""
     assert loaded_after("import orbikit") == "[]"
+
+
+def test_import_loads_no_base64():
+    """The groupoid file's packed columns go through ``binascii``, which numpy loads
+    anyway; ``base64`` would be one more module to import."""
+    assert loaded_after("import orbikit", ("base64",)) == "[]"
+    assert loaded_after("import orbikit.serialize", ("base64",)) == "[]"
 
 
 @pytest.mark.parametrize("scenario", ["a2-example", "cech-localization", "cocycle-transport"])

@@ -1,3 +1,4 @@
+import base64
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -33,19 +34,30 @@ from orbikit.serialize import (
     cover_to_dict,
     groupoid_from_dict,
     groupoid_to_dict,
+    index_dtype,
     load_json,
     modes_from_dict,
     modes_to_dict,
+    pack_indices,
+    packed_index_array,
     save_json,
 )
 
 
 SCHEMA_1_FILE = Path(__file__).parent / "data" / "groupoid-1-Z6xZ3.json"
+# cyclic_translation_groupoid(6, 3) as the orbikit/groupoid/2 writer wrote it
+SCHEMA_2_FILE = Path(__file__).parent / "data" / "groupoid-2-Z6xZ3.json"
+INDEX_FIELDS = ("src", "tgt", "result", "inverse", "unit")
 FINITE_FIELDS = ("objects", "arrows", "src", "tgt", "cmp", "inv", "unit", "name")
 
 
 def roundtrip(doc):
     return json.loads(json.dumps(doc, sort_keys=True))
+
+
+def unpack(text, arrows):
+    """A schema-3 index column as a list, decoded by the standard library."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<u2" if arrows <= 65536 else "<u4").tolist()
 
 
 def assert_same_finite_groupoid(H, G):
@@ -71,8 +83,37 @@ def test_schema_1_file_reads_to_the_same_groupoid():
     H = groupoid_from_dict(doc)
     assert_same_finite_groupoid(H, G)
     rewritten = groupoid_to_dict(H)
-    assert rewritten["schema"] == "orbikit/groupoid/2" and "compose" not in rewritten
-    assert rewritten["result"] == [r for _, _, r in doc["compose"]]
+    assert rewritten["schema"] == "orbikit/groupoid/3" and "compose" not in rewritten
+    assert unpack(rewritten["result"], len(H.arrows)) == [r for _, _, r in doc["compose"]]
+
+
+def test_schema_2_file_reads_to_the_same_groupoid_and_columns():
+    G = cyclic_translation_groupoid(6, 3)
+    doc = load_json(SCHEMA_2_FILE)
+    assert doc["schema"] == "orbikit/groupoid/2"
+    H = groupoid_from_dict(doc)
+    assert_same_finite_groupoid(H, G)
+    rewritten = groupoid_to_dict(H)
+    assert rewritten["schema"] == "orbikit/groupoid/3"
+    for field in INDEX_FIELDS:
+        assert isinstance(rewritten[field], str)
+        assert unpack(rewritten[field], len(H.arrows)) == doc[field], field
+    labels = {k: v for k, v in doc.items() if k not in INDEX_FIELDS + ("schema",)}
+    assert labels == {k: v for k, v in roundtrip(rewritten).items() if k not in INDEX_FIELDS + ("schema",)}
+
+
+def test_packed_columns_take_four_bytes_above_65536_arrows():
+    assert index_dtype(0) == index_dtype(1 << 16) == "<u2"
+    assert index_dtype((1 << 16) + 1) == "<u4"
+    ids = np.array([0, 1, 65535, 65536, 70000])
+    for dtype in ("<u2", "<u4"):
+        fits = ids[ids <= np.iinfo(dtype).max]
+        text = pack_indices(fits, dtype, "result")
+        assert len(base64.b64decode(text)) == len(fits) * np.dtype(dtype).itemsize
+        back = packed_index_array(text, 70001, len(fits), "result", dtype)
+        assert back.dtype == np.int64 and back.tolist() == fits.tolist()
+    with pytest.raises(ValueError, match="past the <u2"):
+        pack_indices(ids, "<u2", "src")
 
 
 def test_cech_span_middle_file_is_small_and_reads_back_equal(tmp_path):
@@ -80,7 +121,7 @@ def test_cech_span_middle_file_is_small_and_reads_back_equal(tmp_path):
     M = weak_equivalence_pair(cech_bitorsor(G, CechCover(((0, 1), (1, 2), (2, 0))))).middle
     path = tmp_path / "middle.json"
     save_json(path, groupoid_to_dict(M))
-    assert path.stat().st_size < 1_200_000
+    assert path.stat().st_size < 700_000
     assert_same_finite_groupoid(groupoid_from_dict(load_json(path)), M)
 
 
@@ -89,8 +130,12 @@ def test_action_groupoid_roundtrip():
         rotation_groupoid(4, FourierCircle(mode_cutoff=8)),
         negation_torus_groupoid(FourierTorus((2 * np.pi, np.pi), 8)),
     ):
-        H = groupoid_from_dict(roundtrip(groupoid_to_dict(G)))
+        doc = groupoid_to_dict(G)
+        assert doc["schema"] == "orbikit/groupoid/3"
+        H = groupoid_from_dict(roundtrip(doc))
         assert H.group.elements == G.group.elements
+        old = groupoid_from_dict(roundtrip({**doc, "schema": "orbikit/groupoid/2"}))
+        assert old.group.elements == H.group.elements and old.iso == H.iso
         assert H.iso == G.iso
         assert type(H.base) is type(G.base)
         assert validate_groupoid(H).ok

@@ -8,6 +8,7 @@ whole of ``validate_generalized_hom``, ``validate_cocycle`` and
 writer.
 """
 
+import base64
 import itertools
 import json
 import re
@@ -48,6 +49,8 @@ from orbikit.serialize import groupoid_from_dict, groupoid_to_dict, load_json, s
 COVER = CechCover(((0, 1), (1, 2), (2, 0)))
 # cyclic_translation_groupoid(6, 3) as the orbikit/groupoid/1 writer wrote it
 SCHEMA_1_FILE = Path(__file__).parent / "data" / "groupoid-1-Z6xZ3.json"
+# the same groupoid as the orbikit/groupoid/2 writer wrote it
+SCHEMA_2_FILE = Path(__file__).parent / "data" / "groupoid-2-Z6xZ3.json"
 
 
 def ref_table(G):
@@ -261,7 +264,7 @@ def test_malformed_document_rows_fail_as_the_dict_reader_did(rows, error):
     ],
 )
 def test_malformed_schema_2_documents_are_refused(field, value, error):
-    doc = groupoid_to_dict(cyclic_translation_groupoid(6, 3))  # 3 objects, 18 arrows
+    doc = load_json(SCHEMA_2_FILE)  # 3 objects, 18 arrows
     assert doc["schema"] == "orbikit/groupoid/2"
     good = doc[field]
     if value == "short":
@@ -273,6 +276,58 @@ def test_malformed_schema_2_documents_are_refused(field, value, error):
     with pytest.raises(error):
         groupoid_from_dict({**doc, field: value})
     assert groupoid_from_dict(doc).table.tolist() == ref_table(cyclic_translation_groupoid(6, 3))
+
+
+def unpack(text):
+    """A schema-3 column of two-byte indices, decoded by the standard library."""
+    return np.frombuffer(base64.b64decode(text, validate=True), "<u2").tolist()
+
+
+def packed(ids, dtype="<u2"):
+    return base64.b64encode(np.asarray(ids, dtype).tobytes()).decode()
+
+
+def first(value):
+    return lambda good: packed([value] + unpack(good)[1:])
+
+
+@pytest.mark.parametrize(
+    "field, make, error",
+    [
+        pytest.param("result", unpack, TypeError, id="list"),
+        pytest.param("result", lambda good: 3, TypeError, id="number"),
+        pytest.param("unit", lambda good: None, TypeError, id="null"),
+        pytest.param("src", lambda good: {"0": good}, TypeError, id="object"),
+        pytest.param("result", lambda good: "!" + good[1:], ValueError, id="bad-character"),
+        pytest.param("result", lambda good: "\u00e9" + good[1:], ValueError, id="non-ascii"),
+        pytest.param("tgt", lambda good: good + "\n", ValueError, id="newline"),
+        pytest.param("inverse", lambda good: good[:4] + " " + good[4:], ValueError, id="space"),
+        pytest.param("result", lambda good: packed(unpack(good)[:-1]), ValueError, id="short-result"),
+        pytest.param("result", lambda good: packed(unpack(good) + [0]), ValueError, id="long-result"),
+        pytest.param("src", lambda good: base64.b64encode(base64.b64decode(good) + b"\0").decode(), ValueError, id="odd-bytes"),
+        pytest.param("unit", lambda good: packed(unpack(good), "<u4"), ValueError, id="four-byte-unit"),
+        pytest.param("result", first(18), IndexError, id="past-the-end"),
+        pytest.param("result", first(65535), IndexError, id="largest-u2"),
+        pytest.param("src", first(3), IndexError, id="src-past-the-objects"),
+        pytest.param("unit", first(18), IndexError, id="unit-past-the-end"),
+    ],
+)
+def test_malformed_schema_3_documents_are_refused(field, make, error):
+    doc = groupoid_to_dict(cyclic_translation_groupoid(6, 3))  # 3 objects, 18 arrows: 2-byte indices
+    assert doc["schema"] == "orbikit/groupoid/3"
+    with pytest.raises(error):
+        groupoid_from_dict({**doc, field: make(doc[field])})
+    assert groupoid_from_dict(doc).table.tolist() == ref_table(cyclic_translation_groupoid(6, 3))
+
+
+@pytest.mark.parametrize("text", ["AAB=", "AAA", "AAA==", "AA A=", "=AAA"])
+def test_non_canonical_base64_is_refused(text):
+    """Each of these decodes, without strict mode, to bytes that re-encode otherwise."""
+    doc = groupoid_to_dict(group_groupoid(FiniteGroup.cyclic(2)))  # one object, two arrows
+    assert doc["unit"] == "AAA="  # index 0: two bytes, so one padding character
+    with pytest.raises(ValueError):
+        groupoid_from_dict({**doc, "unit": text})
+    assert groupoid_from_dict(doc).unit == {"*": 0}
 
 
 def translation_rule(t, s):
@@ -731,7 +786,7 @@ def test_span_check_leaves_the_middle_cmp_unbuilt():
     assert pair.check().ok
     M = pair.middle
     doc = groupoid_to_dict(M)
-    assert len(M.cmp) == len(M.table) == len(doc["result"])
+    assert len(M.cmp) == len(M.table) == len(unpack(doc["result"]))
     assert "_dict" not in vars(M.cmp)
     ref = cmp_from_table(M.arrows, M.table)
     assert list(M.cmp.items()) == list(ref.items())
