@@ -839,11 +839,16 @@ def _component_norm(block: sp.csr_matrix) -> float:
     The components are those of the symmetric pattern |A| + |A^T|.  One
     shared row and column permutation makes A block-diagonal with one
     block per component, and the 2-norm of a block-diagonal matrix is the
-    largest 2-norm of its blocks.  A 1x1 block's 2-norm is its modulus.
-    Components of equal size up to ``LANCZOS_ROWS`` go through one batched
-    dense SVD; a larger one takes ARPACK's largest singular value (``svds``
-    at full precision, from a fixed start vector, so the bits do not hang
-    on the thread count), whose cost grows with its entries, not with the
+    largest 2-norm of its blocks.  A component with at most one entry in
+    each row and each column is a partial permutation times a diagonal, so
+    its 2-norm is its largest modulus; a 1x1 component is one of these.
+    The other components are grouped by their entries, and one of each
+    group of byte-identical components is solved
+    (``_first_of_equal_components``).
+    Those of equal size up to ``LANCZOS_ROWS`` go through one batched dense
+    SVD; a larger one takes ARPACK's largest singular value (``svds`` at
+    full precision, from a fixed start vector, so the bits do not hang on
+    the thread count), whose cost grows with its entries, not with the
     cube of its rows.
     """
     import scipy.sparse as sp
@@ -865,21 +870,47 @@ def _component_norm(block: sp.csr_matrix) -> float:
         end = start + count * size
         hit = (row >= start) & (row < end)
         r, c, data = row[hit] - start, col[hit] - start, coo.data[hit]
-        if size == 1:
-            norm = np.abs(data).max(initial=0.0)
-        elif size > LANCZOS_ROWS:
-            group = sp.csr_matrix((data, (r, c)), shape=(end - start,) * 2)
-            norm = max(
-                svds(group[i : i + size, i : i + size], k=1, tol=0, rng=0, return_singular_vectors=False)[0]
-                for i in range(0, end - start, size)
-            )
-        else:
-            stack = np.zeros((count, size, size), dtype=block.dtype)
-            stack[r // size, r % size, c % size] = data
-            norm = np.linalg.norm(stack, 2, axis=(1, 2)).max()
-        best = max(best, float(norm))
+        crowded = (np.bincount(r, minlength=end - start) > 1) | (np.bincount(c, minlength=end - start) > 1)
+        tangled = crowded.reshape(count, size).any(axis=1)[r // size]
+        best = max(best, float(np.abs(data[~tangled]).max(initial=0.0)))
+        if tangled.any():
+            comp, r, c, data = r[tangled] // size, r[tangled] % size, c[tangled] % size, data[tangled]
+            keep = _first_of_equal_components(comp, r * size + c, data)
+            comp = np.unique(comp[keep], return_inverse=True)[1]  # the kept ones, numbered 0, 1, ...
+            r, c, data = r[keep], c[keep], data[keep]
+            count = comp.max() + 1
+            if size > LANCZOS_ROWS:
+                group = sp.csr_matrix((data, (comp * size + r, comp * size + c)), shape=(count * size,) * 2)
+                norm = max(
+                    svds(group[i : i + size, i : i + size], k=1, tol=0, rng=0, return_singular_vectors=False)[0]
+                    for i in range(0, count * size, size)
+                )
+            else:
+                stack = np.zeros((count, size, size), dtype=block.dtype)
+                stack[comp, r, c] = data
+                norm = np.linalg.norm(stack, 2, axis=(1, 2)).max()
+            best = max(best, float(norm))
         start = end
     return best
+
+
+def _first_of_equal_components(comp, local, data):
+    """Mask of the entries of the first component of each group of equal ones.
+
+    Entry ``i`` lies in component ``comp[i]`` at local position ``local[i]``.
+    Two components are equal when, sorted by position, their positions and
+    data match byte for byte; only the keys are compared, so no component
+    is made dense here.
+    """
+    order = np.lexsort((local, comp))
+    ids, first, nnz = np.unique(comp[order], return_index=True, return_counts=True)
+    keep = np.zeros(ids[-1] + 1, dtype=bool)
+    for k in np.unique(nnz):
+        entries = order[first[nnz == k][:, None] + np.arange(k)]  # one row per component
+        key = np.concatenate([local[entries].view(np.uint8), data[entries].view(np.uint8)], axis=1)
+        key = key.view(f"V{key.shape[1]}").ravel()  # one opaque value per component
+        keep[ids[nnz == k][np.unique(key, return_index=True)[1]]] = True
+    return keep[comp]
 
 
 def growth_exponent(eigenvalues, lam_max, lam_min=None) -> float:

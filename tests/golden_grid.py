@@ -34,7 +34,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # circle above its floor, the circle m=4 at modes 64, and bands of buffer 0
 # and 1 on the circle and the torus; the circle m=2 at modes 128 and 256,
 # whose commutators have coupling components of up to 509 and 1021 rows,
-# above the 500 at which interior_norm turns from a dense SVD to ARPACK.
+# weighted chains whose 2-norm interior_norm reads as their largest modulus.
 GRID = (
     ("cech-localization", {}),
     ("a2-example", {"N": 3}),

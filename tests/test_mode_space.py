@@ -468,6 +468,89 @@ def test_interior_norm_of_permuted_direct_sums_is_the_dense_two_norm(M, layout, 
     assert abs(interior_norm(space, mat, 0) - want) <= 1e-12 * want
 
 
+def dense_two_norm_spy(monkeypatch):
+    """The shapes of the arrays whose 2-norm ``np.linalg.norm`` takes."""
+    shapes = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2 and np.ndim(x) >= 2:
+            shapes.append(np.shape(x))
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return shapes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.integers(min_value=1, max_value=40),
+    fill=st.floats(min_value=0.05, max_value=1.0),
+    stored_zeros=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_weighted_partial_permutations_take_their_largest_modulus(M, fill, stored_zeros, seed):
+    """A block with at most one entry in each row and column is a partial
+    permutation times a diagonal: chains, cycles and fixed points.  Its
+    2-norm is its largest modulus, read with no SVD."""
+    space = unit_spec(1, max(M, 8)).space
+    n = space.dim
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(n, size=max(1, int(fill * n)), replace=False)
+    cols = rng.choice(n, size=len(rows), replace=False)
+    data = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    if stored_zeros:
+        # explicit zeros where neither the row nor the column holds an entry
+        free_r, free_c = np.setdiff1d(np.arange(n), rows), np.setdiff1d(np.arange(n), cols)
+        k = min(len(free_r), 3)
+        rows, cols = np.concatenate([rows, free_r[:k]]), np.concatenate([cols, free_c[:k]])
+        data = np.concatenate([data, np.zeros(k, dtype=complex)])
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    assert (mat.getnnz(axis=0) <= 1).all() and (mat.getnnz(axis=1) <= 1).all()
+    want = np.linalg.norm(mat.toarray(), 2)
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = dense_two_norm_spy(patch)
+        got = interior_norm(space, mat, 0)
+    assert shapes == []
+    assert got == np.abs(data).max()
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_equal_components_take_one_dense_svd_each(monkeypatch):
+    """Components whose local rows, columns and data are byte-identical are
+    solved once: here four distinct ones among nine, one of them differing
+    from another only by one unit in the last place of one entry.  Each
+    component's rows keep their order and interleave with the others', as
+    the torus's translated blocks do."""
+    rng = np.random.default_rng(7)
+
+    def dense(size):
+        return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
+    a, b, c = dense(4), dense(4), dense(6)
+    a_ulp = a.copy()
+    a_ulp[1, 2] = np.nextafter(a.real[1, 2], np.inf) + 1j * a.imag[1, 2]
+    blocks = [a, b, a, c, a_ulp, a, c, b, a]
+    space = unit_spec(1, 24).space  # 49 rows, 44 of them in components
+    n = space.dim
+    slots = rng.permutation(n)
+    rows, cols, data, start = [], [], [], 0
+    for blk in blocks:
+        at = np.sort(slots[start : start + len(blk)])  # in order within the component
+        r, c_ = np.nonzero(blk)
+        rows.append(at[r])
+        cols.append(at[c_])
+        data.append(blk[r, c_])
+        start += len(blk)
+    mat = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    want = np.linalg.norm(mat.toarray(), 2)
+    shapes = dense_two_norm_spy(monkeypatch)
+    got = interior_norm(space, mat, 0)
+    assert sorted(shapes) == [(1, 6, 6), (3, 4, 4)]  # c; and a, b, a_ulp
+    assert abs(got - want) <= 1e-12 * want
+    assert got == max(np.linalg.norm(x, 2) for x in (a, b, c, a_ulp))
+
+
 def test_dense_norms_never_exceed_the_largest_coupling_component(monkeypatch):
     """At torus modes=12 the commutators with cos(x1) and cos(x1 + x2) have
     interior blocks of 882 rows, and of 4050 at the doubled cutoff, but no
