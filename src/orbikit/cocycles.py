@@ -11,17 +11,24 @@ relative to the product of its factors' Frobenius norms (at least 1): the
 rounding of a product entry is bounded by that product of norms, so a
 unit-scale cocycle is held to 1e-12 absolute and a large one is not failed
 by its rounding alone.
+
+Two cocycles are cohomologous when some lambda on the objects gives
+g2(a) = lambda(tgt a) g1(a) lambda(src a)^-1 on every arrow.  ``cohomologous``
+finds one by linear algebra alone, for every rank and component count: the
+spanning forest fixes lambda up to its value at each component's anchor,
+the arrows cut that value down to one null space per component, and a
+candidate from it is kept only once ``verify_coboundary``'s array core
+accepts it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import CatalogError
-from .groupoids import FiniteGroupoid, label_ids
+from .groupoids import FiniteGroupoid, components
 from .morita import Bitorsor, INCONCLUSIVE, left_witnesses
 from .reports import ValidationReport
 
@@ -236,184 +243,119 @@ def induce_cocycle(loc: Bitorsor, g: Cocycle, beta: SectionFamily) -> Cocycle:
 # coboundary search
 
 
+def _stack(g: Cocycle) -> np.ndarray:
+    """The entries of ``g`` as one ``(arrows, k, k)`` stack, in arrow order."""
+    return np.array([g.entries[a] for a in g.groupoid.arrows])
+
+
+def _coboundary_holds(E1, E2, lams, src, tgt) -> np.ndarray:
+    """Per arrow, whether ``E2 = lams[tgt] E1 lams[src]^-1`` by ``_close``,
+    scaled by the norms of the three factors."""
+    inverses = np.linalg.inv(lams)
+    rhs = lams[tgt] @ E1 @ inverses[src]
+    scale = _norms(lams)[tgt] * _norms(E1) * _norms(inverses)[src]
+    return _close(E2, rhs, scale)
+
+
 def verify_coboundary(g1: Cocycle, g2: Cocycle, lam: dict) -> bool:
-    """Whether ``g2(a) = lam(tgt a) g1(a) lam(src a)^-1`` on every arrow.
+    """Whether ``g2(a) = lam(tgt a) g1(a) lam(src a)^-1`` on every arrow."""
+    ids, src, tgt = g1.groupoid.endpoint_ids
+    lams = np.array([lam[x] for x in ids])
+    return bool(_coboundary_holds(_stack(g1), _stack(g2), lams, src, tgt).all())
 
-    Compared by ``_close``, scaled by the norms of the three factors.  One
-    stack per side, and one batched inverse of the ``lam`` values.
+
+def _components_and_tree(n, src, tgt):
+    """Spanning forest of the object graph on ids ``0..n-1``.
+
+    Returns each object's anchor, the least id of its component, and the
+    tree as batches ``(arrows, reverse)``: each arrow of a batch joins an
+    object reached before to a new one, from its source to its target, or
+    back when ``reverse``.  In a groupoid the first batch, arrows out of the
+    anchors, reaches every object.
     """
-    G = g1.groupoid
-    ids = {}
-    src, tgt = (label_ids(ids, G.arrows, end) for end in (G.src, G.tgt))
-    lams = np.stack([np.asarray(lam[x]) for x in ids])
-    inverses = np.linalg.inv(lams.astype(complex))
-    lhs = np.stack([np.asarray(g2.entries[a]) for a in G.arrows])
-    middle = np.stack([np.asarray(g1.entries[a]) for a in G.arrows])
-    rhs = lams[tgt] @ middle @ inverses[src]
-    scale = _norms(lams)[tgt] * _norms(middle) * _norms(inverses)[src]
-    return bool(_close(lhs, rhs, scale).all())
+    anchor = components(n, src, tgt)
+    reached = anchor == np.arange(n)
+    batches = []
+    while not reached.all():
+        for near, far, reverse in ((src, tgt, False), (tgt, src, True)):
+            hit = np.flatnonzero(reached[near] & ~reached[far])
+            if hit.size:
+                hit = hit[np.unique(far[hit], return_index=True)[1]]
+                reached[far[hit]] = True
+                batches.append((hit, reverse))
+    return anchor, batches
 
 
-def _components_and_tree(G: FiniteGroupoid):
-    """Spanning forest of the object graph; returns (anchors, tree edges)."""
-    adj = {x: [] for x in G.objects}
-    for a in G.arrows:
-        adj[G.src[a]].append((a, G.tgt[a], False))
-        adj[G.tgt[a]].append((a, G.src[a], True))
-    seen = set()
-    anchors, edges = [], []
-    for x0 in G.objects:
-        if x0 in seen:
-            continue
-        anchors.append(x0)
-        seen.add(x0)
-        stack = [x0]
-        while stack:
-            x = stack.pop()
-            for (a, y, reverse) in adj[x]:
-                if y in seen:
-                    continue
-                seen.add(y)
-                edges.append((a, reverse))
-                stack.append(y)
-    return anchors, edges
+def _combinations(n, complex_):
+    """Coefficients for ``n`` basis vectors: all ones, then 63 seeded random
+    ones, complex when ``complex_``."""
+    yield np.ones(n)
+    rng = np.random.default_rng(0)
+    for _ in range(63):
+        c = rng.standard_normal(n)
+        yield c + 1j * rng.standard_normal(n) if complex_ else c
 
 
-def cohomologous(g1: Cocycle, g2: Cocycle, node_cap: int = 10**6):
+def cohomologous(g1: Cocycle, g2: Cocycle):
     """Search for lambda with g2(x->x') = lambda(x') g1(x->x') lambda(x)^-1.
 
-    Rank-1 cocycles with +-1 entries are searched exhaustively over +-1
-    anchors (exact).  Otherwise anchors are solved as a linear intertwiner
-    problem after spanning-tree propagation; returns a coboundary dict,
-    None when none exists, or INCONCLUSIVE past the effort cap.
+    Along the spanning forest, lambda(x) = A_x lambda0 B_x with lambda0 the
+    value at the component's anchor, and every arrow asks lambda0 = M
+    lambda0 K: ``(I - K^T kron M) vec(lambda0) = 0``, column-major ``vec``.
+    One SVD of a component's stacked conditions gives their null space.
+    Combinations of its basis (``_combinations``), each scaled to largest
+    entry 1, are tried until one is invertible; the lambda they give is
+    then checked on every arrow by ``_coboundary_holds``.  A rank-1 null
+    space is everything or nothing, so the all-ones trial decides rank 1,
+    and +-1 entries give lambda of exactly +-1; real entries give real
+    lambda.
+
+    Returns ``{object: lambda}``; None when a component's conditions have
+    only the zero solution; INCONCLUSIVE when every trial of a component
+    is singular or the check fails.
     """
     if g1.groupoid is not g2.groupoid or g1.rank != g2.rank:
         raise CatalogError("cocycles live on different groupoids or ranks")
-    G = g1.groupoid
-    signish = g1.rank == 1 and all(
-        int(np.asarray(g.entries[a]).reshape(())) in (1, -1)
-        for g in (g1, g2)
-        for a in G.arrows
-    )
-    if signish:
-        return _cohomologous_signs(g1, g2)
-    return _cohomologous_linear(g1, g2, node_cap)
-
-
-def _cohomologous_signs(g1: Cocycle, g2: Cocycle):
-    G = g1.groupoid
-    anchors, edges = _components_and_tree(G)
-    for choice in itertools.product((1, -1), repeat=len(anchors)):
-        lam = {x0: np.array([[s]]) for x0, s in zip(anchors, choice)}
-        for (a, reverse) in edges:
-            v1 = int(np.asarray(g1.entries[a]).reshape(()))
-            v2 = int(np.asarray(g2.entries[a]).reshape(()))
-            if not reverse:
-                lam[G.tgt[a]] = np.array([[v2 * int(lam[G.src[a]][0, 0]) * v1]])
-            else:
-                lam[G.src[a]] = np.array([[v2 * int(lam[G.tgt[a]][0, 0]) * v1]])
-        if all(
-            int(np.asarray(g2.entries[a]).reshape(()))
-            == int(lam[G.tgt[a]][0, 0])
-            * int(np.asarray(g1.entries[a]).reshape(()))
-            * int(lam[G.src[a]][0, 0])
-            for a in G.arrows
-        ):
-            return lam
-    return None
-
-
-def _cohomologous_linear(g1: Cocycle, g2: Cocycle, node_cap: int):
-    G = g1.groupoid
-    k = g1.rank
-    anchors, edges = _components_and_tree(G)
-    if len(anchors) != 1:
-        # solve component by component and merge
-        lam = {}
-        for x0 in anchors:
-            comp_objs = _component_of(G, x0)
-            sub = _restrict(G, comp_objs)
-            sub1 = Cocycle(sub, k, {a: g1.entries[a] for a in sub.arrows})
-            sub2 = Cocycle(sub, k, {a: g2.entries[a] for a in sub.arrows})
-            res = _cohomologous_linear(sub1, sub2, node_cap)
-            if res is None or res is INCONCLUSIVE:
-                return res
-            lam.update(res)
-        return lam
-
-    # propagate lambda(x) = A_x lambda0 B_x along a spanning tree
-    A = {anchors[0]: np.eye(k)}
-    B = {anchors[0]: np.eye(k)}
-    for (a, reverse) in edges:
-        m1 = np.asarray(g1.entries[a], dtype=complex)
-        m2 = np.asarray(g2.entries[a], dtype=complex)
-        if not reverse:
-            x, x2 = G.src[a], G.tgt[a]
-            A[x2] = m2 @ A[x]
-            B[x2] = B[x] @ np.linalg.inv(m1)
+    ids, src, tgt = g1.groupoid.endpoint_ids
+    k, n = g1.rank, len(ids)
+    E1, E2 = _stack(g1), _stack(g2)
+    dtype = np.result_type(E1, E2, float)
+    E1inv = np.linalg.inv(E1)
+    anchor, batches = _components_and_tree(n, src, tgt)
+    AB = np.zeros((2, n, k, k), dtype) + np.eye(k)
+    A, B = AB
+    for hit, reverse in batches:
+        if reverse:
+            A[src[hit]] = np.linalg.inv(E2[hit]) @ A[tgt[hit]]
+            B[src[hit]] = B[tgt[hit]] @ E1[hit]
         else:
-            x, x2 = G.src[a], G.tgt[a]
-            A[x] = np.linalg.inv(m2) @ A[x2]
-            B[x] = B[x2] @ m1
-
-    # every arrow yields lambda0 = M lambda0 K
-    constraints = []
-    for a in G.arrows:
-        x, x2 = G.src[a], G.tgt[a]
-        m1 = np.asarray(g1.entries[a], dtype=complex)
-        m2 = np.asarray(g2.entries[a], dtype=complex)
-        M = np.linalg.inv(A[x2]) @ m2 @ A[x]
-        K = B[x] @ np.linalg.inv(m1) @ np.linalg.inv(B[x2])
-        constraints.append(np.eye(k * k) - np.kron(K.T, M))
-    stacked = np.vstack(constraints) if constraints else np.zeros((1, k * k))
-    _, s, vh = np.linalg.svd(stacked)
-    padded = np.concatenate([s, np.zeros(max(0, k * k - len(s)))])
-    null_count = int((padded < 1e-10).sum())
-    basis = vh[k * k - null_count :] if null_count else np.zeros((0, k * k))
-    if basis.shape[0] == 0:
-        return None
-    rng = np.random.default_rng(0)
-    for trial in range(64):
-        combo = basis.T @ (
-            rng.standard_normal(basis.shape[0])
-            + 1j * rng.standard_normal(basis.shape[0])
-            if trial
-            else np.ones(basis.shape[0])
-        )
-        lam0 = combo.reshape(k, k)
-        if abs(np.linalg.det(lam0)) > 1e-8:
-            lam = {x: A[x] @ lam0 @ B[x] for x in G.objects}
-            if verify_coboundary(g1, g2, lam):
-                return lam
-    return INCONCLUSIVE
-
-
-def _component_of(G: FiniteGroupoid, x0):
-    seen = {x0}
-    stack = [x0]
-    while stack:
-        x = stack.pop()
-        near = [G.tgt[a] for a in G.arrows_from(x)] + [G.src[a] for a in G.arrows_into(x)]
-        for y in near:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
-def _restrict(G: FiniteGroupoid, objs) -> FiniteGroupoid:
-    arrows = tuple(a for a in G.arrows if G.src[a] in objs and G.tgt[a] in objs)
-    kept = set(arrows)
-    return FiniteGroupoid(
-        objects=tuple(x for x in G.objects if x in objs),
-        arrows=arrows,
-        src={a: G.src[a] for a in arrows},
-        tgt={a: G.tgt[a] for a in arrows},
-        cmp={k: v for k, v in G.cmp.items() if k[0] in kept and k[1] in kept},
-        inv={a: G.inv[a] for a in arrows},
-        unit={x: G.unit[x] for x in objs if x in G.unit},
-        name=f"{G.name}|component",
-    )
+            A[tgt[hit]] = E2[hit] @ A[src[hit]]
+            B[tgt[hit]] = B[src[hit]] @ E1inv[hit]
+    Ainv, Binv = np.linalg.inv(AB)
+    M = Ainv[tgt] @ E2 @ A[src]
+    K = B[src] @ E1inv @ Binv[tgt]
+    # vec(M X K) = (K^T kron M) vec(X) for the column-major vec
+    conditions = np.eye(k * k) - np.einsum("aji,ars->airjs", K, M).reshape(-1, k * k, k * k)
+    lams = np.empty_like(A)
+    for x0 in np.flatnonzero(anchor == np.arange(n)):
+        objs, arrows = np.flatnonzero(anchor == x0), np.flatnonzero(anchor[src] == x0)
+        # k * k zero rows keep vh square when the component has few arrows
+        stacked = np.concatenate([conditions[arrows].reshape(-1, k * k), np.zeros((k * k, k * k))])
+        _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+        basis = vh[s <= 1e-10 * max(1.0, s[0])].conj()
+        if not len(basis):
+            return None
+        for c in _combinations(len(basis), dtype.kind == "c"):
+            lam0 = (c @ basis).reshape(k, k, order="F")
+            lam0 = lam0 / lam0.flat[np.abs(lam0).argmax()]
+            if abs(np.linalg.det(lam0)) > 1e-8:
+                break
+        else:
+            return INCONCLUSIVE
+        lams[objs] = A[objs] @ lam0 @ B[objs]
+    if not _coboundary_holds(E1, E2, lams, src, tgt).all():
+        return INCONCLUSIVE
+    return {x: lams[i] for x, i in ids.items()}
 
 
 # ---------------------------------------------------------------------------

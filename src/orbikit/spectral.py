@@ -1050,16 +1050,14 @@ def commutator_step(run: TripleRun) -> None:
             report.frame_identity_residuals[name] = interior_norm(space, comm - rhs, buffer)
 
 
-def growth_step(run: TripleRun, window=None) -> None:
+def growth_step(run: TripleRun) -> None:
     """The eigenvalue counting exponent against the base dimension.
 
-    ``window`` is (lowest, highest) eigenvalue magnitude of the fit, by
-    default ``growth_exponent``'s floor up to the interior-band edge; a
-    window with fewer than three levels raises.
+    The fit runs from ``growth_exponent``'s floor up to the interior-band
+    edge; fewer than three levels there raises.
     """
     space = run.space
-    window = window or (None, _interior_edge(space, run.buffer))
-    run.report.growth_exponent = growth_exponent(run.dirac.eigenvalues(), window[1], window[0])
+    run.report.growth_exponent = growth_exponent(run.dirac.eigenvalues(), _interior_edge(space, run.buffer))
     run.report.growth_target = space.n
 
 
@@ -1104,7 +1102,6 @@ def check_spectral_triple(
     invariant_pairs=None,
     operator_builder=None,
     label="invariant-triple",
-    growth_window=None,
 ) -> SpectralTripleReport:
     """Run every truncation-level spectral-triple step and return the report.
 
@@ -1117,7 +1114,7 @@ def check_spectral_triple(
       generators' operators on the interior band (``report.operators``);
     - ``commutator_step``: commutator norms at the spec cutoff, their drift
       at double cutoff, and the frame-identity residuals;
-    - ``growth_step``: the counting exponent over ``growth_window``;
+    - ``growth_step``: the counting exponent up to the interior-band edge;
     - ``chirality_step``: the even structure, on an even-dimensional base;
     - ``symmetry_step``: the symmetry of D on ``invariant_pairs`` under
       ``measure``.
@@ -1134,7 +1131,7 @@ def check_spectral_triple(
     """
     run = triple_header(spec, generators, buffer=buffer, operator_builder=operator_builder, label=label)
     commutator_step(run)
-    growth_step(run, growth_window)
+    growth_step(run)
     chirality_step(run)
     symmetry_step(run, measure, invariant_pairs)
     return run.report

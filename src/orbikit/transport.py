@@ -58,7 +58,7 @@ def pushforward_function(phi, f):
             out[y] = next(iter(vals))
         return out
     if isinstance(phi, QuotientCovering):
-        return _covering_push_function(phi, f)
+        return pushforward_modes_section(phi, f, None, down_twist=Fraction(0))
     raise CatalogError(f"unsupported equivalence {phi!r}")
 
 
@@ -74,7 +74,7 @@ def pushforward_function_inverse(phi, g):
             out[x] = next(iter(vals))
         return out
     if isinstance(phi, QuotientCovering):
-        return _covering_pull_function(phi, g)
+        return pullback_modes_section(phi, g)
     raise CatalogError(f"unsupported equivalence {phi!r}")
 
 
@@ -220,37 +220,6 @@ def twist_of_modes(cov: QuotientCovering, twist, ks):
     raise InvarianceError("invariant spectrum matches no catalog twist")
 
 
-def _covering_push_function(cov: QuotientCovering, f: CircleModes) -> CircleModes:
-    require_invariant_modes(cov.upstairs, f)
-    m = cov.degree
-    M = f.cutoff
-    down_cut = max(2, M // m)
-    down = CircleModes.zero(
-        FourierCircle(cov.downstairs.circumference, down_cut), down_cut, f.fibre_shape
-    )
-    for k in f.modes:
-        if not np.any(f.coeffs[k + M]):
-            continue
-        if k % m != 0:
-            raise InvarianceError(f"mode {k} survives averaging but is not a multiple of {m}")
-        down.coeffs[k // m + down_cut] = f.coeffs[k + M]
-    return down
-
-
-def _covering_pull_function(cov: QuotientCovering, g: CircleModes) -> CircleModes:
-    m = cov.degree
-    up_cut = cov.upstairs.base.mode_cutoff
-    out = CircleModes.zero(cov.upstairs.base, up_cut, g.fibre_shape)
-    for j in g.modes:
-        if not np.any(g.coeffs[j + g.cutoff]):
-            continue
-        k = m * int(j)
-        if abs(k) > up_cut:
-            raise CatalogError("pullback leaves the upstairs truncation window")
-        out.coeffs[k + up_cut] = g.coeffs[j + g.cutoff]
-    return out
-
-
 def pushforward_modes_section(cov: QuotientCovering, psi: CircleModes, lift_signs, down_twist=None) -> CircleModes:
     """phi_# on invariant (possibly twisted) mode sections, exact relabel."""
     require_invariant_modes(cov.upstairs, psi, lift_signs)
@@ -260,10 +229,8 @@ def pushforward_modes_section(cov: QuotientCovering, psi: CircleModes, lift_sign
     down_cut = max(2, int((Fraction(M) + psi.twist) / m - tw))
     circle = FourierCircle(cov.downstairs.circumference, down_cut)
     down = CircleModes.zero(circle, down_cut, psi.fibre_shape, twist=tw)
-    for k in psi.modes:
-        if not np.any(psi.coeffs[k + M]):
-            continue
-        j = (Fraction(int(k)) + psi.twist) / m - tw
+    for (k,) in psi.nonzero_modes():
+        j = (Fraction(k) + psi.twist) / m - tw
         if j != int(j):
             raise InvarianceError(f"mode {k} does not descend to the {tw} twist lattice")
         if abs(int(j)) > down_cut:
@@ -276,10 +243,8 @@ def pullback_modes_section(cov: QuotientCovering, zeta: CircleModes, up_twist=Fr
     m = cov.degree
     up_cut = cov.upstairs.base.mode_cutoff
     out = CircleModes.zero(cov.upstairs.base, up_cut, zeta.fibre_shape, twist=up_twist)
-    for j in zeta.modes:
-        if not np.any(zeta.coeffs[j + zeta.cutoff]):
-            continue
-        k = m * (Fraction(int(j)) + zeta.twist) - up_twist
+    for (j,) in zeta.nonzero_modes():
+        k = m * (Fraction(j) + zeta.twist) - up_twist
         if k != int(k):
             raise CatalogError("mode does not pull back to the upstairs lattice")
         if abs(int(k)) > up_cut:
@@ -310,11 +275,11 @@ def pushforward_form(cov: QuotientCovering, omega: CircleForm) -> CircleForm:
     Both the 0-form and the dx-component transport by the invariant-mode
     relabeling; arclength coordinates make the chain-rule factor 1.
     """
-    return CircleForm(omega.degree, _covering_push_function(cov, omega.comp))
+    return CircleForm(omega.degree, pushforward_modes_section(cov, omega.comp, None, down_twist=Fraction(0)))
 
 
 def pushforward_form_inverse(cov: QuotientCovering, omega: CircleForm) -> CircleForm:
-    return CircleForm(omega.degree, _covering_pull_function(cov, omega.comp))
+    return CircleForm(omega.degree, pullback_modes_section(cov, omega.comp))
 
 
 @dataclass
@@ -411,7 +376,7 @@ def induce_connection(cov: QuotientCovering, conn: InvariantConnection) -> Invar
         raise CatalogError("connections only transport along covering quotients")
     if connection_invariance_residual(conn, cov.upstairs) > INVARIANCE_TOL:
         raise InvarianceError("connection potential is not invariant")
-    down_pot = _covering_push_function(cov, conn.potential)
+    down_pot = pushforward_modes_section(cov, conn.potential, None, down_twist=Fraction(0))
     return InvariantConnection(down_pot.circle, conn.rank, down_pot)
 
 

@@ -27,6 +27,7 @@ from orbikit.groupoids import (
     FiniteGroup,
     cyclic_translation_groupoid,
     cech_groupoid,
+    finite_action_groupoid,
     group_groupoid,
     trivial_cover,
 )
@@ -233,6 +234,47 @@ def test_rank2_twist_recovered_by_linear_solver():
     found = cohomologous(base, g2)
     assert found not in (None, INCONCLUSIVE)
     assert verify_coboundary(base, g2, found)
+
+
+SWAP = np.array([[0, 1], [1, 0]])
+
+
+def z2_on_points(n):
+    """Z2 acting trivially on n points: n components, each a copy of Z2."""
+    return finite_action_groupoid(FiniteGroup.cyclic(2), range(n), lambda g, x: x)
+
+
+SWAP_GROUPOIDS = {
+    "Z2": (z2, lambda a: a),
+    "Z6xZ3": (lambda: cyclic_translation_groupoid(6, 3), lambda a: a[0]),
+    "Z2 on 3 points": (lambda: z2_on_points(3), lambda a: a[0]),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(SWAP_GROUPOIDS))
+def test_rank2_twist_of_a_swap_cocycle_recovered(name, seed):
+    """The swap cocycle commutes with the plane a I + b swap, so each twist
+    has a two-dimensional null space, read back as column-major vecs."""
+    build, element = SWAP_GROUPOIDS[name]
+    G = build()
+    g1 = Cocycle(G, 2, {a: np.linalg.matrix_power(SWAP, element(a) % 2) for a in G.arrows})
+    assert validate_cocycle(g1).ok
+    rng = np.random.default_rng(seed)
+    lam = {x: rng.standard_normal((2, 2)) + 2 * np.eye(2) for x in G.objects}
+    g2 = Cocycle(G, 2, {a: lam[G.tgt[a]] @ g1.entries[a] @ np.linalg.inv(lam[G.src[a]]) for a in G.arrows})
+    found = cohomologous(g1, g2)
+    assert found not in (None, INCONCLUSIVE)
+    assert verify_coboundary(g1, g2, found)
+
+
+def test_one_signed_component_of_24_has_no_coboundary():
+    """Each component is decided by its own null space, not by a search over
+    the 2^24 anchor signs."""
+    G = z2_on_points(24)
+    g_sign = sign_cocycle(G, lambda a: -1 if a == (1, 0) else 1)
+    assert validate_cocycle(g_sign).ok
+    assert cohomologous(g_sign, identity_cocycle(G)) is None
 
 
 # -- bundles
