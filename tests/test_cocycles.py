@@ -31,7 +31,7 @@ from orbikit.groupoids import (
     group_groupoid,
     trivial_cover,
 )
-from orbikit.morita import double_cover_bitorsor, localize_cech
+from orbikit.morita import Bitorsor, double_cover_bitorsor, localize_cech
 
 
 def z2():
@@ -336,3 +336,52 @@ def sign_to_plain(g, theta):
     from orbikit.cocycles import Cocycle
 
     return Cocycle(theta, g.rank, {a[0]: v for a, v in g.entries.items()})
+
+
+# -- error contracts of the two inductions
+
+
+def without_right_arrow(b, tau):
+    """``b`` with the right action of the arrow ``tau`` left undefined."""
+    right = {key: v for key, v in b.right_act.items() if key[1] != tau}
+    return Bitorsor(b.left, b.right, b.carrier, b.rho, b.alpha, dict(b.left_act.items()), right, name="stuck")
+
+
+def test_induce_cocycle_rejects_a_cocycle_off_the_left_groupoid():
+    theta, xi, b, loc, cx, cy = localized_a2(3)
+    with pytest.raises(CatalogError, match="^cocycle does not live on the left Cech groupoid$"):
+        induce_cocycle(loc, sign_cocycle(theta, lambda a: 1), default_sections(loc))
+
+
+def test_induce_cocycle_names_the_section_point_that_cannot_move():
+    theta, xi, b, loc, cx, cy = localized_a2(3)
+    tau = cy.arrows[-1]
+    stuck = without_right_arrow(loc, tau)
+    with pytest.raises(CatalogError) as exc:
+        induce_cocycle(stuck, a2_sign_cocycle(cx), default_sections(stuck))
+    assert str(exc.value) == f"section point over {cy.tgt[tau][0]!r} cannot move along {tau!r}"
+
+
+def test_induced_bundle_rejects_a_bundle_off_the_left_groupoid():
+    theta, xi, b = double_cover_bitorsor(3)
+    with pytest.raises(CatalogError, match="^bundle base mismatch: expected the left groupoid$"):
+        induced_bundle(b, trivial_bundle(xi, 1))
+
+
+def test_induced_bundle_needs_a_point_over_every_right_object():
+    theta, xi, b = double_cover_bitorsor(3)
+    y0, y1 = xi.objects[:2]
+    alpha = {q: y1 if y == y0 else y for q, y in b.alpha.items()}
+    moved = Bitorsor(theta, xi, b.carrier, b.rho, alpha, dict(b.left_act.items()), dict(b.right_act.items()))
+    with pytest.raises(CatalogError, match=f"^alpha not surjective; no representative over {y0!r}$"):
+        induced_bundle(moved, trivial_bundle(theta, 1))
+
+
+def test_induced_bundle_names_the_representative_that_cannot_move():
+    theta, xi, b = double_cover_bitorsor(3)
+    tau = xi.arrows[-1]
+    stuck = without_right_arrow(b, tau)
+    first_over_target = next(q for q in stuck.carrier if stuck.alpha[q] == xi.tgt[tau])
+    with pytest.raises(KeyError) as exc:
+        induced_bundle(stuck, trivial_bundle(theta, 1))
+    assert exc.value.args == ((first_over_target, tau),)
