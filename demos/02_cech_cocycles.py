@@ -47,7 +47,7 @@ for obj in sorted(lam, key=repr):
 bundle = reconstruct_bundle(sign_cocycle(theta, lambda arr: -1 if arr == 1 else 1))
 moved = induced_bundle(b, bundle)
 agree = all(
-    np.array_equal(moved.action[arrow[0]], induced.entries[arrow])
+    np.array_equal(moved.entries[arrow[0]], induced.entries[arrow])
     for arrow in cech_y.arrows
 )
 print("\nbundle transport matches the cocycle transport entrywise:", agree)

@@ -58,7 +58,6 @@ from .morita import (
 )
 from .cocycles import (
     Cocycle,
-    ReconstructedBundle,
     cohomologous,
     induce_cocycle,
     induced_bundle,

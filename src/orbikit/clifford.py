@@ -116,24 +116,26 @@ class SpinLift:
 
 
 def adjoint_condition_holds(G: ActionGroupoid, rep: CliffordRep, g) -> bool:
-    """Ad(S(g)) gamma(v) == gamma(dphi_g v) on the frame basis."""
+    """Ad(S(g)) gamma(v) == gamma(dphi_g v) on the frame basis, each entry
+    within 1e-14."""
     S = spin_element(rep, rotation_turns_of(G.iso[g]))
     d = G.iso[g].differential()
     for i in range(rep.dimension):
         lhs = S @ rep.gammas[i] @ np.linalg.inv(S)
         rhs = sum(d[j, i] * rep.gammas[j] for j in range(rep.dimension))
-        if not np.allclose(lhs, rhs, atol=1e-14):
+        if not np.allclose(lhs, rhs, rtol=0, atol=1e-14):
             return False
     return True
 
 
 def cocycle_law_holds(lift: SpinLift) -> bool:
-    """S(gh) = S(g) S(h) on every pair, each S(g) evaluated once."""
+    """S(gh) = S(g) S(h) on every pair, each entry within 1e-14; each S(g)
+    is evaluated once."""
     group = lift.groupoid.group
     S = {g: lift.matrix(g) for g in group.elements}
     lhs = [S[group.mul(g, h)] for g in group.elements for h in group.elements]
     rhs = [S[g] @ S[h] for g in group.elements for h in group.elements]
-    return bool(np.allclose(lhs, rhs, atol=1e-14))
+    return bool(np.allclose(lhs, rhs, rtol=0, atol=1e-14))
 
 
 def spin_lift_search(G: ActionGroupoid, rep: CliffordRep):

@@ -5,6 +5,13 @@ g(tau) g(sigma) = g(tau sigma) on composable pairs.  Unit arrows within a
 single sheet are therefore forced to the identity (our normalization);
 unit arrows across sheet overlaps are genuine transition functions.
 
+A bundle whose local trivializations are the standard fibres is its
+structure cocycle: ``entries[arrow]`` carries the arrow's source fibre to
+its target fibre, cross-sheet units holding the transition data.  One
+gather of left witnesses moves both: ``induce_cocycle`` through a section
+family, ``induced_bundle`` through the first carrier point over each
+right object.
+
 Matrix entries stay exact (integer dtype) whenever the inputs are exact.
 A float product is compared with the entry it should equal at 1e-12
 relative to the product of its factors' Frobenius norms (at least 1): the
@@ -71,6 +78,16 @@ def sign_cocycle(G: FiniteGroupoid, sign_of) -> Cocycle:
     """Rank-1 cocycle from a +-1 assignment ``sign_of(arrow)``."""
     entries = {a: np.array([[int(sign_of(a))]]) for a in G.arrows}
     return Cocycle(G, 1, entries, name="sign")
+
+
+def reconstruct_bundle(g: Cocycle, name=None) -> Cocycle:
+    """The bundle glued from ``g``: a copy of its entries under a bundle name."""
+    return Cocycle(g.groupoid, g.rank, {a: np.asarray(g.entries[a]).copy() for a in g.groupoid.arrows},
+                   name=name or f"bundle({g.name})")
+
+
+def trivial_bundle(G: FiniteGroupoid, rank: int = 1) -> Cocycle:
+    return reconstruct_bundle(identity_cocycle(G, rank), name="trivial")
 
 
 def validate_cocycle(g: Cocycle) -> ValidationReport:
@@ -216,6 +233,16 @@ def sections_from_offsets(loc: Bitorsor, offset: int) -> SectionFamily:
 # induced cocycles
 
 
+def _induced(b: Bitorsor, g: Cocycle, sources, targets, stuck) -> Cocycle:
+    """``g`` moved onto ``b.right``: per right arrow tau, a copy of g's entry
+    at the left arrow ``left_witnesses`` finds for the point indices
+    ``sources[tau]`` and ``targets[tau]``."""
+    sigma = left_witnesses(b, sources, targets, stuck)
+    entries = {tau: np.asarray(g.entries[b.left.arrows[s]]).copy()
+               for tau, s in zip(b.right.arrows, sigma.tolist())}
+    return Cocycle(b.right, g.rank, entries, name=f"induced({g.name})")
+
+
 def induce_cocycle(loc: Bitorsor, g: Cocycle, beta: SectionFamily) -> Cocycle:
     """Transport a cocycle through a localized equivalence.
 
@@ -232,11 +259,27 @@ def induce_cocycle(loc: Bitorsor, g: Cocycle, beta: SectionFamily) -> Cocycle:
     # arrow (t, i, j) runs from sheet j to sheet i
     q_src = [index[beta.point(a[2], R.src[a][0])] for a in R.arrows]
     q_tgt = [index[beta.point(a[1], R.tgt[a][0])] for a in R.arrows]
-    sigma = left_witnesses(loc, q_src, q_tgt, lambda k: CatalogError(
+    return _induced(loc, g, q_src, q_tgt, lambda k: CatalogError(
         f"section point over {R.tgt[R.arrows[k]][0]!r} cannot move along {R.arrows[k]!r}"))
-    entries = {arrow: np.asarray(g.entries[loc.left.arrows[s]]).copy()
-               for arrow, s in zip(R.arrows, sigma.tolist())}
-    return Cocycle(loc.right, g.rank, entries, name=f"induced({g.name})")
+
+
+def induced_bundle(b: Bitorsor, bundle: Cocycle) -> Cocycle:
+    """Transport a bundle along a bitorsor.
+
+    The fibre over a right object y is presented through its first carrier
+    point ``b.alpha_fibre(y)[0]``, rep(y); the right action of an arrow tau
+    is the left-groupoid matrix of the unique sigma with
+    sigma . rep(src tau) = rep(tgt tau) . tau.
+    """
+    if bundle.groupoid is not b.left:
+        raise CatalogError("bundle base mismatch: expected the left groupoid")
+    R, index = b.right, b.point_index
+    missing = [y for y in R.objects if not b.alpha_fibre(y)]
+    if missing:
+        raise CatalogError(f"alpha not surjective; no representative over {missing[0]!r}")
+    return _induced(b, bundle, [index[b.alpha_fibre(R.src[t])[0]] for t in R.arrows],
+                    [index[b.alpha_fibre(R.tgt[t])[0]] for t in R.arrows],
+                    lambda k: KeyError((b.alpha_fibre(R.tgt[R.arrows[k]])[0], R.arrows[k])))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +330,12 @@ def _components_and_tree(n, src, tgt):
 
 
 def _combinations(n, complex_):
-    """Coefficients for ``n`` basis vectors: all ones, then 63 seeded random
-    ones, complex when ``complex_``."""
+    """Coefficients for ``n`` basis vectors: all ones, then one seeded random
+    combination, complex when ``complex_``."""
     yield np.ones(n)
     rng = np.random.default_rng(0)
-    for _ in range(63):
-        c = rng.standard_normal(n)
-        yield c + 1j * rng.standard_normal(n) if complex_ else c
+    c = rng.standard_normal(n)
+    yield c + 1j * rng.standard_normal(n) if complex_ else c
 
 
 def cohomologous(g1: Cocycle, g2: Cocycle):
@@ -303,16 +345,18 @@ def cohomologous(g1: Cocycle, g2: Cocycle):
     value at the component's anchor, and every arrow asks lambda0 = M
     lambda0 K: ``(I - K^T kron M) vec(lambda0) = 0``, column-major ``vec``.
     One SVD of a component's stacked conditions gives their null space.
-    Combinations of its basis (``_combinations``), each scaled to largest
-    entry 1, are tried until one is invertible; the lambda they give is
-    then checked on every arrow by ``_coboundary_holds``.  A rank-1 null
-    space is everything or nothing, so the all-ones trial decides rank 1,
-    and +-1 entries give lambda of exactly +-1; real entries give real
-    lambda.
+    Two combinations of its basis (``_combinations``), each scaled to
+    largest entry 1, are tried for an invertible one; the lambda it gives
+    is then checked on every arrow by ``_coboundary_holds``.  The
+    determinant is a polynomial in the coefficients, so unless every
+    element of the null space is singular, a random combination is
+    invertible with probability one.  A rank-1 null space is everything or
+    nothing, so the all-ones trial decides rank 1, and +-1 entries give
+    lambda of exactly +-1; real entries give real lambda.
 
-    Returns ``{object: lambda}``; None when a component's conditions have
-    only the zero solution; INCONCLUSIVE when every trial of a component
-    is singular or the check fails.
+    Returns ``{object: lambda}``; None when a component's null space is
+    zero or both its trials are singular; INCONCLUSIVE when the check
+    fails.
     """
     if g1.groupoid is not g2.groupoid or g1.rank != g2.rank:
         raise CatalogError("cocycles live on different groupoids or ranks")
@@ -351,78 +395,8 @@ def cohomologous(g1: Cocycle, g2: Cocycle):
             if abs(np.linalg.det(lam0)) > 1e-8:
                 break
         else:
-            return INCONCLUSIVE
+            return None
         lams[objs] = A[objs] @ lam0 @ B[objs]
     if not _coboundary_holds(E1, E2, lams, src, tgt).all():
         return INCONCLUSIVE
     return {x: lams[i] for x, i in ids.items()}
-
-
-# ---------------------------------------------------------------------------
-# bundles
-
-
-@dataclass(eq=False)
-class ReconstructedBundle:
-    """A rank-k bundle over a groupoid base, glued from a structure cocycle.
-
-    Local trivializations are the standard fibres; ``action[arrow]`` is the
-    matrix applied when the arrow carries its source fibre to its target
-    fibre.  Cross-sheet unit arrows hold the geometric transition data.
-    """
-
-    groupoid: FiniteGroupoid
-    rank: int
-    action: dict
-    name: str = "bundle"
-
-
-def reconstruct_bundle(g: Cocycle, name=None) -> ReconstructedBundle:
-    return ReconstructedBundle(
-        g.groupoid,
-        g.rank,
-        {a: np.asarray(g.entries[a]).copy() for a in g.groupoid.arrows},
-        name=name or f"bundle({g.name})",
-    )
-
-
-def structure_cocycle(bundle: ReconstructedBundle) -> Cocycle:
-    return Cocycle(bundle.groupoid, bundle.rank, dict(bundle.action), name=bundle.name)
-
-
-def validate_bundle(bundle: ReconstructedBundle) -> ValidationReport:
-    rep = validate_cocycle(structure_cocycle(bundle))
-    rep.subject = f"bundle {bundle.name}"
-    return rep
-
-
-def trivial_bundle(G: FiniteGroupoid, rank: int = 1) -> ReconstructedBundle:
-    return reconstruct_bundle(identity_cocycle(G, rank), name="trivial")
-
-
-def induced_bundle(b: Bitorsor, bundle: ReconstructedBundle) -> ReconstructedBundle:
-    """Transport a bundle along a bitorsor.
-
-    Fibres over the right base are presented through one carrier
-    representative per alpha-fibre; the right action of an arrow tau is the
-    left-groupoid matrix of the unique sigma with
-    sigma . rep(src tau) = rep(tgt tau) . tau.
-    """
-    if bundle.groupoid is not b.left:
-        raise CatalogError("bundle base mismatch: expected the left groupoid")
-    reps = {}
-    for q in b.carrier:
-        reps.setdefault(b.alpha[q], q)
-    missing = [y for y in b.right.objects if y not in reps]
-    if missing:
-        raise CatalogError(f"alpha not surjective; no representative over {missing[0]!r}")
-    R, index = b.right, b.point_index
-    sigma = left_witnesses(b, [index[reps[R.src[t]]] for t in R.arrows],
-                           [index[reps[R.tgt[t]]] for t in R.arrows],
-                           lambda k: KeyError((reps[R.tgt[R.arrows[k]]], R.arrows[k])))
-    action = {t: np.asarray(bundle.action[b.left.arrows[s]]).copy() for t, s in zip(R.arrows, sigma.tolist())}
-    out = ReconstructedBundle(
-        b.right, bundle.rank, action, name=f"induced({bundle.name})"
-    )
-    out.reps = reps  # kept for tests and section alignment
-    return out

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bases import BandLimitError, CatalogError, mode_class
-from .cocycles import ReconstructedBundle, trivial_bundle
+from .cocycles import Cocycle, trivial_bundle
 from .groupoids import ActionGroupoid, FiniteGroupoid, is_effective
 from .spectral import (
     DiracSpec,
@@ -137,7 +137,7 @@ def act(f: ConvolutionElement, psi: BundleSection) -> BundleSection:
     values = {x: np.zeros(bundle.rank, dtype=complex) for x in G.objects}
     for sigma, v in f.data.items():
         x = G.tgt[sigma]
-        transport = np.asarray(bundle.action[sigma], dtype=complex)
+        transport = np.asarray(bundle.entries[sigma], dtype=complex)
         values[x] = values[x] + v * (transport @ psi.vector(G.src[sigma]))
     return BundleSection(bundle, values)
 
@@ -219,7 +219,7 @@ def faithfulness_probe(G, bundle_or_spec=None, generator_degree=2) -> Faithfulne
     raise CatalogError(f"unsupported groupoid {G!r}")
 
 
-def _finite_probe(G: FiniteGroupoid, bundle: ReconstructedBundle, effective) -> FaithfulnessReport:
+def _finite_probe(G: FiniteGroupoid, bundle: Cocycle, effective) -> FaithfulnessReport:
     """Exact kernel of ``f -> act(f)``, one small elimination per hom-set.
 
     An arrow's column of the action map is nonzero only in the block
@@ -238,7 +238,7 @@ def _finite_probe(G: FiniteGroupoid, bundle: ReconstructedBundle, effective) -> 
     for arrows in (G.arrows_between(x, y) for x in G.objects for y in G.objects):
         if not arrows:
             continue
-        columns = [_exact_transport(bundle.action[a], k, a) for a in arrows]
+        columns = [_exact_transport(bundle.entries[a], k, a) for a in arrows]
         rows, pivots = _rref(zip(*columns))
         kernel_dim += len(arrows) - len(pivots)
         free = next((j for j in range(len(arrows)) if j not in pivots), None)

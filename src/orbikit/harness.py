@@ -612,7 +612,7 @@ def build_cocycle_transport(N) -> Scenario:
     def bundle_square(tol):
         lhs = reconstruct_bundle(induced)
         rhs = induced_bundle(b, reconstruct_bundle(_z2_sign(theta)))
-        same = all(np.array_equal(lhs.action[arrow], rhs.action[arrow[0]]) for arrow in cy.arrows)
+        same = all(np.array_equal(lhs.entries[arrow], rhs.entries[arrow[0]]) for arrow in cy.arrows)
         return same, None, ("reconstructing the induced cocycle matches inducing the "
                             "reconstructed bundle")
 

@@ -54,6 +54,7 @@ from .groupoids import (
 from .reports import ValidationReport
 
 INCONCLUSIVE = object()  # sentinel returned by capped searches
+TWO_MORPHISM_NODE_CAP = 10**6  # backtracking nodes find_two_morphism may visit
 
 
 class ActionTable(Mapping):
@@ -558,14 +559,14 @@ class TwoMorphism:
         return True
 
 
-def find_two_morphism(b1: Bitorsor, b2: Bitorsor, node_cap: int = 10**6):
+def find_two_morphism(b1: Bitorsor, b2: Bitorsor):
     """Search for an equivariant bijection between two carriers.
 
     Returns a TwoMorphism, None when provably absent, or INCONCLUSIVE when
-    the backtracking search exceeds ``node_cap`` nodes.  Equivariance
-    propagates through both actions, so a single seed per connected block
-    forces the rest.  An assignment is an int array from the points of b1
-    to those of b2, -1 where unassigned.
+    the backtracking search exceeds ``TWO_MORPHISM_NODE_CAP`` nodes.
+    Equivariance propagates through both actions, so a single seed per
+    connected block forces the rest.  An assignment is an int array from
+    the points of b1 to those of b2, -1 where unassigned.
     """
     if b1.left is not b2.left or b1.right is not b2.right:
         return None
@@ -606,7 +607,7 @@ def find_two_morphism(b1: Bitorsor, b2: Bitorsor, node_cap: int = 10**6):
     def extend(assign):
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > TWO_MORPHISM_NODE_CAP:
             return INCONCLUSIVE
         missing = np.flatnonzero(assign[:n] < 0)
         if not len(missing):

@@ -7,7 +7,13 @@ tables; circle covering quotients transport mode coefficients, where the
 pushforward is an exact relabeling of invariant modes.
 
 Invariance of candidate inputs is decided element by element: an input is
-accepted when no element of the group moves it by more than 1e-10.
+accepted when no element of the group moves any of its entries by more
+than 1e-10, an absolute bound at every scale.
+
+A finite bundle is its structure cocycle (``cocycles.Cocycle``).  A
+section pushed along a bitorsor b is read, over each right object y, at
+the first carrier point over y, ``b.alpha_fibre(y)[0]``: the
+representative ``cocycles.induced_bundle`` presents that fibre through.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bases import CatalogError, CircleModes, FourierCircle, mode_map, phase_vector, unit_phase
-from .cocycles import ReconstructedBundle
+from .cocycles import Cocycle
 from .groupoids import ActionGroupoid, FiniteGroupoid
 from .morita import Bitorsor, QuotientCovering, left_witness
 
@@ -84,7 +90,7 @@ def pushforward_function_inverse(phi, g):
 
 @dataclass
 class BundleSection:
-    bundle: ReconstructedBundle
+    bundle: Cocycle
     values: dict  # object -> vector (len = rank)
 
     def vector(self, x):
@@ -96,14 +102,14 @@ def section_invariance_witness(psi: BundleSection):
     G = psi.bundle.groupoid
     for a in G.arrows:
         lhs = psi.vector(G.src[a])
-        rho = np.asarray(psi.bundle.action[a], dtype=complex)
+        rho = np.asarray(psi.bundle.entries[a], dtype=complex)
         rhs = np.linalg.inv(rho) @ psi.vector(G.tgt[a])
-        if not np.allclose(lhs, rhs, atol=INVARIANCE_TOL):
+        if not np.allclose(lhs, rhs, rtol=0, atol=INVARIANCE_TOL):
             return a
     return None
 
 
-def invariant_section_basis(bundle: ReconstructedBundle) -> np.ndarray:
+def invariant_section_basis(bundle: Cocycle) -> np.ndarray:
     """Basis of the invariant-section space, rows = sections (flattened).
 
     Solves psi(src) - rho^{-1} psi(tgt) = 0 over all arrows by dense
@@ -117,7 +123,7 @@ def invariant_section_basis(bundle: ReconstructedBundle) -> np.ndarray:
     for a in G.arrows:
         block = np.zeros((k, n * k), dtype=complex)
         block[:, index[G.src[a]] * k : index[G.src[a]] * k + k] = np.eye(k)
-        inv = np.linalg.inv(np.asarray(bundle.action[a], dtype=complex))
+        inv = np.linalg.inv(np.asarray(bundle.entries[a], dtype=complex))
         block[:, index[G.tgt[a]] * k : index[G.tgt[a]] * k + k] -= inv
         rows.append(block)
     mat = np.vstack(rows) if rows else np.zeros((1, n * k))
@@ -127,25 +133,25 @@ def invariant_section_basis(bundle: ReconstructedBundle) -> np.ndarray:
     return vh[n * k - null_count :] if null_count else np.zeros((0, n * k))
 
 
-def pushforward_section(b: Bitorsor, psi: BundleSection, induced: ReconstructedBundle) -> BundleSection:
-    """phi_# psi on the induced bundle (which carries the representatives)."""
+def pushforward_section(b: Bitorsor, psi: BundleSection, induced: Cocycle) -> BundleSection:
+    """phi_# psi on ``induced_bundle(b, psi.bundle)``: the value over y is
+    psi at the anchor of y's representative ``b.alpha_fibre(y)[0]``."""
     wit = section_invariance_witness(psi)
     if wit is not None:
         raise InvarianceError(f"section is not invariant at arrow {wit!r}", wit)
-    reps = induced.reps
-    values = {y: psi.vector(b.rho[reps[y]]).copy() for y in b.right.objects}
+    values = {y: psi.vector(b.rho[b.alpha_fibre(y)[0]]).copy() for y in b.right.objects}
     return BundleSection(induced, values)
 
 
-def pushforward_section_inverse(b: Bitorsor, zeta: BundleSection, bundle: ReconstructedBundle) -> BundleSection:
-    """A_phi: move a section of the induced bundle back to the source."""
-    reps = zeta.bundle.reps
+def pushforward_section_inverse(b: Bitorsor, zeta: BundleSection, bundle: Cocycle) -> BundleSection:
+    """A_phi: move a section of ``induced_bundle(b, bundle)`` back to the
+    source, through the representative ``b.alpha_fibre(y)[0]`` over each y."""
     values = {}
     for x in b.left.objects:
         q = b.rho_fibre(x)[0]
         y = b.alpha[q]
-        sigma = left_witness(b, q, reps[y])
-        rho = np.asarray(bundle.action[sigma], dtype=complex)
+        sigma = left_witness(b, q, b.alpha_fibre(y)[0])
+        rho = np.asarray(bundle.entries[sigma], dtype=complex)
         values[x] = np.linalg.inv(rho) @ zeta.vector(y)
     return BundleSection(bundle, values)
 
@@ -418,16 +424,16 @@ class InvariantInnerProduct:
         return complex(np.conj(v1) @ np.asarray(self.matrix, dtype=complex) @ v2)
 
 
-def inner_product_invariance_witness(ip: InvariantInnerProduct, bundle: ReconstructedBundle):
+def inner_product_invariance_witness(ip: InvariantInnerProduct, bundle: Cocycle):
     H = np.asarray(ip.matrix, dtype=complex)
     for a in bundle.groupoid.arrows:
-        U = np.asarray(bundle.action[a], dtype=complex)
-        if not np.allclose(np.conj(U.T) @ H @ U, H, atol=INVARIANCE_TOL):
+        U = np.asarray(bundle.entries[a], dtype=complex)
+        if not np.allclose(np.conj(U.T) @ H @ U, H, rtol=0, atol=INVARIANCE_TOL):
             return a
     return None
 
 
-def induce_inner_product(phi, ip: InvariantInnerProduct, bundle: ReconstructedBundle = None) -> InvariantInnerProduct:
+def induce_inner_product(phi, ip: InvariantInnerProduct, bundle: Cocycle = None) -> InvariantInnerProduct:
     """Transport a constant invariant fibre form; the matrix is reused.
 
     For finite bitorsors the invariance against the source bundle action is

@@ -15,9 +15,7 @@ from orbikit.cocycles import (
     reconstruct_bundle,
     sections_from_offsets,
     sign_cocycle,
-    structure_cocycle,
     trivial_bundle,
-    validate_bundle,
     validate_cocycle,
     validate_section_family,
     verify_coboundary,
@@ -277,27 +275,36 @@ def test_one_signed_component_of_24_has_no_coboundary():
     assert cohomologous(g_sign, identity_cocycle(G)) is None
 
 
+def test_a_null_space_of_singular_matrices_has_no_coboundary():
+    """diag(1, -1) and the identity on Z2: every solution of lambda = diag(1, -1)
+    lambda has a zero second row, so both trials are singular."""
+    G = z2()
+    g = Cocycle(G, 2, {x: np.diag([1, (-1) ** x]) for x in G.arrows})
+    assert validate_cocycle(g).ok
+    assert cohomologous(g, identity_cocycle(G, 2)) is None
+
+
 # -- bundles
 
 
 def test_trivial_bundle_induces_trivial():
     theta, xi, b = double_cover_bitorsor(3)
     out = induced_bundle(b, trivial_bundle(theta, 1))
-    assert validate_bundle(out).ok
-    assert all(int(m[0, 0]) == 1 for m in out.action.values())
+    assert validate_cocycle(out).ok
+    assert all(int(m[0, 0]) == 1 for m in out.entries.values())
 
 
 def test_sign_bundle_through_a2_matches_carry_cocycle():
     theta, xi, b, loc, cx, cy = localized_a2(3)
     sign_on_theta = sign_cocycle(theta, lambda a: -1 if a == 1 else 1)
     out = induced_bundle(b, reconstruct_bundle(sign_on_theta))
-    assert validate_bundle(out).ok
+    assert validate_cocycle(out).ok
     # compare against induce_cocycle with the representative sections
     beta = default_sections(loc)
     induced = induce_cocycle(loc, a2_sign_cocycle(cx), beta)
     for arrow in cy.arrows:
         t = arrow[0]
-        assert int(out.action[t][0, 0]) == int(induced.entries[arrow][0, 0])
+        assert int(out.entries[t][0, 0]) == int(induced.entries[arrow][0, 0])
 
 
 def test_rank2_bundle_section_independence():
@@ -324,10 +331,9 @@ def test_reconstruction_induction_square_commutes():
         lhs_plain = Cocycle(
             xi,
             g.rank,
-            {arrow[0]: lhs.action[arrow] for arrow in cy.arrows},
+            {arrow[0]: lhs.entries[arrow] for arrow in cy.arrows},
         )
-        rhs_c = structure_cocycle(rhs)
-        lam = cohomologous(lhs_plain, rhs_c)
+        lam = cohomologous(lhs_plain, rhs)
         assert lam not in (None, INCONCLUSIVE)
 
 

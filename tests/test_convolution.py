@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from orbikit.bases import BandLimitError, CatalogError, CircleModes, FourierCircle, FourierTorus, TorusModes
 from orbikit.clifford import build_clifford, projective_lift, trivial_lift
-from orbikit.cocycles import ReconstructedBundle, trivial_bundle
+from orbikit.cocycles import Cocycle, trivial_bundle
 from orbikit.convolution import (
     ConvolutionElement,
     act,
@@ -296,7 +296,7 @@ def reference_finite_kernel(G, bundle):
     A = [[Fraction(0)] * len(G.arrows) for _ in range((n * k) ** 2)]
     for j, a in enumerate(G.arrows):
         r, c = index[G.tgt[a]], index[G.src[a]]
-        T = np.asarray(bundle.action[a], dtype=float)
+        T = np.asarray(bundle.entries[a], dtype=float)
         for p in range(k):
             for q in range(k):
                 A[(r * k + p) * n * k + c * k + q][j] = Fraction(float(T[p, q])).limit_denominator(10**6)
@@ -351,7 +351,7 @@ def later_hom_set_frees_first():
         action[(a, y)] = (eye, flip, swap)[a // 3]
     action[(6, 0)] = -flip  # in the span of I and flip
     action[(4, 0)] = eye  # equal to the transport of (1, 0)
-    return G, ReconstructedBundle(G, 2, action)
+    return G, Cocycle(G, 2, action)
 
 
 def with_trivial_bundle(G):
@@ -392,13 +392,13 @@ def test_finite_kernel_matches_global_elimination_on_random_bundles(data):
     entry = st.sampled_from(SMALL_RATIONALS)
     action = {a: np.array(data.draw(st.lists(entry, min_size=k * k, max_size=k * k))).reshape(k, k)
               for a in G.arrows}
-    assert_probe_matches_reference(G, ReconstructedBundle(G, k, action))
+    assert_probe_matches_reference(G, Cocycle(G, k, action))
 
 
 def test_decimal_transport_reads_as_its_fraction():
     G = z2()
     # as binary fractions 0.3 / 0.1 is 2.9999999999999996
-    bundle = ReconstructedBundle(G, 1, {0: np.array([[0.1]]), 1: np.array([[0.3]])})
+    bundle = Cocycle(G, 1, {0: np.array([[0.1]]), 1: np.array([[0.3]])})
     rep = assert_probe_matches_reference(G, bundle)
     assert list(rep.witness.data.items()) == [(0, -3 + 0j), (1, 1 + 0j)]
 
@@ -408,7 +408,7 @@ def test_decimal_transport_reads_as_its_fraction():
 )
 def test_transport_that_is_not_an_exact_rational_is_refused(entry):
     G = z2()
-    bundle = ReconstructedBundle(G, 1, {0: np.array([[1.0]]), 1: np.array([[entry]])})
+    bundle = Cocycle(G, 1, {0: np.array([[1.0]]), 1: np.array([[entry]])})
     with pytest.raises(CatalogError, match="transport of arrow 1 "):
         faithfulness_probe(G, bundle)
 

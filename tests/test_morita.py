@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from orbikit import morita
 from orbikit.bases import CatalogError, FourierCircle
 from orbikit.groupoids import CechCover, cyclic_translation_groupoid, trivial_cover
 from orbikit.morita import (
@@ -360,6 +361,7 @@ def test_deck_elements():
     assert cov.upstairs.iso[g].turns == pytest.approx(0.5)
 
 
-def test_two_morphism_search_time_box():
+def test_two_morphism_search_time_box(monkeypatch):
+    monkeypatch.setattr(morita, "TWO_MORPHISM_NODE_CAP", 0)
     _, _, b = double_cover_bitorsor(3)
-    assert find_two_morphism(b, b, node_cap=0) is INCONCLUSIVE
+    assert find_two_morphism(b, b) is INCONCLUSIVE

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbikit.bases import CircleModes, FourierCircle
-from orbikit.cocycles import reconstruct_bundle, sign_cocycle, trivial_bundle, induced_bundle
+from orbikit.cocycles import Cocycle, reconstruct_bundle, sign_cocycle, trivial_bundle, induced_bundle
 from orbikit.groupoids import FiniteGroup, group_groupoid, rotation_groupoid
 from orbikit.morita import QuotientCovering, double_cover_bitorsor, inverse_bitorsor
 from orbikit.transport import (
@@ -145,6 +145,38 @@ def test_forward_then_inverse_is_identity_on_induced_side():
 
 # -- covering quotients on mode data
 
+
+
+def swap_bundle(theta):
+    """Rank 2 over the two-element group: the nontrivial arrow swaps the fibre's coordinates."""
+    return Cocycle(theta, 2, {0: np.eye(2, dtype=int), 1: np.array([[0, 1], [1, 0]])}, name="swap")
+
+
+@pytest.mark.parametrize("vec", [(1.0, 1.0 + 1e-6), (1e6, 1e6 + 1.0)], ids=["unit-scale", "large"])
+def test_section_moved_beyond_the_absolute_tolerance_is_rejected(vec):
+    theta, xi, b = double_cover_bitorsor(3)
+    bundle = swap_bundle(theta)
+    psi = BundleSection(bundle, {"*": np.array(vec)})
+    assert section_invariance_witness(psi) == 1
+    with pytest.raises(InvarianceError):
+        pushforward_section(b, psi, induced_bundle(b, bundle))
+
+
+def test_large_exactly_invariant_section_pushes_forward():
+    theta, xi, b = double_cover_bitorsor(3)
+    bundle = swap_bundle(theta)
+    psi = BundleSection(bundle, {"*": np.array([1e6, 1e6])})
+    assert section_invariance_witness(psi) is None
+    out = pushforward_section(b, psi, induced_bundle(b, bundle))
+    assert all(np.array_equal(out.vector(y), [1e6, 1e6]) for y in xi.objects)
+
+
+def test_large_inner_product_moved_by_one_is_rejected():
+    theta, xi, b = double_cover_bitorsor(3)
+    with pytest.raises(InvarianceError):
+        induce_inner_product(b, InvariantInnerProduct(np.diag([1e6, 1e6 + 1.0])), swap_bundle(theta))
+    out = induce_inner_product(b, InvariantInnerProduct(1e6 * np.eye(2)), swap_bundle(theta))
+    assert np.array_equal(out.matrix, 1e6 * np.eye(2))
 
 def test_cos2theta_pushes_to_mode_one_cosine():
     cov = circle_cov(2, 8)
@@ -405,12 +437,12 @@ def test_two_isomorphic_bitorsors_transport_sections_identically():
     out2 = pushforward_section(b2, psi, ind2)
     for y in xi.objects:
         # representatives differ by a left-groupoid arrow; align through it
-        q1 = ind1.reps[y]
-        q2 = ind2.reps[y]
+        q1 = b.alpha_fibre(y)[0]
+        q2 = b2.alpha_fibre(y)[0]
         from orbikit.morita import left_witness
 
         sigma = left_witness(b2, shift[q1], q2)
-        transport = np.asarray(bundle.action[sigma], dtype=complex)
+        transport = np.asarray(bundle.entries[sigma], dtype=complex)
         assert np.allclose(out2.vector(y), transport @ out1.vector(y), atol=1e-12)
 
 
