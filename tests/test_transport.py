@@ -143,10 +143,6 @@ def test_forward_then_inverse_is_identity_on_induced_side():
         assert np.allclose(again.vector(y), zeta.vector(y))
 
 
-# -- covering quotients on mode data
-
-
-
 def swap_bundle(theta):
     """Rank 2 over the two-element group: the nontrivial arrow swaps the fibre's coordinates."""
     return Cocycle(theta, 2, {0: np.eye(2, dtype=int), 1: np.array([[0, 1], [1, 0]])}, name="swap")
@@ -177,6 +173,10 @@ def test_large_inner_product_moved_by_one_is_rejected():
         induce_inner_product(b, InvariantInnerProduct(np.diag([1e6, 1e6 + 1.0])), swap_bundle(theta))
     out = induce_inner_product(b, InvariantInnerProduct(1e6 * np.eye(2)), swap_bundle(theta))
     assert np.array_equal(out.matrix, 1e6 * np.eye(2))
+
+
+# -- covering quotients on mode data
+
 
 def test_cos2theta_pushes_to_mode_one_cosine():
     cov = circle_cov(2, 8)
